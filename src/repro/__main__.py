@@ -153,8 +153,8 @@ def _add_opt_parser(subparsers) -> None:
         description="Run the repro.core.opt pass pipeline over a model "
                     "and report the result without simulating: schedule "
                     "entries and react calls per step before and after, "
-                    "parked wires, eliminated instances and inlined "
-                    "controls.  --explain prints the per-pass deltas.")
+                    "parked wires, eliminated instances and specialized "
+                    "reacts.  --explain prints the per-pass deltas.")
     parser.add_argument("spec", nargs="?", default=None,
                         help="path to the .lss specification "
                              "(omit with --builder)")
@@ -204,9 +204,9 @@ def _opt_command(args) -> int:
           f"react calls/step {react_calls(before)}->"
           f"{react_calls(result.schedule)}, "
           f"{len(block['dead_instances'])} instance(s) eliminated, "
-          f"{len(block['dead_wires'])} dead + {len(block['static'])} "
-          f"static wire(s) parked, {len(block['controls'])} control(s) "
-          f"inlined  (--explain for per-pass deltas)")
+          f"{len(block['dead_wires'])} dead wire(s) parked, "
+          f"{len(block['specialized'])} react(s) specialized  "
+          f"(--explain for per-pass deltas)")
     return 0
 
 

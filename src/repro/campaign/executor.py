@@ -388,6 +388,10 @@ class ProcessExecutor:
         status is ``None`` (still running), ``"ok"``, or a failure kind
         (``"error"``/``"crash"``/``"timeout"``) with a message payload.
         """
+        # Liveness is sampled *before* the pipe: a worker that sends its
+        # result and exits between the two samples is then seen as
+        # running with a result, never as dead without one.
+        alive = active.proc.is_alive()
         settled = None
         if active.conn.poll():
             try:
@@ -398,7 +402,7 @@ class ProcessExecutor:
             active.proc.join(timeout=5)
             active.conn.close()
             return settled
-        if not active.proc.is_alive():
+        if not alive:
             active.proc.join()
             active.conn.close()
             return ("crash",

@@ -59,8 +59,9 @@ from .signals import Wire
 #: Bump when the fingerprint inputs or the portable artifact format
 #: change; old on-disk entries are then evicted on sight.  v2: entries
 #: are full compiled-model IR payloads (signal graph, wire partition,
-#: DEPS/control tables) instead of bare schedules.
-CACHE_VERSION = 2
+#: DEPS/control tables) instead of bare schedules.  v3: the base
+#: schedule is the fused instance-affine one (see build_schedule).
+CACHE_VERSION = 3
 
 _DEFAULT_DIR = ".repro-cache"
 _DEFAULT_MEMORY_LIMIT = 64
@@ -390,52 +391,6 @@ class CompileCache:
                         os.unlink(os.path.join(self.disk_dir, name))
                     except OSError:
                         pass
-
-    # -- schedule/stepper conveniences used by the engines ---------------
-    def load_schedule(self, fingerprint: str, design: Design) \
-            -> Optional[List[Any]]:
-        """A live schedule for ``design`` on a hit, else ``None``.
-
-        An entry that fails to materialize (hash collision, stale
-        format drift) is evicted and reported as a miss.
-        """
-        entry = self.lookup(fingerprint)
-        if entry is None:
-            return None
-        try:
-            return materialize_schedule(entry.schedule, design)
-        except Exception:
-            self.evict(fingerprint)
-            self.stats["misses"] += 1
-            return None
-
-    def save_schedule(self, fingerprint: str, schedule: List[Any],
-                      design: Design) -> None:
-        self.store(CompiledModel(fingerprint,
-                                 portable_schedule(schedule, design),
-                                 design_name=design.name))
-
-    def load_stepper(self, fingerprint: str) -> Tuple[Optional[str], Any]:
-        """``(generated source, compiled code object or None)`` on a hit."""
-        if not self.enabled:
-            return None, None
-        entry = self._memory.get(fingerprint) or self._disk_read(fingerprint)
-        if entry is None or entry.stepper_source is None:
-            return None, None
-        return entry.stepper_source, entry.code
-
-    def save_stepper(self, fingerprint: str, source: str, code: Any) -> None:
-        """Attach the generated stepper to an existing (or new) entry."""
-        if not self.enabled:
-            return
-        entry = self._memory.get(fingerprint)
-        if entry is None:
-            entry = self._disk_read(fingerprint)
-        if entry is None:
-            return  # schedule entry vanished; nothing to attach to
-        entry.stepper_source = source
-        entry.code = code
-        self.store(entry)
 
 
 # ----------------------------------------------------------------------

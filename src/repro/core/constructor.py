@@ -296,9 +296,8 @@ def build_simulator(spec: LSS, engine: Optional[str] = None, *,
         set, else ``'worklist'``.
     opt:
         Optimizer level 0–2 (:mod:`repro.core.opt`): 0 disables the
-        pass pipeline, 1 enables schedule fusion, pruning, constant
-        propagation and control inlining, 2 adds dead-instance
-        elimination.  ``None`` defers to the ``REPRO_OPT`` environment
+        pass pipeline, 1 specializes reacts per constant parameter
+        binding, 2 adds dead-instance elimination.  ``None`` defers to the ``REPRO_OPT`` environment
         variable (default 0).  Every engine accepts it; optimization
         never changes observable results, only the work per timestep.
     engine_kw:

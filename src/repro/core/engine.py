@@ -155,7 +155,6 @@ class SimulatorBase:
             self.opt_level = 0
             self._react_instances = self._instances
             self._relax_wires = self._wires
-            self._stripped_controls: List = []
             if _opt:
                 self._apply_opt(_opt)
             # Initialize every instance eagerly: ports are already bound
@@ -163,30 +162,30 @@ class SimulatorBase:
             # FSMs) is inspectable before the first timestep runs.
             self._do_init()
         except BaseException:
-            self._abandon_construction(design)
+            self._detach(design)
             raise
 
-    def _abandon_construction(self, design: Design) -> None:
-        """Undo a partially-applied animation after ``__init__`` raised.
+    def _detach(self, design: Design) -> None:
+        """Sever every backref this simulator installed on ``design``.
 
-        Construction mutates shared state the moment ownership is
-        taken: backrefs on wires and instances, pre-bound dispatch, and
-        optimizer control stripping.  A failed build — a bad parameter,
-        a module ``init()`` error, an optimizer pass that does not
-        apply — must leave the Design exactly as it was found, so the
-        caller can rebuild (e.g. retry at ``--opt 0`` after a failed
-        ``--opt 2``) without a stale ownership or a stripped control
-        corrupting the rerun.
+        Shared by :meth:`close` and by ``__init__`` when construction
+        raises part-way.  Construction mutates shared state the moment
+        ownership is taken: backrefs on wires and instances and
+        pre-bound (possibly specialized) dispatch.  A failed build — a
+        bad parameter, a module ``init()`` error, an optimizer pass
+        that does not apply — must leave the Design exactly as it was
+        found, so the caller can rebuild (e.g. retry at ``--opt 0``
+        after a failed ``--opt 2``) without a stale ownership or a
+        folded react corrupting the rerun.
         """
-        for wire, control in getattr(self, "_stripped_controls", []):
-            wire.control = control
-        self._stripped_controls = []
         for wire in design.wires:
             if getattr(wire, "engine", None) is self:
                 wire.engine = None
         for inst in design.leaves.values():
             if getattr(inst, "sim", None) is self:
                 inst.sim = None
+                # Restore the plain pre-bound dispatch (same dict key,
+                # so split-key instance dicts stay split; see __init__).
                 inst.react = type(inst).react.__get__(inst, type(inst))
         design._owned = False
 
@@ -269,17 +268,7 @@ class SimulatorBase:
         self._closed = True
         if self.profiler is not None:
             self.profiler.detach()
-        for wire in self._wires:
-            wire.engine = None
-        for inst in self._instances:
-            inst.sim = None
-            # Restore the plain pre-bound dispatch (same dict key, so
-            # split-key instance dicts stay split; see __init__).
-            inst.react = type(inst).react.__get__(inst, type(inst))
-        for wire, control in self._stripped_controls:
-            wire.control = control
-        self._stripped_controls = []
-        self.design._owned = False
+        self._detach(self.design)
 
     def __enter__(self) -> "SimulatorBase":
         return self
@@ -336,60 +325,43 @@ class SimulatorBase:
         The block carries canonical wire keys and instance paths, never
         live objects, so it applies to any design the artifact binds to:
 
-        * **static** wires (every signal constant) are driven once via
-          ``begin_step()`` and parked — removed from the per-step
-          begin/reset loops (their unknown contribution is already 0);
         * **dead** wires are parked out of the begin/transfer/relax
           loops with their unknown-signal budget subtracted, and their
           (dead) instances leave the react/update rosters — the
           schedule the optimizer shipped never reacts them anyway, but
           the worklist seed and the levelized fallback honor the same
           set;
-        * **identity controls** are stripped (``wire.control = None``)
-          so those commits take the direct path; ``close()`` restores
-          them, since the design outlives the simulator;
         * **specialized** instances get their react folded per constant
           binding: the template's ``specialize_react`` hook rebuilds the
           closure against *this* design's bound ports and replaces the
           pre-bound dispatch entry, so every engine's react tables pick
           it up.  ``close()`` restores the plain class react (it rebinds
           ``type(inst).react`` unconditionally).
+
+        Nothing here touches the design beyond those dispatch entries —
+        in particular no engine mutates ``wire.control``.
         """
-        from .compile_cache import wire_key
-        key_map = {wire_key(w): w for w in self._wires}
-        static = [key_map[tuple(k)] for k in block.get("static") or ()]
-        dead = [key_map[tuple(k)] for k in block.get("dead_wires") or ()]
-        dead_paths = set(block.get("dead_instances") or ())
         self.opt_level = block.get("level", 1)
-        for wire in static:
-            wire.begin_step()  # const drives never notify the engine
-        parked = {id(w) for w in static}
-        parked.update(id(w) for w in dead)
-        if parked:
-            self._plain_wires = [w for w in self._plain_wires
-                                 if id(w) not in parked]
-            self._const_wires = [w for w in self._const_wires
-                                 if id(w) not in parked]
-            self._relax_wires = [w for w in self._wires
-                                 if id(w) not in parked]
-        dead_ids = {id(w) for w in dead}
-        if dead_ids:
-            self._transfer_wires = [w for w in self._transfer_wires
-                                    if id(w) not in dead_ids]
-            for wire in dead:
-                consts = ((wire.const_data is not None)
-                          + (wire.const_enable is not None)
-                          + (wire.const_ack is not None))
-                self._begin_unknown -= 3 - consts
+        if block.get("dead_wires"):
+            from .compile_cache import wire_key
+            key_map = {wire_key(w): w for w in self._wires}
+            dead = [key_map[tuple(k)] for k in block["dead_wires"]]
+            dead_ids = {id(w) for w in dead}
+
+            def live(wires: List[Wire]) -> List[Wire]:
+                return [w for w in wires if id(w) not in dead_ids]
+
+            self._plain_wires = live(self._plain_wires)
+            self._const_wires = live(self._const_wires)
+            self._transfer_wires = live(self._transfer_wires)
+            self._relax_wires = live(self._wires)
+            self._begin_unknown -= partition_wires(dead).begin_unknown
+        dead_paths = set(block.get("dead_instances") or ())
         if dead_paths:
             self._react_instances = [i for i in self._instances
                                      if i.path not in dead_paths]
             self._updaters = [i for i in self._updaters
                               if i.path not in dead_paths]
-        for key in block.get("controls") or ():
-            wire = key_map[tuple(key)]
-            self._stripped_controls.append((wire, wire.control))
-            wire.control = None
         for path in block.get("specialized") or ():
             inst = self.design.leaves.get(path)
             hook = (None if inst is None
@@ -462,16 +434,28 @@ class SimulatorBase:
         after restore), and instance attributes that reference other
         module instances or the simulator itself (such references are
         preserved by identity in-memory but are not meaningful across
-        processes).  State must be picklable to be written to disk.
+        processes).  State must be picklable to be written to disk; an
+        attribute that cannot even be copied (a live generator, a lock)
+        raises :class:`SimulationError` naming the instance and
+        attribute.
         """
         memo: Dict[int, Any] = {id(self): self, id(self.design): self.design}
         for inst in self._instances:
             memo[id(inst)] = inst
         instances: Dict[str, Dict[str, Any]] = {}
         for path, inst in self.design.leaves.items():
-            own = {k: v for k, v in inst.__dict__.items()
-                   if k not in self._FRAMEWORK_ATTRS}
-            instances[path] = copy.deepcopy(own, memo)
+            own: Dict[str, Any] = {}
+            for attr, value in inst.__dict__.items():
+                if attr in self._FRAMEWORK_ATTRS:
+                    continue
+                try:
+                    own[attr] = copy.deepcopy(value, memo)
+                except TypeError as exc:  # e.g. a live generator
+                    raise SimulationError(
+                        f"instance {path!r} is not checkpointable: "
+                        f"attribute {attr!r} cannot be copied "
+                        f"({exc})") from exc
+            instances[path] = own
         return {
             "design": self.design.name,
             "now": self.now,
@@ -571,9 +555,9 @@ class Simulator(SimulatorBase):
     ``opt`` (default: the ``REPRO_OPT`` environment) routes the design
     through :func:`repro.core.ir.compile_model` at that optimizer level
     and applies the resulting opt block — the worklist has no static
-    schedule to fuse, but dead-instance parking, static wires and
-    control inlining all carry over.  At level 0 no compilation happens
-    at all, preserving the historical zero-dependency path.
+    schedule, but react specialization and dead-instance parking carry
+    over.  At level 0 no compilation happens at all, preserving the
+    historical zero-dependency path.
     """
 
     def __init__(self, design: Design, *, opt: Optional[int] = None, **kw):

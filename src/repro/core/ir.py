@@ -294,19 +294,21 @@ def compile_model(design: Design,
 
     ``options`` (a :class:`CompileOptions`; the ``need_stepper``/
     ``opt_level`` keywords are back-compat shorthand) selects the
-    stages, innermost first:
+    stages, innermost first.  Every stage goes through the same
+    lookup → bind → evict-on-failure → attach-stepper → store block
+    under its own key, and on a miss builds from the stage below it:
 
-    1. **base**: signal graph → schedule → partition → optional
-       stepper, cached under the bare fingerprint;
+    1. **base**: signal graph → schedule → partition, cached under the
+       bare fingerprint;
     2. **opt** (``opt_level > 0``): the optimizer pipeline
-       (:mod:`repro.core.opt`) — the fused schedule plus the ``opt``
+       (:mod:`repro.core.opt`) — the schedule it leaves plus the ``opt``
        block the engine applies at construction — cached under the
        composite ``fingerprint@opt{level}.{OPT_VERSION}`` key, so warm
        runs bind it directly and skip the pass pipeline entirely.  The
        base artifact's partition summary is what the optimized entry
        carries, since the wire partition itself is untouched by
-       optimization (dead/static wires are parked by the engine, not
-       removed from the design);
+       optimization (dead wires are parked by the engine, not removed
+       from the design);
     3. **vec** (``vec=True``): vec planning
        (:func:`repro.core.vec.plan_vec_structure`) over the
        (optimized) schedule and opt block, stored as the artifact's
@@ -318,29 +320,67 @@ def compile_model(design: Design,
     if options is None:
         options = CompileOptions(opt_level=opt_level or 0,
                                  need_stepper=need_stepper)
-    if options.vec:
-        return _compile_vec(design, options)
-    need_stepper = options.need_stepper
-    if options.opt_level and options.opt_level > 0:
-        return _compile_optimized(design, options.opt_level, need_stepper)
     from .compile_cache import design_fingerprint, get_cache
     cache = get_cache()
-    fingerprint = ""
-    if cache.enabled:
-        fingerprint = design_fingerprint(design)
-        entry = cache.lookup(fingerprint)
-        if entry is not None:
-            try:
-                bound = entry.bind(design)
-            except Exception:
-                cache.evict(fingerprint)
-                cache.stats["misses"] += 1
-            else:
-                if need_stepper and entry.stepper_source is None:
-                    _attach_stepper(entry, bound.schedule)
-                    cache.store(entry)  # persist the stepper to disk too
-                return bound
+    level = options.opt_level or 0
+    fingerprint = design_fingerprint(design) if cache.enabled else ""
+    # (cache key, builder), innermost first.
+    stages = [(fingerprint, _build_base)]
+    if level > 0:
+        from .opt import opt_cache_key
+        stages.append((opt_cache_key(fingerprint, level), _build_opt))
+    if options.vec:
+        from .vec import vec_cache_key
+        stages.append((vec_cache_key(fingerprint, level,
+                                     options.lanes_class), _build_vec))
 
+    def stage(depth: int, need_stepper: bool) -> BoundModel:
+        key, build = stages[depth]
+        if not cache.enabled:
+            key = ""
+        else:
+            entry = cache.lookup(key)
+            if entry is not None:
+                try:
+                    bound = entry.bind(design)
+                except Exception:
+                    cache.evict(key)
+                    cache.stats["misses"] += 1
+                else:
+                    if need_stepper and entry.stepper_source is None:
+                        _attach_stepper(entry, bound.schedule)
+                        cache.store(entry)  # persist the stepper to disk too
+                    return bound
+        model, schedule, partition = build(
+            design, key, options,
+            lambda inner_stepper: stage(depth - 1, inner_stepper))
+        if need_stepper and model.stepper_source is None:
+            _attach_stepper(model, schedule)
+        if cache.enabled:
+            cache.store(model)
+        return BoundModel(model, design, schedule,
+                          _cluster_wire_lists(schedule, design.wires),
+                          partition, from_cache=False)
+
+    return stage(len(stages) - 1, options.need_stepper)
+
+
+def _derived_model(key: str, inner: BoundModel, schedule: List[Any],
+                   **fields: Any) -> CompiledModel:
+    """A stage's artifact: ``fields`` over what the stage below it
+    already established (graph, partition summary, metadata tables)."""
+    from .compile_cache import portable_schedule
+    base = inner.model
+    return CompiledModel(
+        key, portable_schedule(schedule, inner.design),
+        design_name=base.design_name, graph_edges=base.graph_edges,
+        const_keys=base.const_keys, transfer_keys=base.transfer_keys,
+        begin_unknown=base.begin_unknown, deps=base.deps,
+        controls=base.controls, **fields)
+
+
+def _build_base(design: Design, key: str, options: CompileOptions, inner):
+    """Stage 1 on a miss: signal graph → schedule → partition."""
     from .compile_cache import portable_schedule, wire_key
     from .optimize import build_schedule, build_signal_graph
     graph = build_signal_graph(design)
@@ -348,126 +388,39 @@ def compile_model(design: Design,
     partition = partition_wires(design.wires)
     deps, controls = _metadata_tables(design)
     model = CompiledModel(
-        fingerprint, portable_schedule(schedule, design),
+        key, portable_schedule(schedule, design),
         design_name=design.name,
         graph_edges=_portable_graph(graph, design),
         const_keys=[list(wire_key(w)) for w in partition.const],
         transfer_keys=[list(wire_key(w)) for w in partition.transfer],
         begin_unknown=partition.begin_unknown,
         deps=deps, controls=controls)
-    if need_stepper:
-        _attach_stepper(model, schedule)
-    if cache.enabled:
-        cache.store(model)
-    return BoundModel(model, design, schedule,
-                      _cluster_wire_lists(schedule, design.wires),
-                      partition, from_cache=False)
+    return model, schedule, partition
 
 
-def _compile_optimized(design: Design, level: int, need_stepper: bool) \
-        -> BoundModel:
-    """The ``opt_level > 0`` arm of :func:`compile_model`.
-
-    Cache-first: a warm ``(fingerprint, level, OPT_VERSION)`` entry is
-    bound without running a single pass.  On a miss the base artifact
-    (recursive :func:`compile_model`, which hits the bare-fingerprint
-    cache) supplies the signal graph, partition summary and metadata
-    tables; only the pass pipeline itself runs fresh.
-    """
-    from .compile_cache import design_fingerprint, get_cache
-    from .opt import opt_cache_key
-    cache = get_cache()
-    fingerprint = key = ""
-    if cache.enabled:
-        fingerprint = design_fingerprint(design)
-        key = opt_cache_key(fingerprint, level)
-        entry = cache.lookup(key)
-        if entry is not None:
-            try:
-                bound = entry.bind(design)
-            except Exception:
-                cache.evict(key)
-                cache.stats["misses"] += 1
-            else:
-                if need_stepper and entry.stepper_source is None:
-                    _attach_stepper(entry, bound.schedule)
-                    cache.store(entry)
-                return bound
-
-    base = compile_model(design)
-    from .compile_cache import portable_schedule
+def _build_opt(design: Design, key: str, options: CompileOptions, inner):
+    """Stage 2 on a miss: the base artifact supplies the signal graph,
+    schedule, partition summary and metadata tables; only the pass
+    pipeline itself runs fresh."""
     from .opt.pipeline import optimize_model
-    graph = base.model.signal_graph(design)
-    result = optimize_model(design, level=level, graph=graph,
+    base = inner(False)
+    result = optimize_model(design, level=options.opt_level,
+                            graph=base.model.signal_graph(design),
                             schedule=base.schedule)
-    model = CompiledModel(
-        key, portable_schedule(result.schedule, design),
-        design_name=design.name,
-        graph_edges=base.model.graph_edges,
-        const_keys=base.model.const_keys,
-        transfer_keys=base.model.transfer_keys,
-        begin_unknown=base.model.begin_unknown,
-        deps=base.model.deps, controls=base.model.controls,
-        opt=result.block)
-    if need_stepper:
-        _attach_stepper(model, result.schedule)
-    if cache.enabled:
-        cache.store(model)
-    return BoundModel(model, design, result.schedule,
-                      _cluster_wire_lists(result.schedule, design.wires),
-                      base.partition, from_cache=False)
+    model = _derived_model(key, base, result.schedule, opt=result.block)
+    return model, result.schedule, base.partition
 
 
-def _compile_vec(design: Design, options: CompileOptions) -> BoundModel:
-    """The ``vec=True`` arm of :func:`compile_model`.
-
-    Cache-first: a warm composite vec-key entry binds without running a
-    single optimizer pass or plan analysis.  On a miss the inner stages
-    (recursive :func:`compile_model`, which hits their own caches)
-    supply the schedule and opt block; only
-    :func:`~repro.core.vec.plan_vec_structure` runs fresh, and the
-    resulting portable payload rides the stored artifact — the form
-    fabric ships to workers so shards adopt the plan instead of
-    replanning.
-    """
-    from .compile_cache import design_fingerprint, get_cache
-    from .vec import vec_cache_key
-    cache = get_cache()
-    fingerprint = key = ""
-    if cache.enabled:
-        fingerprint = design_fingerprint(design)
-        key = vec_cache_key(fingerprint, options.opt_level,
-                            options.lanes_class)
-        entry = cache.lookup(key)
-        if entry is not None:
-            try:
-                bound = entry.bind(design)
-            except Exception:
-                cache.evict(key)
-                cache.stats["misses"] += 1
-            else:
-                if options.need_stepper and entry.stepper_source is None:
-                    _attach_stepper(entry, bound.schedule)
-                    cache.store(entry)
-                return bound
-
-    base = compile_model(design, need_stepper=options.need_stepper,
-                         opt_level=options.opt_level)
-    from .compile_cache import portable_schedule
+def _build_vec(design: Design, key: str, options: CompileOptions, inner):
+    """Stage 3 on a miss: the stage below supplies the schedule, opt
+    block and stepper; only :func:`~repro.core.vec.plan_vec_structure`
+    runs fresh, and the portable payload rides the stored artifact —
+    the form fabric ships to workers so shards adopt the plan instead
+    of replanning."""
     from .vec import plan_vec_structure
-    payload = plan_vec_structure(design, base.schedule,
-                                 opt=base.model.opt)
-    model = CompiledModel(
-        key, portable_schedule(base.schedule, design),
-        base.model.stepper_source, base.model.code,
-        design_name=design.name,
-        graph_edges=base.model.graph_edges,
-        const_keys=base.model.const_keys,
-        transfer_keys=base.model.transfer_keys,
-        begin_unknown=base.model.begin_unknown,
-        deps=base.model.deps, controls=base.model.controls,
-        opt=base.model.opt, vec=payload)
-    if cache.enabled:
-        cache.store(model)
-    return BoundModel(model, design, base.schedule, base.cluster_wires,
-                      base.partition, from_cache=False)
+    base = inner(options.need_stepper)
+    model = _derived_model(
+        key, base, base.schedule, opt=base.model.opt,
+        stepper_source=base.model.stepper_source, code=base.model.code,
+        vec=plan_vec_structure(design, base.schedule, opt=base.model.opt))
+    return model, base.schedule, base.partition

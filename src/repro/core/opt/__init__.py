@@ -1,50 +1,35 @@
-"""The IR optimizer pipeline: shrink compiled models before execution.
+"""The IR optimizer pipeline: decide what an engine binds, not its order.
 
 The paper's construction-time argument (§2.3) is that a fixed model of
 computation lets the *system* analyze and optimize a specification
-before any engine animates it.  The analysis layer
-(:mod:`repro.analysis`) computes condensations, constant subgraphs and
-dead instances — but only to report them.  This package is the
-rewriting half: a pass manager (:mod:`repro.core.opt.pipeline`) over
-the compiled-model IR (:class:`repro.core.ir.CompiledModel`) whose
-passes (:mod:`repro.core.opt.passes`) produce a smaller schedule plus a
-portable *opt block* every engine applies at construction:
+before any engine animates it.  The schedule itself is that analysis:
+:func:`repro.core.optimize.build_schedule` orders it once, fused and
+instance-affine, for every engine at every level.  This package is
+what remains to rewrite afterwards: a pass manager
+(:mod:`repro.core.opt.pipeline`) over the compiled-model IR
+(:class:`repro.core.ir.CompiledModel`) whose two passes
+(:mod:`repro.core.opt.passes`) produce a portable *opt block* every
+engine applies at construction:
 
-``const-prop``
-    Propagates the constant wire partition: fully constant wires are
-    parked after a single drive, and constant signal groups are
-    credited to the scheduler so downstream passes treat them as
-    pre-resolved.
+``specialize`` (``--opt 1`` and up)
+    Cross-instance specialization: templates publishing a
+    ``specialize_react`` hook get their react folded per constant
+    parameter binding at construction time.  Observation-equivalent:
+    every statistic, probe and transfer is unchanged.
 ``dead-code`` (``--opt 2`` only)
     Eliminates instances that cannot reach a consuming endpoint —
     the exact ``connectivity.dead-instance`` semantics of
     :mod:`repro.analysis.connectivity` — restricted to *closed* dead
-    subgraphs so no surviving instance's environment changes.
-``level-fusion``
-    Re-levelizes the schedule with instance affinity: an instance-aware
-    topological order over the signal-graph condensation that collapses
-    single-consumer levels into one ``react`` call per run.
-``prune``
-    Removes schedule occurrences made redundant by fusion (every
-    dependency already resolved at the previous occurrence).
-``group-merge`` (``--opt 2`` only)
-    Merges sibling cluster entries whose dependencies allow a joint
-    fixpoint — replicated subsystems share one iteration scaffold.
-``specialize`` (``--opt 2`` only)
-    Cross-instance specialization: templates publishing a
-    ``specialize_react`` hook get their react folded per constant
-    parameter binding at construction time.
-``control-inline``
-    Specializes default control semantics (§2.1): full-identity
-    control functions are stripped so the wire commit path skips the
-    transform indirection entirely.
+    subgraphs so no surviving instance's environment changes, and
+    drops their entries from the schedule.  The eliminated instances'
+    own statistics vanish with them, which is why this is level 2.
 
-Optimization levels: ``0`` skips the pipeline (historical behavior),
-``1`` runs the observation-equivalent passes, ``2`` adds dead-code
-elimination.  Optimized artifacts are cached by
-:func:`repro.core.ir.compile_model` under a
-``(fingerprint, opt_level, OPT_VERSION)`` key (:func:`opt_cache_key`)
-so warm constructions skip the pipeline entirely.
+Optimization levels: ``0`` skips the pipeline, ``1`` runs the
+observation-equivalent passes, ``2`` adds dead-code elimination.
+Optimized artifacts are cached by :func:`repro.core.ir.compile_model`
+under a ``(fingerprint, opt_level, OPT_VERSION)`` key
+(:func:`opt_cache_key`) so warm constructions skip the pipeline
+entirely.
 """
 
 from __future__ import annotations
@@ -57,7 +42,10 @@ from ..errors import SpecificationError
 #: Bump when a pass changes behavior; folded into the optimized-IR
 #: cache key so stale on-disk artifacts are never rebound.
 #: 2: specialize + group-merge passes, ``specialized`` block key.
-OPT_VERSION = 2
+#: 3: fusion/prune folded into build_schedule; const-prop, group-merge
+#: and control-inline deleted with the ``static``/``controls`` keys;
+#: specialize moved to level 1.
+OPT_VERSION = 3
 
 #: Environment variable naming the default optimization level.
 OPT_ENV_VAR = "REPRO_OPT"
@@ -69,8 +57,8 @@ MAX_OPT_LEVEL = 2
 def resolve_opt_level(level: Union[int, str, None] = None) -> int:
     """Validate ``level``, defaulting from the ``REPRO_OPT`` environment.
 
-    ``None`` consults ``REPRO_OPT`` and falls back to ``0`` — the
-    un-optimized historical behavior — when unset.  Accepts ints or
+    ``None`` consults ``REPRO_OPT`` and falls back to ``0`` — no
+    pipeline — when unset.  Accepts ints or
     numeric strings; anything outside ``0..2`` raises
     :class:`~repro.core.errors.SpecificationError`.
     """

@@ -7,8 +7,6 @@ delta counts for the explain report.  Ordering and level gating live
 in :data:`repro.core.opt.pipeline.PASS_TABLE`.
 """
 
-from . import (const_prop, control, dead_code, fusion, group_merge, prune,
-               specialize)
+from . import dead_code, specialize
 
-__all__ = ["const_prop", "control", "dead_code", "fusion", "group_merge",
-           "prune", "specialize"]
+__all__ = ["dead_code", "specialize"]

@@ -15,17 +15,21 @@ observation equivalence for survivors is the pass's contract.
 Instances participating in combinational clusters are likewise exempt
 (cluster fixed-point iteration needs every member).
 
-What elimination means downstream: the fused schedule never reacts the
-instance, its ``update()`` is skipped (so its statistics vanish with
-it), and all its wires are *parked* — excluded from the per-step
-begin/transfer/relaxation loops with their unknown-signal budget
-subtracted.  Surviving instances, wires and probes behave
-bit-identically to ``--opt 0``.
+What elimination means downstream: the pass drops the instance's
+entries from the schedule it is handed (closure guarantees they carry
+only dead groups and that no surviving group waits on them, so the
+remaining order stays a valid topological order), its ``update()`` is
+skipped (so its statistics vanish with it), and all its wires are
+*parked* — excluded from the per-step begin/transfer/relaxation loops
+with their unknown-signal budget subtracted.  Surviving instances,
+wires and probes behave bit-identically to ``--opt 0``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Set, Tuple
+
+from ...optimize import build_signal_graph, combinational_clusters
 
 NAME = "dead-code"
 
@@ -45,9 +49,7 @@ def eliminable_instances(design, graph=None) -> Tuple[Set[str], Set[int]]:
     isolated, unreachable = dead_instance_paths(design)
     candidates: Set[str] = set(isolated) | set(unreachable)
     if graph is None:
-        from ...optimize import build_signal_graph
         graph = build_signal_graph(design)
-    from ...optimize import combinational_clusters
     for cluster in combinational_clusters(graph):
         for group in cluster:
             node = graph.nodes[group]
@@ -76,6 +78,11 @@ def eliminable_instances(design, graph=None) -> Tuple[Set[str], Set[int]]:
 
 def run(ctx) -> Dict[str, Any]:
     dead_paths, dead_wids = eliminable_instances(ctx.design, ctx.graph)
-    ctx.dead_paths.update(dead_paths)
-    ctx.dead_wids.update(dead_wids)
+    ctx.dead_paths, ctx.dead_wids = dead_paths, dead_wids
+    # Cluster members are never eliminable, so only single-instance
+    # entries can go.  No two entries of one survivor become adjacent:
+    # a dead component releases only dead components, so whatever the
+    # walk picked after a dead entry was not the instance before it.
+    ctx.entries = [entry for entry in ctx.entries if entry.cluster
+                   or entry.instances[0].path not in dead_paths]
     return {"instances": len(dead_paths), "wires": len(dead_wids)}

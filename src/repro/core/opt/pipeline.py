@@ -2,12 +2,12 @@
 
 :func:`optimize_model` is the single entry point the IR compiler
 (:func:`repro.core.ir.compile_model`) calls on an optimized-cache miss.
-It owns the pass ordering (constant propagation feeds dead-code
-elimination feeds fusion feeds pruning feeds control inlining), runs
-each pass that the requested level enables over one shared
-:class:`OptContext`, and lowers the result to
+It runs each pass of :data:`PASS_TABLE` that the requested level
+enables over one shared :class:`OptContext` and lowers the result to
 
-* a new live schedule (the fused/pruned ``ScheduleEntry`` list), and
+* the live schedule — the one :func:`repro.core.optimize.build_schedule`
+  ordered, minus whatever dead-code eliminated; no pass reorders it —
+  and
 * a portable **opt block** — a JSON-able dict of wire keys and
   instance paths every engine applies at construction time
   (``SimulatorBase._apply_opt``) and that rides inside the cached
@@ -17,70 +17,53 @@ Safety rests on the DEPS/PORTS contracts the fingerprint already
 covers: reacts are pure, idempotent and monotone, so any schedule that
 respects the declared signal-group dependencies reaches the same
 unique fixpoint (chaotic-iteration confluence), and transfers/probes
-are judged from final wire state only.  Every pass transforms within
+are judged from final wire state only.  Both passes transform within
 those contracts; the cross-engine differential tests arbitrate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, NamedTuple, Optional, Set
 
 from ..netlist import Design
 from ..optimize import ScheduleEntry, build_schedule, build_signal_graph
-from .passes import (const_prop, control, dead_code, fusion, group_merge,
-                     prune, specialize)
+from .passes import dead_code, specialize
 
 #: Total pipeline executions in this process.  Cache tests and the
 #: warm-skip benchmark assert this does NOT advance on a warm
 #: optimized-IR cache hit.
 PIPELINE_RUNS = 0
 
-#: (name, minimum level, pass module) in execution order.
+#: (name, minimum level, pass module) in execution order: dead-code
+#: first, so specialize folds nothing that was eliminated.
 PASS_TABLE = (
-    (const_prop.NAME, 1, const_prop),
     (dead_code.NAME, 2, dead_code),
-    (fusion.NAME, 1, fusion),
-    (prune.NAME, 1, prune),
-    (group_merge.NAME, 2, group_merge),
-    (specialize.NAME, 2, specialize),
-    (control.NAME, 1, control),
+    (specialize.NAME, 1, specialize),
 )
 
 
+@dataclass
 class OptContext:
     """Mutable state shared by the passes of one pipeline run."""
 
-    __slots__ = ("design", "graph", "entries", "level", "static_wids",
-                 "dead_paths", "dead_wids", "control_wids", "specialized")
-
-    def __init__(self, design: Design, graph, entries: List[ScheduleEntry],
-                 level: int):
-        self.design = design
-        self.graph = graph
-        self.entries = entries
-        self.level = level
-        #: Fully constant wires, parked after one drive.
-        self.static_wids: Set[int] = set()
-        #: Instances eliminated by dead-code (closed dead subgraphs).
-        self.dead_paths: Set[str] = set()
-        #: Wires of eliminated instances, parked entirely.
-        self.dead_wids: Set[int] = set()
-        #: Wires whose full-identity control function is stripped.
-        self.control_wids: Set[int] = set()
-        #: Instance paths whose react is folded per constant binding.
-        self.specialized: List[str] = []
+    design: Design
+    graph: Any
+    entries: List[ScheduleEntry]
+    #: Instances eliminated by dead-code (closed dead subgraphs).
+    dead_paths: Set[str] = field(default_factory=set)
+    #: Wires of eliminated instances, parked entirely.
+    dead_wids: Set[int] = field(default_factory=set)
+    #: Instance paths whose react is folded per constant binding.
+    specialized: List[str] = field(default_factory=list)
 
 
-class OptResult:
+class OptResult(NamedTuple):
     """One pipeline run's output: the new schedule plus the opt block."""
 
-    __slots__ = ("schedule", "block", "level")
-
-    def __init__(self, schedule: List[ScheduleEntry],
-                 block: Dict[str, Any], level: int):
-        self.schedule = schedule
-        self.block = block
-        self.level = level
+    schedule: List[ScheduleEntry]
+    block: Dict[str, Any]
+    level: int
 
 
 def react_calls(entries: List[ScheduleEntry]) -> int:
@@ -113,13 +96,15 @@ def optimize_model(design: Design, *, level: int, graph=None,
     absent.  ``level`` must be ≥ 1 (level 0 means "pipeline skipped"
     and is handled by the caller).
     """
+    from . import OPT_VERSION
+    from ..compile_cache import wire_key
     global PIPELINE_RUNS
     PIPELINE_RUNS += 1
     if graph is None:
         graph = build_signal_graph(design)
     if schedule is None:
         schedule = build_schedule(design, graph=graph)
-    ctx = OptContext(design, graph, schedule, level)
+    ctx = OptContext(design, graph, schedule)
     records: List[Dict[str, Any]] = []
     for name, min_level, module in PASS_TABLE:
         if level < min_level:
@@ -134,28 +119,15 @@ def optimize_model(design: Design, *, level: int, graph=None,
                   "reacts_after": react_calls(ctx.entries)}
         record.update(detail)
         records.append(record)
-    block = _lower_block(ctx, records)
+    # Lower the context's wid/path sets to the portable opt block.
+    block = {"version": OPT_VERSION,
+             "level": level,
+             "dead_wires": sorted(list(wire_key(w)) for w in design.wires
+                                  if w.wid in ctx.dead_wids),
+             "dead_instances": sorted(ctx.dead_paths),
+             "specialized": sorted(ctx.specialized),
+             "passes": records}
     return OptResult(ctx.entries, block, level)
-
-
-def _lower_block(ctx: OptContext,
-                 records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Lower the context's wid/path sets to the portable opt block."""
-    from . import OPT_VERSION
-    from ..compile_cache import wire_key
-    by_wid = {w.wid: w for w in ctx.design.wires}
-
-    def keys(wids: Set[int]) -> List[List[Any]]:
-        return sorted(list(wire_key(by_wid[wid])) for wid in wids)
-
-    return {"version": OPT_VERSION,
-            "level": ctx.level,
-            "static": keys(ctx.static_wids),
-            "dead_wires": keys(ctx.dead_wids),
-            "dead_instances": sorted(ctx.dead_paths),
-            "controls": keys(ctx.control_wids),
-            "specialized": sorted(ctx.specialized),
-            "passes": records}
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +167,9 @@ def explain_report(design: Design, level: int) -> str:
         f"react calls/step {react_calls(base)}->"
         f"{react_calls(result.schedule)}")
     lines.append(
-        f"  parked wires: {len(block['static'])} static, "
-        f"{len(block['dead_wires'])} dead; "
+        f"  parked wires: {len(block['dead_wires'])} dead; "
         f"instances removed: {len(block['dead_instances'])}; "
-        f"controls inlined: {len(block['controls'])}; "
-        f"reacts specialized: {len(block.get('specialized') or ())}")
+        f"reacts specialized: {len(block['specialized'])}")
     if block["dead_instances"]:
         lines.append("  eliminated: " + ", ".join(block["dead_instances"]))
     lines.extend(_vec_coverage_lines(design, level, base, result))

@@ -11,21 +11,41 @@ by the destination).  Each leaf module's ``DEPS`` declaration tells us
 which input signal groups each driven group combinationally depends on
 (``DEPS = {}`` declares a fully registered module; ``DEPS = None`` is
 conservative: everything depends on everything).  From these we build a
-dependency graph over signal groups, condense its strongly connected
-components with :mod:`networkx`, and topologically order them.
+dependency graph over signal groups (:func:`build_signal_graph`) and
+:func:`build_schedule` — the one place a schedule is ordered — condenses
+its strongly connected components with :mod:`networkx` and walks the
+condensation with an **instance-affine Kahn's algorithm**:
+
+* constant (stub-driven) groups are resolved by ``begin_step``, so what
+  they feed is released before the walk starts;
+* ready components sit in one bucket per driving instance; a run of the
+  current instance is extended while its bucket is non-empty, and the
+  next run starts at the instance with the most ready components (ties
+  by path, components by lowest wire id — the order is deterministic
+  and identical for structurally identical designs);
+* consecutive components of one instance collapse into a single
+  ``react()``; a genuine combinational cycle becomes a small iterative
+  *cluster*, scheduled only when no single instance is ready.
+
+Reacts are pure, monotone and idempotent, so *any* order respecting the
+declared dependencies reaches the same fixpoint (chaotic-iteration
+confluence); the affinity only decides how many ``react()`` calls that
+takes.  On fig2d's detailed backend an instance-oblivious topological
+order reacts 172 times per step (n = 4) where this walk needs 76.
 
 The resulting schedule replaces the dynamic worklist with a fixed
-sequence of ``react()`` calls — one per instance occurrence, with
-consecutive duplicates collapsed — plus small iterative *clusters* for
-any genuine combinational cycles.  Semantics are identical to the
-worklist engine; only scheduling overhead is removed.  The
-:mod:`repro.core.codegen` engine further compiles the schedule into
-generated Python.
+sequence of ``react()`` calls.  Semantics are identical to the worklist
+engine, which stays the reference every engine is checked against; only
+scheduling overhead is removed.  The :mod:`repro.core.codegen` engine
+further compiles the schedule into generated Python, and the optimizer
+(:mod:`repro.core.opt`) decides what an engine binds to it — it never
+reorders it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -36,6 +56,11 @@ from .signals import SIG_ACK, SIG_DATA, SIG_ENABLE, Wire
 
 #: A signal group: ("fwd"|"ack", wire id)
 Group = Tuple[str, int]
+
+
+def _by_wire(group: Group) -> Tuple[int, str]:
+    """Sort key placing a wire's groups together, in wire-id order."""
+    return group[1], group[0]
 
 
 class ScheduleEntry:
@@ -133,7 +158,7 @@ def combinational_clusters(graph: nx.DiGraph) -> List[List[Group]]:
     out: List[List[Group]] = []
     for scc in nx.strongly_connected_components(graph):
         if len(scc) > 1 or any(graph.has_edge(g, g) for g in scc):
-            out.append(sorted(scc, key=lambda g: (g[1], g[0])))
+            out.append(sorted(scc, key=_by_wire))
     return out
 
 
@@ -211,36 +236,84 @@ def build_schedule(design: Design,
                    graph: nx.DiGraph = None) -> List[ScheduleEntry]:
     """Condense the signal graph and emit the static schedule.
 
-    ``graph`` lets a caller that already built the signal graph (the IR
-    compiler) reuse it instead of re-running dependency expansion.
+    The one place a schedule is ordered (see the module docstring): an
+    instance-affine Kahn walk over the condensation.  ``graph`` lets a
+    caller that already built the signal graph (the IR compiler) reuse
+    it instead of re-running dependency expansion.
     """
     if graph is None:
         graph = build_signal_graph(design)
     condensed = nx.condensation(graph)
-    order = list(nx.topological_sort(condensed))
+    # Plain dicts: the walk below is the hot part of a cold build.
+    driver_of = dict(graph.nodes(data="driver"))
+    members = dict(condensed.nodes(data="members"))
+    successors = condensed.succ
+    indeg = dict(condensed.in_degree())
+    #: Ready single-driver components per driver path, and the ready
+    #: multi-driver clusters (which have no run to extend); both are
+    #: heaps of (lowest (wire id, kind), component, drivers, groups) —
+    #: the key is unique, so the rest is never compared.
+    ready: Dict[str, list] = {}
+    clusters: list = []
+    #: Lazy max-heap of (-len(bucket), path), pushed whenever a bucket
+    #: grows.  Only the current run's bucket ever shrinks, and it is
+    #: emptied before the heap is consulted again, so an entry is stale
+    #: exactly when its size no longer matches.
+    fullest: list = []
+
+    def arrive(scc: int) -> None:
+        """Every predecessor of ``scc`` is scheduled."""
+        groups = sorted(members[scc], key=_by_wire)
+        # Distinct drivers in group order (by identity, order-preserving).
+        drivers = list({id(d): d for d in map(driver_of.get, groups)}
+                       .values())
+        if drivers[0] is None:
+            # A constant group (always a singleton: nothing feeds it)
+            # is resolved by begin_step, so its consumers are released
+            # before the walk starts rather than when it would be popped.
+            release(scc)
+            return
+        if len(drivers) == 1:
+            path = drivers[0].path
+            bucket = ready.setdefault(path, [])
+            heappush(fullest, (-len(bucket) - 1, path))
+        else:
+            bucket = clusters
+        heappush(bucket, (_by_wire(groups[0]), scc, drivers, groups))
+
+    def release(scc: int) -> None:
+        for succ in successors[scc]:
+            indeg[succ] -= 1
+            if not indeg[succ]:
+                arrive(succ)
+
+    for scc in [n for n, degree in indeg.items() if not degree]:
+        arrive(scc)
     entries: List[ScheduleEntry] = []
-    for scc_id in order:
-        members: Set[Group] = set(condensed.nodes[scc_id]["members"])
-        drivers = []
-        seen_ids = set()
-        for group in sorted(members, key=lambda g: (g[1], g[0])):
-            node = graph.nodes[group]
-            if node["const"]:
-                continue
-            driver = node["driver"]
-            if id(driver) not in seen_ids:
-                seen_ids.add(id(driver))
-                drivers.append(driver)
-        if not drivers:
-            continue  # purely constant groups resolve at begin_step
-        cluster = len(members) > 1
-        if not cluster:
-            # Collapse runs of the same instance.
-            if entries and not entries[-1].cluster \
-                    and entries[-1].instances[0] is drivers[0]:
-                entries[-1].groups.extend(members)
-                continue
-        entries.append(ScheduleEntry(drivers, cluster, sorted(members)))
+    current: Optional[str] = None
+    while ready or clusters:
+        bucket = ready.get(current)
+        if bucket is None:
+            # The run cannot be extended: start the next one at the
+            # driver with the most ready components (ties by path), and
+            # take a cluster only when no single driver is ready.
+            bucket = clusters
+            while fullest:
+                size, path = heappop(fullest)
+                if len(ready.get(path, ())) == -size:
+                    current, bucket = path, ready[path]
+                    break
+        _, scc, drivers, groups = heappop(bucket)
+        if not bucket:
+            ready.pop(current, None)  # no-op when ``bucket is clusters``
+        cluster = len(groups) > 1
+        if not cluster and entries and not entries[-1].cluster \
+                and entries[-1].instances[0] is drivers[0]:
+            # Same instance as the previous entry: one react covers both.
+            entries[-1].groups.extend(groups)
+        else:
+            entries.append(ScheduleEntry(drivers, cluster, groups))
+        release(scc)
     return entries
 
 

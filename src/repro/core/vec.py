@@ -703,22 +703,6 @@ class VecPlan:
         self.stats.flush(lane_sims)
 
 
-def _opt_sets(opt: Optional[Dict[str, Any]]):
-    """Normalize a lowered opt block into the sets planning consults:
-    ``(parked wire keys, inlined-control wire keys, dead paths)``.
-
-    Keys arrive as JSON lists after a cache round-trip; they are
-    re-tupled here, mirroring ``SimulatorBase._apply_opt``.
-    """
-    if not opt:
-        return frozenset(), frozenset(), frozenset()
-    parked = {tuple(k) for k in opt.get("static") or ()}
-    parked.update(tuple(k) for k in opt.get("dead_wires") or ())
-    controls = frozenset(tuple(k) for k in opt.get("controls") or ())
-    dead = frozenset(opt.get("dead_instances") or ())
-    return frozenset(parked), controls, dead
-
-
 def _candidate_ok(impl_cls: type, cls: type, insts: Sequence, path: str,
                   cluster_paths: set) -> bool:
     """The per-instance vectorization test, shared by planning and
@@ -754,16 +738,19 @@ def _analyze(designs: Sequence, schedule: Sequence,
     checks then use the single binding as a proxy; adoption re-runs
     them against the real lanes) or every lane's design for live
     planning.  ``opt`` is the optimizer block the schedule was produced
-    under: wires it parks (static/dead) are excluded from planning
-    *silently* — the engine already resolved them outside the per-step
-    loops, so they are neither vectorizable nor demoted — and controls
-    it inlines are treated as control-free.  ``check_watched`` is off
+    under: the dead wires it parks are excluded from planning
+    *silently* — the engine keeps them outside the per-step loops, so
+    they are neither vectorizable nor demoted.  ``check_watched`` is off
     for compile-time planning (probes are a lane property; adoption
     validates them) and on for live planning.
     """
     from .compile_cache import wire_key
     design0 = designs[0]
-    parked_keys, control_keys, dead_paths = _opt_sets(opt)
+    # Keys arrive as JSON lists after a cache round-trip; re-tuple them
+    # as ``SimulatorBase._apply_opt`` does.
+    opt = opt or {}
+    parked_keys = {tuple(k) for k in opt.get("dead_wires") or ()}
+    dead_paths = set(opt.get("dead_instances") or ())
     cluster_paths = _cluster_paths(schedule)
     keys = [wire_key(w) for w in design0.wires]
     parked = {pos for pos, key in enumerate(keys) if key in parked_keys}
@@ -795,7 +782,7 @@ def _analyze(designs: Sequence, schedule: Sequence,
         wire = design0.wires[pos]
         if wire.src is None or wire.dst is None:
             return "unconnected"
-        if wire.control is not None and keys[pos] not in control_keys:
+        if wire.control is not None:
             return "control"
         if wire.src.instance.path not in vec_paths \
                 or wire.dst.instance.path not in vec_paths:
@@ -992,15 +979,8 @@ def adopt_vec_plan(lanes: Sequence, schedule: Sequence,
         pos = key_to_pos.get(tuple(key))
         if pos is None:
             raise VecPlanMismatch(f"planned wire {key!r} not in design")
-        for lane in lanes:
-            wire = lane.design.wires[pos]
-            if wire.watched:
-                raise VecPlanMismatch(f"planned wire {key!r} is probed")
-            if wire.control is not None:
-                # The plan assumed this control inlined away; these
-                # lanes still carry it (opt-level mismatch).
-                raise VecPlanMismatch(
-                    f"planned wire {key!r} carries a control function")
+        if any(lane.design.wires[pos].watched for lane in lanes):
+            raise VecPlanMismatch(f"planned wire {key!r} is probed")
         positions.append(pos)
 
     if not positions or not vec_paths:

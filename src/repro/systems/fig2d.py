@@ -71,6 +71,12 @@ def build_fig2d(n_sensors: int = 2, *, readings_per_node: int = 8,
         raise ValueError(f"unknown backend {backend!r}")
     if field not in ("statistical", "detailed"):
         raise ValueError(f"unknown field {field!r}")
+    if (field, backend) == ("statistical", "detailed"):
+        raise ValueError(
+            "field='statistical' cannot feed backend='detailed': the "
+            "statistical field tier sends ('summary', k) tuples, the "
+            "detailed backend tier's MAC expects packet frames "
+            "(to_words()); use field='detailed' or backend='statistical'")
     spec = LSS(spec_name)
     gw_queue = spec.instance("gw_queue", Queue, depth=8)
     if field == "statistical":

@@ -138,6 +138,55 @@ class TestProcessExecutor:
         failed = next(e for e in events if e["event"] == "failed")
         assert "exitcode" in failed["error"]
 
+    def test_worker_exiting_right_after_send_is_not_a_crash(self):
+        """A worker that sends its result and exits between the
+        executor's two samples (pipe, liveness) finished; it did not
+        die without a result (exitcode 0)."""
+        from repro.campaign.executor import _Active
+
+        class Worker:
+            """Both ends of one worker: it sends and exits immediately
+            after the executor's first sample of either kind."""
+
+            exitcode = None
+
+            def __init__(self):
+                self.sent = self.received = False
+
+            def _finish(self):
+                self.sent, self.exitcode = True, 0
+
+            def poll(self):
+                ready = self.sent and not self.received
+                self._finish()
+                return ready
+
+            def is_alive(self):
+                alive = not self.sent
+                self._finish()
+                return alive
+
+            def recv(self):
+                self.received = True
+                return ("ok", {"value": 6})
+
+            def join(self, timeout=None):
+                pass
+
+            def close(self):
+                pass
+
+        worker = Worker()
+        active = _Active(worker, worker, _task("p0", _targets.double,
+                                               {"x": 3}), None, 0.0)
+        executor = ProcessExecutor(workers=1, retries=0)
+        settled = None
+        for _ in range(3):
+            settled = executor._reap(active)
+            if settled is not None:
+                break
+        assert settled == ("ok", {"value": 6})
+
     def test_timeout_kills_hung_worker(self):
         outcomes = ProcessExecutor(workers=1, timeout=0.5, retries=0).run(
             [_task("hung", _targets.sleepy, {"duration": 60.0})])

@@ -200,10 +200,21 @@ class TestDiskRobustness:
         assert not sim.compiled_from_cache
 
     def test_inapplicable_entry_is_evicted_on_materialize(self, private_cache):
+        # A fingerprint collision: the pipe's entry filed under another
+        # design's fingerprint.  Binding fails, the entry is evicted and
+        # the design compiles fresh — through compile_model's one
+        # lookup/bind/evict block.
+        from repro.core.ir import compile_model
         fingerprint, _ = self._entry_path(private_cache)
+        entry = private_cache.lookup(fingerprint)
         other = build_design(_stage_spec(_stage_class({})))
-        assert private_cache.load_schedule(fingerprint, other) is None
-        assert private_cache.lookup(fingerprint) is None  # evicted
+        entry.fingerprint = cc.design_fingerprint(other)
+        private_cache.store(entry)
+        misses = private_cache.stats["misses"]
+        bound = compile_model(other)
+        assert not bound.from_cache
+        assert private_cache.stats["misses"] == misses + 1
+        assert private_cache.lookup(entry.fingerprint) is bound.model
 
     def test_unwritable_disk_is_not_fatal(self, tmp_path):
         blocker = tmp_path / "blocked"

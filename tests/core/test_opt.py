@@ -1,7 +1,12 @@
-"""Tests for the IR optimizer pipeline (repro.core.opt).
+"""Tests for the scheduler and the IR optimizer pipeline (repro.core.opt).
 
-Three layers of assurance:
+Four layers of assurance:
 
+* **scheduler invariants** — on generated designs, the one schedule
+  :func:`repro.core.optimize.build_schedule` emits is a deterministic
+  topological order of the signal graph with every live group exactly
+  once and clusters whole, and its react-call counts on the shipped
+  systems are pinned as a ceiling;
 * **golden snapshots** — per-pass before/after schedule signatures on
   small hand-built designs, plus headline numbers on the Figure 2(d)
   system of systems;
@@ -15,7 +20,9 @@ Three layers of assurance:
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import LSS, SpecificationError, build_design, build_simulator
 from repro.core import compile_cache as cc
@@ -25,12 +32,14 @@ from repro.core.opt import pipeline as opt_pipeline
 from repro.core.opt.pipeline import (OptContext, explain_report,
                                      optimize_model, react_calls,
                                      schedule_signature)
-from repro.core.opt.passes import (const_prop, control, dead_code, fusion,
-                                   prune)
+from repro.core.opt.passes import dead_code, specialize
 from repro.core.optimize import build_schedule, build_signal_graph
 from repro.pcl import Queue, Sink, Source
 
-from ..conftest import simple_pipe_spec
+from ..conftest import ooo_spec, simple_pipe_spec
+from .test_comb_cycles import _ring_spec
+from .test_hierarchy_properties import _STAGE_KINDS, _spec as _nested_spec
+from .test_properties import _chain_spec
 
 
 @pytest.fixture(autouse=True)
@@ -88,71 +97,170 @@ class TestResolveOptLevel:
         assert opt_cache_key("abc123", 1) != key
 
 
-class TestGoldenPassSnapshots:
-    """Per-pass before/after IR snapshots on a hand-built design."""
+# ----------------------------------------------------------------------
+# The one scheduler: invariants on generated designs, pinned react counts
+# ----------------------------------------------------------------------
+_chains = st.builds(
+    _chain_spec,
+    st.lists(st.sampled_from(["queue", "reg", "monitor"]), max_size=5),
+    st.just(0.5), st.just(0.5), st.integers(0, 2**16))
+_nested = st.builds(
+    _nested_spec,
+    st.lists(st.sampled_from(_STAGE_KINDS), min_size=1, max_size=4),
+    st.integers(1, 4), st.booleans())
+_rings = st.builds(_ring_spec, st.integers(1, 4), st.booleans())
+_cut = st.builds(lambda: _cut_spec())
+SPECS = st.one_of(_chains, _nested, _rings, _cut)
 
-    def _context(self, spec, level=2):
+
+class TestScheduler:
+    """``build_schedule`` is the only place a schedule is ordered."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPECS)
+    def test_schedule_is_a_topological_order(self, spec):
         design = build_design(spec)
         graph = build_signal_graph(design)
         entries = build_schedule(design, graph=graph)
-        return design, OptContext(design, graph, entries, level)
+        node = graph.nodes
+        pos = {}
+        for idx, entry in enumerate(entries):
+            for group in entry.groups:
+                # Every scheduled group exactly once, never a constant.
+                assert group not in pos
+                assert not node[group]["const"]
+                pos[group] = idx
+        assert set(pos) == {g for g in graph if not node[g]["const"]}
+        for group, idx in pos.items():
+            for dep in graph.predecessors(group):
+                if node[dep]["const"]:
+                    continue  # resolved by begin_step
+                assert pos[dep] <= idx, f"{group} before its input {dep}"
+                if pos[dep] == idx:
+                    # Only a cluster's fixed point (or one instance
+                    # feeding itself) may resolve both in one entry.
+                    assert entries[idx].cluster \
+                        or node[dep]["driver"] is node[group]["driver"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=SPECS)
+    def test_clusters_stay_whole_and_runs_are_collapsed(self, spec):
+        design = build_design(spec)
+        graph = build_signal_graph(design)
+        entries = build_schedule(design, graph=graph)
+        sccs = [frozenset(c) for c in nx.strongly_connected_components(graph)
+                if len(c) > 1]
+        assert sorted(sorted(e.groups) for e in entries if e.cluster) \
+            == sorted(sorted(c) for c in sccs)
+        for before, entry in zip([None] + entries, entries):
+            drivers = {id(graph.nodes[g]["driver"]) for g in entry.groups}
+            assert drivers == {id(i) for i in entry.instances}
+            if not entry.cluster:
+                assert len(entry.instances) == 1
+                if before is not None and not before.cluster:
+                    assert before.instances[0] is not entry.instances[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=SPECS)
+    def test_schedule_is_deterministic_across_builds_and_copies(self, spec):
+        design = build_design(spec)
+        signature = schedule_signature(build_schedule(design))
+        assert schedule_signature(build_schedule(design)) == signature
+        assert schedule_signature(build_schedule(design.copy())) == signature
+
+    #: react() calls per schedule walk at opt 0/1 and at opt 2.  A
+    #: ceiling: a scheduler edit may lower these, never raise them.
+    REACT_CEILINGS = {
+        "fig2d-detailed-4": (76, 75),
+        "fig2a-2x2": (112, 112),
+        "fig2d-statistical-8": (46, 46),
+        "ooo": (11, 11),
+    }
+
+    @staticmethod
+    def _pinned_spec(name):
+        from repro.systems import build_fig2a_cmp
+        from repro.systems.fig2d import build_fig2d
+        if name == "fig2d-detailed-4":
+            return build_fig2d(4, backend="detailed", field="detailed")[0]
+        if name == "fig2a-2x2":
+            return build_fig2a_cmp(2, 2)[0]
+        if name == "fig2d-statistical-8":
+            return build_fig2d(8, field="statistical")[0]
+        return ooo_spec()
+
+    @pytest.mark.parametrize("name", sorted(REACT_CEILINGS))
+    def test_react_calls_do_not_exceed_the_pinned_counts(self, name):
+        low, high = self.REACT_CEILINGS[name]
+        design = build_design(self._pinned_spec(name))
+        graph = build_signal_graph(design)
+        base = build_schedule(design, graph=graph)
+        assert react_calls(base) <= low
+        for level, ceiling in ((1, low), (2, high)):
+            result = optimize_model(design, level=level, graph=graph,
+                                    schedule=base)
+            assert react_calls(result.schedule) <= ceiling
+
+
+class TestGoldenPassSnapshots:
+    """Per-pass before/after IR snapshots on a hand-built design."""
+
+    def _context(self, spec):
+        design = build_design(spec)
+        graph = build_signal_graph(design)
+        entries = build_schedule(design, graph=graph)
+        return design, OptContext(design, graph, entries)
 
     def test_cut_spec_pass_by_pass(self):
         _design, ctx = self._context(_cut_spec())
+        # One occurrence per instance, the queue's two groups in one
+        # react: the schedule arrives fused.
         assert schedule_signature(ctx.entries) \
-            == ["src(1g)", "q(2g)", "snk(1g)"]
-
-        detail = const_prop.run(ctx)
-        # The cut queue output contributes const groups; no wire is
-        # fully constant, so nothing parks.
-        assert detail == {"static_wires": 0, "const_groups": 2}
-        assert schedule_signature(ctx.entries) \
-            == ["src(1g)", "q(2g)", "snk(1g)"]
+            == ["q(2g)", "snk(1g)", "src(1g)"]
+        handed_in = list(ctx.entries)
 
         detail = dead_code.run(ctx)
         assert detail == {"instances": 1, "wires": 1}
         assert sorted(ctx.dead_paths) == ["snk"]
-
-        fusion.run(ctx)
-        # Fusion drops the dead sink's entry and collapses the queue's
-        # two groups into one instance-affine occurrence.
+        # dead-code drops the dead sink's entry itself and leaves the
+        # caller's list alone.
         assert schedule_signature(ctx.entries) == ["q(2g)", "src(1g)"]
+        assert schedule_signature(handed_in) \
+            == ["q(2g)", "snk(1g)", "src(1g)"]
 
-        detail = prune.run(ctx)
-        assert detail == {"occurrences": 0}
-        detail = control.run(ctx)
-        assert detail == {"controls": 0}
+        detail = specialize.run(ctx)
+        assert detail == {"instances": 2, "clones": 2}
+        assert ctx.specialized == ["q", "src"]
         assert schedule_signature(ctx.entries) == ["q(2g)", "src(1g)"]
 
     def test_pipe_fusion_collapses_queue_levels(self):
-        _design, ctx = self._context(simple_pipe_spec())
-        assert schedule_signature(ctx.entries) \
-            == ["src(1g)", "q(2g)", "snk(1g)"]
-        const_prop.run(ctx)
-        dead_code.run(ctx)
-        fusion.run(ctx)
-        assert schedule_signature(ctx.entries) \
+        design = build_design(simple_pipe_spec())
+        entries = build_schedule(design)
+        assert schedule_signature(entries) \
             == ["q(2g)", "snk(1g)", "src(1g)"]
-        assert react_calls(ctx.entries) == 3
+        assert react_calls(entries) == 3
 
     def test_level_1_skips_dead_code(self):
         design = build_design(_cut_spec())
         result = optimize_model(design, level=1)
         assert result.block["dead_instances"] == []
-        names = [rec["name"] for rec in result.block["passes"]]
-        assert "dead-code" not in names
+        assert result.block["specialized"] == ["q", "snk", "src"]
+        assert [rec["name"] for rec in result.block["passes"]] \
+            == ["specialize"]
         result2 = optimize_model(design, level=2)
         assert result2.block["dead_instances"] == ["snk"]
+        assert result2.block["specialized"] == ["q", "src"]
         assert [rec["name"] for rec in result2.block["passes"]] \
-            == ["const-prop", "dead-code", "level-fusion", "prune",
-                "group-merge", "specialize", "control-inline"]
+            == ["dead-code", "specialize"]
+        assert [name for name, _level, _mod in opt_pipeline.PASS_TABLE] \
+            == ["dead-code", "specialize"]
 
     def test_fig2d_headline_numbers(self):
         """The measured wins the README cites, pinned as goldens."""
         design = _fig2d_design("detailed")
         graph = build_signal_graph(design)
         base = build_schedule(design, graph=graph)
-        assert react_calls(base) == 102
+        assert react_calls(base) == 46
         result = optimize_model(design, level=2, graph=graph, schedule=base)
         assert react_calls(result.schedule) == 45
         assert result.block["dead_instances"] == ["gateway/txstub"]
@@ -161,7 +269,7 @@ class TestGoldenPassSnapshots:
         stat = _fig2d_design("statistical")
         g2 = build_signal_graph(stat)
         b2 = build_schedule(stat, graph=g2)
-        assert react_calls(b2) == 74
+        assert react_calls(b2) == 34
         r2 = optimize_model(stat, level=2, graph=g2, schedule=b2)
         assert react_calls(r2.schedule) == 34
         assert r2.block["dead_instances"] == []
@@ -174,6 +282,8 @@ class TestGoldenPassSnapshots:
         assert clone == block
         assert clone["version"] == OPT_VERSION
         assert clone["level"] == 2
+        assert sorted(clone) == ["dead_instances", "dead_wires", "level",
+                                 "passes", "specialized", "version"]
 
 
 class TestEliminationMatchesAnalysis:
@@ -278,24 +388,43 @@ class TestCrossEngineDifferential:
         finally:
             sim.close()
 
-    def test_close_restores_stripped_controls(self):
-        # Whatever control-inline strips must come back on close: the
-        # design object is reusable after the simulator releases it.
-        spec = simple_pipe_spec()
-        design = build_design(spec)
-        before = [w.control for w in design.wires]
-        from repro.core.optimize import LevelizedSimulator
-        sim = LevelizedSimulator(design, seed=1, opt=2)
-        sim.run(10)
-        sim.close()
-        assert [w.control for w in design.wires] == before
+    @pytest.mark.parametrize("engine", ("levelized", "codegen", "batched"))
+    def test_nothing_is_unknown_at_end_of_step_at_opt_2(self, engine):
+        # Parking the dead wires must subtract exactly their budget: a
+        # schedule that dropped an entry it still needed would leave
+        # signals unknown (and lean on the fallback) instead.
+        from repro.systems.fig2d import build_fig2d
+        spec = build_fig2d(4, backend="detailed", field="detailed")[0]
+        sim = build_simulator(spec, engine=engine, seed=7, opt=2)
+        try:
+            lanes = sim.lanes if hasattr(sim, "lanes") else (sim,)
+            for _ in range(20):
+                sim.step()
+                assert [lane._unknown for lane in lanes] == [0] * len(lanes)
+            assert all(lane.fallback_steps == 0 for lane in lanes)
+        finally:
+            sim.close()
+
+    def test_no_engine_mutates_wire_control(self):
+        # Animation, stepping and close() leave the controls of the
+        # design they are handed alone, identity controls included.
+        for engine in ALL_ENGINES:
+            spec = TestFailedBuildRestore._spec({"explode": False})
+            sim = build_simulator(spec, engine=engine, seed=1, opt=2)
+            design = (sim.lane(0) if hasattr(sim, "lane") else sim).design
+            controls = [w.control for w in design.wires]
+            assert sum(c is not None for c in controls) == 1
+            sim.run(10)
+            assert [w.control for w in design.wires] == controls, engine
+            sim.close()
+            assert [w.control for w in design.wires] == controls, engine
 
 
 class TestFailedBuildRestore:
     """Satellite regression: a build that raises *after* the optimizer
-    applied (controls stripped, backrefs installed) must leave the
-    Design exactly as found — ownership released, controls restored —
-    so a retry at ``--opt 0`` behaves like a fresh Design."""
+    applied (reacts folded, backrefs installed) must leave the Design
+    exactly as found — ownership released, plain reacts restored — so
+    a retry at ``--opt 0`` behaves like a fresh Design."""
 
     @staticmethod
     def _spec(flag):
@@ -326,7 +455,7 @@ class TestFailedBuildRestore:
         src = spec.instance("src", Source, pattern="counter")
         q = spec.instance("q", Queue, depth=4)
         snk = spec.instance("snk", FragileSink, flag=flag)
-        # Identity control: exactly what control-inline strips at opt 2.
+        # An identity control: no engine may strip (or drop) it.
         spec.connect(src.port("out"), q.port("in"),
                      control=ControlFunction())
         spec.connect(q.port("out"), snk.port("in"))
@@ -336,11 +465,11 @@ class TestFailedBuildRestore:
         from repro.core.optimize import LevelizedSimulator
 
         flag = {"explode": False}
-        # Premise check: this spec's identity control really is
-        # stripped by the opt-2 pipeline on a successful build.
+        # Premise check: the opt-2 pipeline really does rebind reacts
+        # on a successful build of this spec.
         probe_sim = LevelizedSimulator(build_design(self._spec(flag)),
                                        seed=3, opt=2)
-        assert probe_sim._stripped_controls
+        assert probe_sim.compiled.opt["specialized"] == ["q", "src"]
         probe_sim.close()
 
         flag["explode"] = True
@@ -349,12 +478,14 @@ class TestFailedBuildRestore:
         assert any(c is not None for c in before_controls)
         with pytest.raises(RuntimeError, match="boom"):
             LevelizedSimulator(design, seed=3, opt=2)
-        # The failed build abandoned cleanly: no ownership, original
-        # controls back on the wires, no dangling engine backrefs.
+        # The failed build abandoned cleanly: no ownership, controls
+        # untouched, plain reacts back, no dangling engine backrefs.
         assert design._owned is False
         assert [w.control for w in design.wires] == before_controls
         assert all(w.engine is None for w in design.wires)
         assert all(inst.sim is None for inst in design.leaves.values())
+        assert all(inst.react.__func__ is type(inst).react
+                   for inst in design.leaves.values())
 
         # The same Design object reruns at --opt 0, bit-identical to a
         # run on a freshly built Design.
@@ -524,11 +655,11 @@ class TestExplainReport:
     def test_report_names_every_pass(self):
         design = _fig2d_design("detailed")
         text = explain_report(design, 2)
-        for name in ("const-prop", "dead-code", "level-fusion", "prune",
-                     "control-inline"):
+        assert text.count("  pass ") == 2
+        for name in ("dead-code", "specialize"):
             assert name in text
         assert "gateway/txstub" in text
-        assert "102->45" in text
+        assert "46->45" in text
 
     def test_level_0_reports_disabled(self):
         design = build_design(simple_pipe_spec())

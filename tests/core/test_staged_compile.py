@@ -24,6 +24,9 @@ from repro.core.optimize import LevelizedSimulator
 from repro.pcl import Queue, Sink, Source
 from repro.systems.fig2d import build_fig2d
 
+from ..conftest import ooo_spec
+from .test_opt import _fig2a_spec, _fig2b_spec, _fig2c_spec
+
 ENGINES = ("worklist", "levelized", "codegen", "batched", "batched-vec")
 LEVELS = (0, 1, 2)
 
@@ -78,6 +81,107 @@ class TestOptVecEngineMatrix:
                 assert run(engine, level) == reference, (
                     f"{field}/{backend} diverged at "
                     f"engine={engine} opt={level}")
+
+
+def _system_specs():
+    return {
+        "fig2a": _fig2a_spec, "fig2b": _fig2b_spec, "fig2c": _fig2c_spec,
+        "fig2d-detailed": lambda: build_fig2d(
+            2, backend="detailed", field="detailed")[0],
+        "fig2d-statistical": lambda: build_fig2d(
+            2, backend="statistical", field="statistical")[0],
+        "ooo": ooo_spec,
+    }
+
+
+class TestCacheStateMatrix:
+    """Every engine x opt level x cache state equals worklist at opt 0."""
+
+    @pytest.mark.parametrize("system", sorted(_system_specs()))
+    def test_miss_memory_hit_and_disk_hit_are_bit_identical(self, system,
+                                                            tmp_path):
+        make = _system_specs()[system]
+        cycles, seed = 40, 5
+
+        def run(engine, level):
+            sim = build_simulator(make(), engine=engine, seed=seed,
+                                  opt=level)
+            sim.run(cycles)
+            lane = sim.lane(0) if hasattr(sim, "lane") else sim
+            observed = _observe(lane)
+            from_cache = getattr(lane, "compiled_from_cache", None)
+            sim.close()
+            return observed, from_cache
+
+        reference, _ = run("worklist", 0)
+        for engine in ENGINES:
+            for level in LEVELS:
+                disk = str(tmp_path / f"{engine}-{level}")
+                cc.configure(enabled=True, disk_enabled=True, disk_dir=disk)
+                states = []
+                for state in ("miss", "memory hit", "disk hit"):
+                    if state == "disk hit":  # a new process: memory empty
+                        cc.configure(enabled=True, disk_enabled=True,
+                                     disk_dir=disk)
+                    observed, from_cache = run(engine, level)
+                    assert observed == reference, (
+                        f"{system}: engine={engine} opt={level} diverged "
+                        f"on cache {state}")
+                    states.append(from_cache)
+                if engine != "worklist":  # which records no cache state
+                    assert states == [False, True, True]
+
+
+class TestVersionBump:
+    """A pre-bump on-disk entry is never bound."""
+
+    def test_planted_old_version_entries_are_not_bound(self, tmp_path):
+        import json
+        import os
+        from repro.core.opt import OPT_VERSION, opt_cache_key
+
+        def build():
+            sim = build_simulator(_vec_pipe_spec(), engine="codegen",
+                                  seed=3, opt=2)
+            sim.run(50)
+            observed = _observe(sim)
+            from_cache = sim.compiled_from_cache
+            sim.close()
+            return observed, from_cache
+
+        disk = str(tmp_path / "planted")
+        cc.configure(enabled=True, disk_enabled=True, disk_dir=disk)
+        reference, _ = build()
+        fingerprint = cc.design_fingerprint(build_design(_vec_pipe_spec()))
+        key = opt_cache_key(fingerprint, 2)
+        assert key.endswith(f".{OPT_VERSION}")
+
+        # What the previous release would have left behind: the same
+        # file names carrying the old format version, plus an entry
+        # under the old OPT_VERSION key.  Both hold a schedule that
+        # would visibly break the run if it were ever bound.
+        old_key = f"{fingerprint}@opt2.{OPT_VERSION - 1}"
+        for name in os.listdir(disk):
+            path = os.path.join(disk, name)
+            with open(path, encoding="utf-8") as handle:
+                payload = json.load(handle)
+            payload.update(version=cc.CACHE_VERSION - 1, schedule=[])
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            if payload["fingerprint"] == key:
+                payload.update(fingerprint=old_key,
+                               version=cc.CACHE_VERSION)
+                with open(os.path.join(disk, old_key + ".json"), "w",
+                          encoding="utf-8") as handle:
+                    json.dump(payload, handle)
+
+        cc.configure(enabled=True, disk_enabled=True, disk_dir=disk)
+        runs = opt_pipeline.PIPELINE_RUNS
+        observed, from_cache = build()
+        assert not from_cache, "a stale entry was bound"
+        assert opt_pipeline.PIPELINE_RUNS == runs + 1
+        assert observed == reference
+        assert cc.get_cache().lookup(old_key).schedule == []  # untouched
 
 
 class TestWarmBuilds:
@@ -177,8 +281,7 @@ class TestOptAwarePlanning:
 
     @staticmethod
     def _payload(level):
-        spec, _info = build_fig2d(2, field="statistical",
-                                  backend="detailed")
+        spec, _info = build_fig2d(2, field="detailed", backend="detailed")
         bound = compile_model(build_design(spec),
                               CompileOptions(opt_level=level, vec=True))
         return bound.model.vec

@@ -86,6 +86,34 @@ class TestFig2dSystemOfSystems:
         det = run_fig2d(2, backend="detailed")
         assert stat["transmissions"] == det["transmissions"]
 
+    def test_statistical_field_over_detailed_backend_is_rejected(self):
+        """The two tiers exchange different frame types: say so at
+        build time, not with an AttributeError at the first step."""
+        from repro.systems.fig2d import build_fig2d
+        with pytest.raises(ValueError) as excinfo:
+            build_fig2d(2, backend="detailed", field="statistical")
+        assert "field='statistical'" in str(excinfo.value)
+        assert "backend='detailed'" in str(excinfo.value)
+        for backend, field in (("statistical", "statistical"),
+                               ("statistical", "detailed"),
+                               ("detailed", "detailed")):
+            build_fig2d(2, backend=backend, field=field)
+
+    def test_state_dict_names_the_attribute_it_cannot_copy(self):
+        """fig2d-detailed's node cores hold a live generator once they
+        have started executing."""
+        from repro import SimulationError, build_simulator
+        from repro.systems.fig2d import build_fig2d
+        spec = build_fig2d(4, backend="detailed", field="detailed")[0]
+        with build_simulator(spec, seed=0) as sim:
+            sim.run(20)
+            with pytest.raises(SimulationError) as excinfo:
+                sim.state_dict()
+        message = str(excinfo.value)
+        assert "/core'" in message and "'_gen'" in message
+        assert "not checkpointable" in message
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
     @pytest.mark.parametrize("backend", ["statistical", "detailed"])
     def test_engines_agree_cycle_for_cycle(self, backend):
         """Differential run: all three engines produce byte-identical
