@@ -38,6 +38,7 @@ import pytest
 from repro import LSS, build_design, build_simulator
 from repro.ccl import Mesh, attach_traffic, build_mesh_network
 from repro.core.optimize import LevelizedSimulator
+from repro.core.signals import CtrlStatus, DataStatus
 from repro.obs import Profiler
 from repro.pcl import Queue, Sink, Source
 
@@ -77,23 +78,23 @@ class _NoHookLevelized(LevelizedSimulator):
     """
 
     def _begin_step(self):
-        unknown = 0
-        for wire in self._wires:
-            unknown += wire.begin_step()
-        self._unknown = unknown
+        self._store.reset(self._begin_unknown)
+        self._relax_cursor = 0
 
     def _end_step(self):
+        store = self._store
+        ds, en, rak = store.ds, store.en, store.rak
         transfers = 0
         now = self.now
-        probes = self._probes
-        for wire in self._wires:
-            if wire.transfer_happened():
+        for s in self._transfer_slots:
+            if ds[s] is DataStatus.SOMETHING \
+                    and en[s] is CtrlStatus.ASSERTED \
+                    and rak[s] is CtrlStatus.ASSERTED:
                 transfers += 1
-                wire.transfers += 1
-                if wire.watched:
-                    probe = probes.get(wire.wid)
-                    if probe is not None:
-                        probe.record(now, wire.data_value)
+                store.transfers[s] += 1
+                if store.watched[s]:
+                    for probe in self._probes.get(s, ()):
+                        probe.record(now, store.dv[s])
         self.transfers_total += transfers
         for observer in self._observers:
             observer(self)

@@ -142,12 +142,12 @@ class BatchedSimulator:
             if reacts is None:
                 for lane in lanes:
                     lane._run_cluster(lane.schedule[i],
-                                      lane._cluster_wires[i])
+                                      lane._cluster_slots[i])
             else:
                 for react in reacts:
                     react()
         for lane in lanes:
-            if lane._unknown > 0:
+            if lane._store.unknown > 0:
                 lane._fallback()
             lane._end_step()
 
@@ -261,6 +261,7 @@ class BatchedSimulator:
         self._closed = True
         for lane in self._lanes:
             lane.close()
+            lane._owner = None  # the lane <-> batch reference cycle
 
     def __enter__(self) -> "BatchedSimulator":
         return self

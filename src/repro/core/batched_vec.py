@@ -80,6 +80,10 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         self._stepper = None
         self._stepping = False
         self._saved_lane_state: Optional[List[tuple]] = None
+        #: Whether the plan leaves the lanes any scalar signal to reset
+        #: each step, and whether the next step must reset them anyway.
+        self._lanes_scalar = True
+        self._reset_lanes = True
         #: Source text of the generated vectorized stepper (None until
         #: a plan is built; inspectable like CodegenSimulator's).
         self.generated_vec_source: Optional[str] = None
@@ -181,26 +185,29 @@ class VectorizedBatchedSimulator(BatchedSimulator):
     def _apply_partition(self, plan: VecPlan) -> None:
         """Carve the plan's wires and instances out of each lane.
 
-        Vectorized wires leave the lanes' reset/transfer loops and
+        Vectorized wires leave the lanes' transfer scan and
         unknown-signal accounting (their three signals resolve in the
-        arrays); vectorized instances leave the lanes' update lists
-        (their ``update`` runs array-wide).  The originals are saved
-        and restored verbatim on teardown.
+        arrays) and are parked in each lane's store, so its per-step
+        reset holds them resolved and non-transferring; vectorized
+        instances leave the lanes' update lists (their ``update`` runs
+        array-wide).  The originals are saved and restored verbatim on
+        teardown.
         """
         saved: List[tuple] = []
+        vec_slots = set(plan.vw.slots)
         delta = 3 * plan.n_wires
-        for index, lane in enumerate(self._lanes):
-            saved.append((lane._plain_wires, lane._transfer_wires,
-                          lane._begin_unknown, lane._updaters))
-            vec_ids = {id(w) for w in plan.lane_wire_objects(index)}
-            lane._plain_wires = [w for w in lane._plain_wires
-                                 if id(w) not in vec_ids]
-            lane._transfer_wires = [w for w in lane._transfer_wires
-                                    if id(w) not in vec_ids]
+        for lane in self._lanes:
+            saved.append((lane._transfer_slots, lane._begin_unknown,
+                          lane._updaters, plan.vw.slots))
+            lane._store.park(vec_slots)
+            lane._transfer_slots = [s for s in lane._transfer_slots
+                                    if s not in vec_slots]
             lane._begin_unknown -= delta
             lane._updaters = [i for i in lane._updaters
                               if i.path not in plan.vec_paths]
         self._saved_lane_state = saved
+        self._lanes_scalar = any(lane._begin_unknown for lane in self._lanes)
+        self._reset_lanes = True
 
     def _teardown_plan(self) -> None:
         # Keyed off the saved state, not the plan handle: restoring is
@@ -209,8 +216,9 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         # between partition and first run), never double-carving lanes.
         if self._saved_lane_state is not None:
             for lane, state in zip(self._lanes, self._saved_lane_state):
-                (lane._plain_wires, lane._transfer_wires,
-                 lane._begin_unknown, lane._updaters) = state
+                (lane._transfer_slots, lane._begin_unknown,
+                 lane._updaters, parked) = state
+                lane._store.unpark(parked)
         self._plan = None
         self._stepper = None
         self._saved_lane_state = None
@@ -218,8 +226,13 @@ class VectorizedBatchedSimulator(BatchedSimulator):
     # -- the vectorized timestep ------------------------------------------
     def _vec_begin(self) -> None:
         self._plan.vw.begin_step()
-        for lane in self._lanes:
-            lane._begin_step()
+        if self._reset_lanes:
+            for lane in self._lanes:
+                lane._begin_step()
+            # Lanes the plan left no scalar signal in stay parked (their
+            # planes equal their templates) until something scatters
+            # real values into them: nothing to reset until then.
+            self._reset_lanes = self._lanes_scalar
 
     def _vec_end(self) -> None:
         plan = self._plan
@@ -235,12 +248,14 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         # relaxation scans resolve them on the wire objects — exactly
         # as a scalar run would — and ``absorb`` brings the result back
         # into the planes before the transfer scan.
-        if vw.any_unknown() or any(lane._unknown > 0 for lane in lanes):
+        if vw.any_unknown() or any(lane._store.unknown > 0
+                                   for lane in lanes):
             plan.scatter_state()
+            self._reset_lanes = True
             plane_unknown = vw.unknown_by_lane()
             for index, lane in enumerate(lanes):
-                lane._unknown += int(plane_unknown[index])
-                if lane._unknown > 0:
+                lane._store.unknown += int(plane_unknown[index])
+                if lane._store.unknown > 0:
                     lane._fallback()
             if plane_unknown.any():
                 vw.absorb()
@@ -254,7 +269,7 @@ class VectorizedBatchedSimulator(BatchedSimulator):
 
     def _run_entry_cluster(self, i: int) -> None:
         for lane in self._lanes:
-            lane._run_cluster(lane.schedule[i], lane._cluster_wires[i])
+            lane._run_cluster(lane.schedule[i], lane._cluster_slots[i])
 
     # -- run loop ----------------------------------------------------------
     def run(self, cycles: int) -> "VectorizedBatchedSimulator":
@@ -284,6 +299,7 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         finally:
             self._stepping = False
             plan.scatter_state()
+            self._reset_lanes = True
             plan.flush_stats(self._lanes)
             if self._plan_dirty:
                 self._teardown_plan()

@@ -29,12 +29,12 @@ def generate_stepper_source(schedule, design_name: str) -> str:
     The generated module defines ``make_stepper(sim, entries)`` where
     ``entries`` is the schedule; acyclic entries become direct bound
     calls hoisted into locals, clusters become ``sim._run_cluster``
-    invocations.
+    invocations over their slot lists.
     """
     buf = io.StringIO()
     w = buf.write
     w(f'"""Generated stepper for design {design_name!r}. Do not edit."""\n\n')
-    w("def make_stepper(sim, entries, cluster_wires):\n")
+    w("def make_stepper(sim, entries, cluster_slots):\n")
     # Hoist bound react methods into closure locals, one local per
     # distinct instance: an instance occurring at several (non-adjacent)
     # schedule positions shares a single hoist.
@@ -44,7 +44,7 @@ def generate_stepper_source(schedule, design_name: str) -> str:
     for i, entry in enumerate(schedule):
         if entry.cluster:
             body.append(f"        sim._run_cluster(entries[{i}], "
-                        f"cluster_wires[{i}])")
+                        f"cluster_slots[{i}])")
         else:
             inst = entry.instances[0]
             local = hoisted.get(id(inst))
@@ -59,11 +59,12 @@ def generate_stepper_source(schedule, design_name: str) -> str:
     w("    begin = sim._begin_step\n")
     w("    end = sim._end_step\n")
     w("    fallback = sim._fallback\n")
+    w("    store = sim._store\n")
     w("    def step():\n")
     w("        begin()\n")
     for line in body:
         w(line + "\n")
-    w("        if sim._unknown > 0:\n")
+    w("        if store.unknown > 0:\n")
     w("            fallback()\n")
     w("        end()\n")
     w("    return step\n")
@@ -174,7 +175,7 @@ class CodegenSimulator(LevelizedSimulator):
                 f"<generated stepper {self.design.name!r}>", "exec")
         exec(self._stepper_code, namespace)
         self._stepper: Callable[[], None] = namespace["make_stepper"](
-            self, self.schedule, self._cluster_wires)
+            self, self.schedule, self._cluster_slots)
 
     def _instrumentation_changed(self) -> None:
         """Rebind the stepper's hoisted ``react`` references.
@@ -188,3 +189,9 @@ class CodegenSimulator(LevelizedSimulator):
 
     def _step(self) -> None:
         self._stepper()
+
+    def close(self) -> None:
+        super().close()
+        # The stepper closes over this simulator's bound methods: with
+        # it gone a closed simulator is freed by reference counting.
+        self._stepper = None

@@ -60,8 +60,10 @@ from .signals import Wire
 #: change; old on-disk entries are then evicted on sight.  v2: entries
 #: are full compiled-model IR payloads (signal graph, wire partition,
 #: DEPS/control tables) instead of bare schedules.  v3: the base
-#: schedule is the fused instance-affine one (see build_schedule).
-CACHE_VERSION = 3
+#: schedule is the fused instance-affine one (see build_schedule).  v4:
+#: the generated stepper reads the signal store's ``unknown`` counter
+#: and hands clusters their slot lists.
+CACHE_VERSION = 4
 
 _DEFAULT_DIR = ".repro-cache"
 _DEFAULT_MEMORY_LIMIT = 64
@@ -169,13 +171,13 @@ def wire_key(wire: Wire) -> Tuple:
     ``(path, port, index)`` slot is used by at most one wire per side.
     """
     if wire.src is not None and wire.dst is not None:
-        return ("w", wire.src.instance.path, wire.src.port, wire.src.index,
-                wire.dst.instance.path, wire.dst.port, wire.dst.index)
+        return ("w", wire.src.path, wire.src.port, wire.src.index,
+                wire.dst.path, wire.dst.port, wire.dst.index)
     if wire.src is not None:
         ep, side = wire.src, "src"
     else:
         ep, side = wire.dst, "dst"
-    return ("s", ep.instance.path, ep.port, ep.index, side)
+    return ("s", ep.path, ep.port, ep.index, side)
 
 
 def design_fingerprint(design: Design) -> str:
@@ -209,10 +211,12 @@ def design_fingerprint(design: Design) -> str:
         cls = type(leaf)
         feed(f"L|{path}|{cls.__module__}.{cls.__qualname__}"
              f"|{_deps_signature(leaf)}|{_ports_signature(cls)}")
+    controls = design.store.control
     keyed = sorted(((wire_key(w), w) for w in design.wires),
                    key=lambda pair: pair[0])
     for key, wire in keyed:
-        feed(f"W|{'|'.join(map(str, key))}|{_control_identity(wire.control)}")
+        feed(f"W|{'|'.join(map(str, key))}"
+             f"|{_control_identity(controls[wire.wid])}")
     digest = hasher.hexdigest()
     try:
         design._compile_fingerprint = digest

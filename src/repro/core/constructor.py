@@ -84,7 +84,12 @@ def elaborate(spec: LSS) -> FlatDesign:
             dst = (_join(prefix, dst_ref.inst.name), dst_ref.port, dst_ref.index)
             raw.append(_RawConn(src, dst, control, origin=body.label))
 
-    expand("", spec)
+    try:
+        expand("", spec)
+    finally:
+        # A recursive closure refers to itself through its own cell:
+        # left alone it would pin ``flat.leaves`` until a gc pass.
+        expand = None
 
     def chase(path: str, port: str, index: Optional[int], what: str,
               origin: str) -> Tuple[str, str, Optional[int]]:
@@ -218,6 +223,7 @@ def build_design(spec: LSS) -> Design:
 
     design = Design(spec.name)
     design.leaves = flat.leaves
+    store = design.store
     wid = 0
 
     # Real wires from connections.
@@ -228,7 +234,7 @@ def build_design(spec: LSS) -> Design:
         wire = Wire(wid,
                     Endpoint(src_leaf, conn.src_port, conn.src_index),
                     Endpoint(dst_leaf, conn.dst_port, conn.dst_index),
-                    wtype=conn.wtype, control=conn.control)
+                    wtype=conn.wtype, control=conn.control, store=store)
         wid += 1
         design.wires.append(wire)
         per_port.setdefault((conn.src_path, conn.src_port), {})[conn.src_index] = wire
@@ -244,7 +250,7 @@ def build_design(spec: LSS) -> Design:
             for i in range(width):
                 wire = slots.get(i)
                 if wire is None:
-                    wire = _make_stub(wid, leaf, decl, i)
+                    wire = _make_stub(store, wid, leaf, decl, i)
                     wid += 1
                     design.stub_wires.append(wire)
                     design.wires.append(wire)
@@ -253,10 +259,11 @@ def build_design(spec: LSS) -> Design:
             view = (InView if decl.direction == INPUT else OutView)(decl, wires)
             leaf.bind_port(decl.name, view)
 
+    store.allocate()
     return design
 
 
-def _make_stub(wid: int, leaf: LeafModule, decl, index: int) -> Wire:
+def _make_stub(store, wid: int, leaf: LeafModule, decl, index: int) -> Wire:
     """Create a constant stub wire for an unconnected port index.
 
     For an input port the absent *source* side (data, enable) is held at
@@ -266,13 +273,13 @@ def _make_stub(wid: int, leaf: LeafModule, decl, index: int) -> Wire:
     """
     if decl.direction == INPUT:
         wire = Wire(wid, None, Endpoint(leaf, decl.name, index),
-                    wtype=decl.wtype)
+                    wtype=decl.wtype, store=store)
         wire.const_data = decl.default_data
         wire.const_value = decl.default_value
         wire.const_enable = decl.default_enable
     else:
         wire = Wire(wid, Endpoint(leaf, decl.name, index), None,
-                    wtype=decl.wtype)
+                    wtype=decl.wtype, store=store)
         wire.const_ack = decl.default_ack
     return wire
 

@@ -31,59 +31,43 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .collector import StatsRegistry, WireProbe
 from .errors import CombinationalCycleError, SimulationError
 from .netlist import Design
-from .signals import SIG_ACK, CtrlStatus, DataStatus, Wire
+from .signals import CtrlStatus, DataStatus, Wire
 
 #: Upper bound on relaxations per timestep before declaring livelock.
 _MAX_RELAX_FACTOR = 3
 
+_SOMETHING = DataStatus.SOMETHING
+_ASSERTED = CtrlStatus.ASSERTED
+
 
 class WirePartition:
-    """The const/non-const wire partition of one design.
+    """The slot tables of one design the per-timestep loops run over.
 
-    Computed once at construction (or carried by the compiled-model IR,
-    see :mod:`repro.core.ir`) so the per-timestep loops touch only the
-    wires that can actually do work: ``plain`` wires have no constant
-    signal and reset via the branch-free ``Wire.reset_step``; ``const``
-    wires keep the full ``begin_step``; ``transfer`` wires are the only
-    ones scanned for transfers at end of step; ``begin_unknown`` is the
-    constant number of UNKNOWN signals at step start.
+    Computed once at bind time (carried by the compiled-model binding,
+    see :mod:`repro.core.ir`): ``transfer`` lists the slots scanned for
+    transfers at end of step, ``begin_unknown`` is the constant number
+    of UNKNOWN signals at step start.
     """
 
-    __slots__ = ("plain", "const", "transfer", "begin_unknown")
+    __slots__ = ("transfer", "begin_unknown")
 
-    def __init__(self, plain: List[Wire], const: List[Wire],
-                 transfer: List[Wire], begin_unknown: int):
-        self.plain = plain
-        self.const = const
+    def __init__(self, transfer: List[int], begin_unknown: int):
         self.transfer = transfer
         self.begin_unknown = begin_unknown
 
 
-def partition_wires(wires: List[Wire]) -> WirePartition:
-    """Partition ``wires`` for the per-timestep fast paths.
-
-    A pure function of each wire's constant-signal slots (fixed at
-    wiring time), so the result is structural and shared through the
-    compiled-model IR by the static engines.
-    """
-    plain: List[Wire] = []
-    const: List[Wire] = []
-    begin_unknown = 0
-    for w in wires:
-        consts = ((w.const_data is not None)
-                  + (w.const_enable is not None)
-                  + (w.const_ack is not None))
-        begin_unknown += 3 - consts
-        (const if consts else plain).append(w)
-    transfer = [w for w in wires if _transfer_possible(w)]
-    return WirePartition(plain, const, transfer, begin_unknown)
+def partition_wires(design: Design) -> WirePartition:
+    """The slot tables of ``design`` — a pure function of each wire's
+    endpoints and stub constants, both fixed at wiring time."""
+    store = design.store
+    return WirePartition(store.transfer_slots(), store.begin_unknown())
 
 
 class SimulatorBase:
@@ -119,11 +103,9 @@ class SimulatorBase:
             self.profiler = None
             self._instances: List = list(design.leaves.values())
             self._wires: List[Wire] = design.wires
-            self._unknown = 0
+            self._store = design.store
             self._initialized = False
             self._closed = False
-            for wire in self._wires:
-                wire.engine = self
             for inst in self._instances:
                 inst.sim = self
                 # Pre-bind react into the instance dict.  A profiler
@@ -136,25 +118,21 @@ class SimulatorBase:
             default_update = _find_base_method("update")
             self._updaters = [i for i in self._instances
                               if type(i).update is not default_update]
-            # Partition the wires once so the per-timestep loops touch
-            # only the wires that can actually do work (see
-            # WirePartition).  The static engines pass the partition
-            # carried by the compiled model so it is computed once per
-            # structure, not per animation.
-            partition = _partition or partition_wires(self._wires)
-            self._plain_wires: List[Wire] = partition.plain
-            self._const_wires: List[Wire] = partition.const
+            # The slot tables the per-timestep loops run over (see
+            # WirePartition).  The static engines pass the ones their
+            # compiled-model binding already holds.
+            partition = _partition or partition_wires(design)
             self._begin_unknown = partition.begin_unknown
-            self._transfer_wires = partition.transfer
-            #: Relaxation scan cursor: wires below it are fully resolved
+            self._transfer_slots: List[int] = partition.transfer
+            #: Relaxation scan cursor: slots below it are fully resolved
             #: for the current timestep (resolution is monotone, so the
             #: cursor only ever advances between relaxations of a step).
             self._relax_cursor = 0
             #: Optimizer state (see :meth:`_apply_opt`): at ``--opt 0``
-            #: these alias the unfiltered lists and cost nothing.
+            #: these cover every instance and slot and cost nothing.
             self.opt_level = 0
             self._react_instances = self._instances
-            self._relax_wires = self._wires
+            self._relax_slots: Sequence[int] = range(len(self._wires))
             if _opt:
                 self._apply_opt(_opt)
             # Initialize every instance eagerly: ports are already bound
@@ -178,15 +156,14 @@ class SimulatorBase:
         after a failed ``--opt 2``) without a stale ownership or a
         folded react corrupting the rerun.
         """
-        for wire in design.wires:
-            if getattr(wire, "engine", None) is self:
-                wire.engine = None
+        design.store.hook = None
         for inst in design.leaves.values():
             if getattr(inst, "sim", None) is self:
                 inst.sim = None
-                # Restore the plain pre-bound dispatch (same dict key,
-                # so split-key instance dicts stay split; see __init__).
-                inst.react = type(inst).react.__get__(inst, type(inst))
+                # Drop the pre-bound dispatch: the class react is back
+                # in force, and the instance no longer refers to itself
+                # (a bound method in its own dict is a reference cycle).
+                inst.__dict__.pop("react", None)
         design._owned = False
 
     # ------------------------------------------------------------------
@@ -253,7 +230,7 @@ class SimulatorBase:
     def close(self) -> None:
         """Detach this simulator from its design and release it.
 
-        Animation installs backrefs — ``wire.engine``, ``inst.sim``, the
+        Animation installs backrefs — the store's hook, ``inst.sim``, the
         pre-bound ``react`` — and marks the design owned, so a finished
         simulator keeps its design alive and un-reanimatable forever.
         ``close()`` severs all of that: the design can be animated by a
@@ -287,26 +264,24 @@ class SimulatorBase:
         self._initialized = True
 
     def _begin_step(self) -> None:
-        for wire in self._plain_wires:
-            wire.reset_step()
-        for wire in self._const_wires:
-            wire.begin_step()
-        self._unknown = self._begin_unknown
+        self._store.reset(self._begin_unknown)
         self._relax_cursor = 0
         if self.profiler is not None:
             self.profiler._on_step_begin(self.now, self._begin_unknown)
 
     def _end_step(self) -> None:
+        store = self._store
+        ds, en, rak = store.ds, store.en, store.rak
         transfers = 0
         now = self.now
-        probes = self._probes
-        for wire in self._transfer_wires:
-            if wire.transfer_happened():
+        for s in self._transfer_slots:
+            if ds[s] is _SOMETHING and en[s] is _ASSERTED \
+                    and rak[s] is _ASSERTED:
                 transfers += 1
-                wire.transfers += 1
-                if wire.watched:
-                    for probe in probes.get(wire.wid, ()):
-                        probe.record(now, wire.data_value)
+                store.transfers[s] += 1
+                if store.watched[s]:
+                    for probe in self._probes.get(s, ()):
+                        probe.record(now, store.dv[s])
         self.transfers_total += transfers
         for observer in self._observers:
             observer(self)
@@ -325,8 +300,9 @@ class SimulatorBase:
         The block carries canonical wire keys and instance paths, never
         live objects, so it applies to any design the artifact binds to:
 
-        * **dead** wires are parked out of the begin/transfer/relax
-          loops with their unknown-signal budget subtracted, and their
+        * **dead** wires leave the transfer/relax scans with their
+          unknown-signal budget subtracted (nothing drives them, so a
+          reset leaves them UNKNOWN and uncounted), and their
           (dead) instances leave the react/update rosters — the
           schedule the optimizer shipped never reacts them anyway, but
           the worklist seed and the levelized fallback honor the same
@@ -344,18 +320,13 @@ class SimulatorBase:
         self.opt_level = block.get("level", 1)
         if block.get("dead_wires"):
             from .compile_cache import wire_key
-            key_map = {wire_key(w): w for w in self._wires}
-            dead = [key_map[tuple(k)] for k in block["dead_wires"]]
-            dead_ids = {id(w) for w in dead}
-
-            def live(wires: List[Wire]) -> List[Wire]:
-                return [w for w in wires if id(w) not in dead_ids]
-
-            self._plain_wires = live(self._plain_wires)
-            self._const_wires = live(self._const_wires)
-            self._transfer_wires = live(self._transfer_wires)
-            self._relax_wires = live(self._wires)
-            self._begin_unknown -= partition_wires(dead).begin_unknown
+            key_map = {wire_key(w): w.wid for w in self._wires}
+            dead = {key_map[tuple(k)] for k in block["dead_wires"]}
+            self._transfer_slots = [s for s in self._transfer_slots
+                                    if s not in dead]
+            self._relax_slots = [s for s in self._relax_slots
+                                 if s not in dead]
+            self._begin_unknown -= self._store.begin_unknown(dead)
         dead_paths = set(block.get("dead_instances") or ())
         if dead_paths:
             self._react_instances = [i for i in self._instances
@@ -380,22 +351,26 @@ class SimulatorBase:
         cursor never needs to back up.  Returns ``False`` when no
         unresolved signal exists.
         """
-        wires = self._relax_wires
+        store = self._store
+        slots = self._relax_slots
         i = self._relax_cursor
-        n = len(wires)
+        n = len(slots)
         while i < n:
-            wire = wires[i]
-            signal = wire.first_unresolved()
+            signal = store.first_unresolved(slots[i])
             if signal is not None:
                 self._relax_cursor = i
-                wire.force_default(signal)
-                self.relaxations_total += 1
-                if self.profiler is not None:
-                    self.profiler._on_relax(wire)
+                self._force(slots[i], signal)
                 return True
             i += 1
         self._relax_cursor = n
         return False
+
+    def _force(self, slot: int, signal: str) -> None:
+        """One relaxation: ``signal`` of ``slot`` takes its default."""
+        self._store.force_default(slot, signal)
+        self.relaxations_total += 1
+        if self.profiler is not None:
+            self.profiler._on_relax(self._wires[slot])
 
     # ------------------------------------------------------------------
     # Engine-specific checkpoint state (overridable)
@@ -463,7 +438,7 @@ class SimulatorBase:
             "relaxations_total": self.relaxations_total,
             "rng": copy.deepcopy(self.rng.bit_generator.state),
             "stats": self.stats.state_dict(),
-            "wires": [wire.transfers for wire in self._wires],
+            "wires": list(self._store.transfers),
             "instances": instances,
             "engine_extra": self._extra_state(),
         }
@@ -494,8 +469,7 @@ class SimulatorBase:
         self.relaxations_total = state["relaxations_total"]
         self.rng.bit_generator.state = copy.deepcopy(state["rng"])
         self.stats.load_state_dict(state["stats"])
-        for wire, transfers in zip(self._wires, state["wires"]):
-            wire.transfers = transfers
+        self._store.transfers[:] = state["wires"]
         memo: Dict[int, Any] = {id(self): self, id(self.design): self.design}
         for inst in self._instances:
             memo[id(inst)] = inst
@@ -521,9 +495,6 @@ class SimulatorBase:
                     break
         return "\n".join(lines)
 
-    def _signal_known(self, wire: Wire, signal: str) -> None:
-        raise NotImplementedError
-
     def _step(self) -> None:
         raise NotImplementedError
 
@@ -531,22 +502,6 @@ class SimulatorBase:
 def _find_base_method(name: str):
     from .module import LeafModule
     return getattr(LeafModule, name)
-
-
-def _transfer_possible(wire: Wire) -> bool:
-    """Whether ``wire`` can ever observe a destination-side transfer.
-
-    A stub wire whose constant side is held at a non-committing default
-    (data NOTHING / enable DEASSERTED / ack DEASSERTED) can never
-    satisfy :meth:`Wire.took_dst`, so the end-of-step transfer scan
-    skips it outright.
-    """
-    if wire.src is None and (wire.const_data is not DataStatus.SOMETHING
-                             or wire.const_enable is not CtrlStatus.ASSERTED):
-        return False
-    if wire.dst is None and wire.const_ack is not CtrlStatus.ASSERTED:
-        return False
-    return True
 
 
 class Simulator(SimulatorBase):
@@ -571,7 +526,7 @@ class Simulator(SimulatorBase):
         super().__init__(design, **kw)
         self._queue: deque = deque()
         self._queued: Dict[int, bool] = {}
-        # Map wires to the instances sensitive to each signal's arrival.
+        # Map slots to the instances sensitive to each signal's arrival.
         self._fwd_reader = [None] * len(self._wires)
         self._ack_reader = [None] * len(self._wires)
         for wire in self._wires:
@@ -579,6 +534,7 @@ class Simulator(SimulatorBase):
                 self._fwd_reader[wire.wid] = wire.dst.instance
             if wire.src is not None:
                 self._ack_reader[wire.wid] = wire.src.instance
+        self._store.hook = self._enqueue_reader
 
     # -- scheduling ------------------------------------------------------
     def _enqueue(self, inst) -> None:
@@ -586,12 +542,10 @@ class Simulator(SimulatorBase):
             self._queued[id(inst)] = True
             self._queue.append(inst)
 
-    def _signal_known(self, wire: Wire, signal: str) -> None:
-        self._unknown -= 1
-        if signal == SIG_ACK:
-            self._enqueue(self._ack_reader[wire.wid])
-        else:
-            self._enqueue(self._fwd_reader[wire.wid])
+    def _enqueue_reader(self, slot: int, is_ack: bool) -> None:
+        """The store's hook: a signal of ``slot`` just resolved."""
+        self._enqueue((self._ack_reader if is_ack
+                       else self._fwd_reader)[slot])
 
     # -- timestep --------------------------------------------------------
     def _step(self) -> None:
@@ -603,12 +557,13 @@ class Simulator(SimulatorBase):
             queue.append(inst)
 
         relax_budget = _MAX_RELAX_FACTOR * max(1, len(self._wires) * 3)
-        while self._unknown > 0:
+        store = self._store
+        while store.unknown > 0:
             while queue:
                 inst = queue.popleft()
                 queued[id(inst)] = False
                 inst.react()
-            if self._unknown <= 0:
+            if store.unknown <= 0:
                 break
             # Worklist drained with unresolved signals: cycle policy.
             if self.cycle_policy == "error":
@@ -617,7 +572,7 @@ class Simulator(SimulatorBase):
                 members, groups = unresolved_cycle_report(self.design)
                 raise CombinationalCycleError(
                     f"timestep {self.now}: signal resolution reached a fixed "
-                    f"point with {self._unknown} signal(s) unresolved:\n"
+                    f"point with {store.unknown} signal(s) unresolved:\n"
                     + self._unresolved_report()
                     + _cycle_detail(members, groups),
                     members=members, groups=groups)

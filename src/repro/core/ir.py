@@ -10,7 +10,7 @@ rebuilt the graph again.  This module centralizes all of it in one
 
 * the levelized schedule (portable, path/endpoint-keyed),
 * the signal-group dependency graph (portable edge list),
-* the const/non-const wire partition summary,
+* the wire partition summary (stub constants, transfer slots),
 * the generated stepper source (and, in-memory, its code object),
 * the DEPS and control-function tables the fingerprint covers.
 
@@ -166,20 +166,20 @@ class CompiledModel:
         """
         from .compile_cache import materialize_schedule
         schedule = materialize_schedule(self.schedule, design)
-        partition = partition_wires(design.wires)
+        partition = partition_wires(design)
         if self.begin_unknown is not None:
-            # Cross-check the recomputed partition against the compiled
+            # Cross-check the design's slot tables against the compiled
             # summary: a mismatch means the entry describes a different
             # structure (collision or corruption) — refuse the binding.
             if (partition.begin_unknown != self.begin_unknown
-                    or len(partition.const) != len(self.const_keys or ())
+                    or len(design.store.consts) != len(self.const_keys or ())
                     or len(partition.transfer)
                     != len(self.transfer_keys or ())):
                 raise ValueError(
                     f"compiled partition does not match design "
                     f"{design.name!r}")
         return BoundModel(self, design, schedule,
-                          _cluster_wire_lists(schedule, design.wires),
+                          _cluster_slot_lists(schedule),
                           partition, from_cache=from_cache)
 
     def signal_graph(self, design: Design):
@@ -217,37 +217,29 @@ class BoundModel:
 
     Holds the live schedule (:class:`~repro.core.optimize.
     ScheduleEntry` objects over this design's instances), the per-entry
-    cluster wire lists, and the wire partition — everything a static
+    cluster slot lists, and the wire partition — everything a static
     backend needs to execute, plus ``from_cache`` recording whether the
     artifact came from the compile cache or was compiled fresh.
     """
 
-    __slots__ = ("model", "design", "schedule", "cluster_wires",
+    __slots__ = ("model", "design", "schedule", "cluster_slots",
                  "partition", "from_cache")
 
     def __init__(self, model: CompiledModel, design: Design,
-                 schedule: List[Any], cluster_wires: List[List[Any]],
+                 schedule: List[Any], cluster_slots: List[List[int]],
                  partition: WirePartition, *, from_cache: bool):
         self.model = model
         self.design = design
         self.schedule = schedule
-        self.cluster_wires = cluster_wires
+        self.cluster_slots = cluster_slots
         self.partition = partition
         self.from_cache = from_cache
 
 
-def _cluster_wire_lists(schedule: List[Any], wires: List[Any]) \
-        -> List[List[Any]]:
-    """Per-entry wire lists the cluster fixed-point iteration checks."""
-    wire_by_id = {w.wid: w for w in wires}
-    out: List[List[Any]] = []
-    for entry in schedule:
-        if entry.cluster:
-            out.append(sorted({wire_by_id[wid] for _, wid in entry.groups},
-                              key=lambda w: w.wid))
-        else:
-            out.append([])
-    return out
+def _cluster_slot_lists(schedule: List[Any]) -> List[List[int]]:
+    """Per-entry slot lists the cluster fixed-point iteration checks."""
+    return [sorted({wid for _, wid in entry.groups}) if entry.cluster else []
+            for entry in schedule]
 
 
 def _portable_graph(graph, design: Design) -> List[List[PortableGroup]]:
@@ -359,10 +351,15 @@ def compile_model(design: Design,
         if cache.enabled:
             cache.store(model)
         return BoundModel(model, design, schedule,
-                          _cluster_wire_lists(schedule, design.wires),
+                          _cluster_slot_lists(schedule),
                           partition, from_cache=False)
 
-    return stage(len(stages) - 1, options.need_stepper)
+    try:
+        return stage(len(stages) - 1, options.need_stepper)
+    finally:
+        # ``stage`` refers to itself through its own cell; left alone
+        # the cycle would pin ``design`` until a gc pass.
+        stage = None
 
 
 def _derived_model(key: str, inner: BoundModel, schedule: List[Any],
@@ -385,14 +382,16 @@ def _build_base(design: Design, key: str, options: CompileOptions, inner):
     from .optimize import build_schedule, build_signal_graph
     graph = build_signal_graph(design)
     schedule = build_schedule(design, graph=graph)
-    partition = partition_wires(design.wires)
+    partition = partition_wires(design)
     deps, controls = _metadata_tables(design)
+    wires = design.wires
     model = CompiledModel(
         key, portable_schedule(schedule, design),
         design_name=design.name,
         graph_edges=_portable_graph(graph, design),
-        const_keys=[list(wire_key(w)) for w in partition.const],
-        transfer_keys=[list(wire_key(w)) for w in partition.transfer],
+        const_keys=[list(wire_key(wires[s]))
+                    for s in sorted(design.store.consts)],
+        transfer_keys=[list(wire_key(wires[s])) for s in partition.transfer],
         begin_unknown=partition.begin_unknown,
         deps=deps, controls=controls)
     return model, schedule, partition

@@ -15,7 +15,7 @@ import copy as _copy
 from typing import Any, Dict, List, Optional, Tuple
 
 from .module import LeafModule
-from .signals import Wire
+from .signals import SignalStore, Wire
 from .typesys import WireType
 
 
@@ -75,15 +75,21 @@ class Design:
         The subset of ``wires`` that are default-driven stubs.
     port_wires:
         ``(path, port) -> [Wire, ...]`` indexed lists per leaf port.
+    store:
+        The :class:`~repro.core.signals.SignalStore` holding every
+        wire's signals; wire ``w`` lives at slot ``w.wid``, which is
+        also its position in ``wires``.
 
-    A :class:`Design` is consumed by exactly one simulator: the engine
-    installs itself into every wire for signal-change notification.
+    A :class:`Design` is consumed by exactly one simulator at a time:
+    the engine steps the design's store (and the worklist engine
+    installs its signal-change hook into it).
     """
 
     def __init__(self, name: str):
         self.name = name
         self.leaves: Dict[str, LeafModule] = {}
         self.wires: List[Wire] = []
+        self.store = SignalStore()
         self.stub_wires: List[Wire] = []
         self.port_wires: Dict[Tuple[str, str], List[Wire]] = {}
         self._owned = False
@@ -101,8 +107,9 @@ class Design:
         animate the same structure with a second engine, copy it
         instead of rebuilding from the specification.  The duplicate
         shares nothing with the original: leaves, wires, port views and
-        parameter values are all deep-copied, engine bindings
-        (``wire.engine``, ``leaf.sim``) are cleared, profiler
+        parameter values are all deep-copied — the copy gets a signal
+        store of its own — engine bindings (the store's hook,
+        ``leaf.sim``) are cleared, profiler
         instrumentation is dropped, and runtime counters (per-wire
         transfer counts, probe marks) are reset.
 
@@ -112,19 +119,16 @@ class Design:
         the shipped libraries all do).
         """
         memo: Dict[int, Any] = {}
-        for wire in self.wires:
-            if wire.engine is not None:
-                memo[id(wire.engine)] = None
+        if self.store.hook is not None:
+            memo[id(self.store.hook)] = None
         for leaf in self.leaves.values():
             sim = getattr(leaf, "sim", None)
             if sim is not None:
                 memo[id(sim)] = None
         dup = _copy.deepcopy(self, memo)
         dup._owned = False
-        for wire in dup.wires:
-            wire.engine = None
-            wire.transfers = 0
-            wire.watched = False
+        dup.store.transfers[:] = [0] * len(dup.wires)
+        dup.store.watched[:] = [False] * len(dup.wires)
         for leaf in dup.leaves.values():
             leaf.sim = None
             # Rebind the react dispatch to the copy: the original's

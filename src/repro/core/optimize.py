@@ -314,6 +314,9 @@ def build_schedule(design: Design,
         else:
             entries.append(ScheduleEntry(drivers, cluster, groups))
         release(scc)
+    # Mutually recursive closures are a reference cycle (and these hold
+    # every driver instance through ``driver_of``): break it by hand.
+    arrive = release = None
     return entries
 
 
@@ -359,67 +362,64 @@ class LevelizedSimulator(SimulatorBase):
         self.compile_opt_level = level
         self.schedule = bound.schedule
         self.fallback_steps = 0
-        # Per-entry wire sets the cluster fixed-point iteration checks.
-        self._cluster_wires: List[List[Wire]] = bound.cluster_wires
+        # Per-entry slot lists the cluster fixed-point iteration checks.
+        self._cluster_slots: List[List[int]] = bound.cluster_slots
 
-    def _signal_known(self, wire: Wire, signal: str) -> None:
-        self._unknown -= 1
-
-    def _run_cluster(self, entry: ScheduleEntry, wires: List[Wire]) -> None:
+    def _run_cluster(self, entry: ScheduleEntry, slots: List[int]) -> None:
         """Iterate a combinational cluster to a fixed point."""
+        store = self._store
+        first_unresolved = store.first_unresolved
         pending = True
         guard = 3 * len(entry.groups) + 3
         while pending and guard > 0:
             guard -= 1
-            before = self._unknown
+            before = store.unknown
             for inst in entry.instances:
                 inst.react()
-            pending = any(not w.fully_resolved() for w in wires)
-            if pending and self._unknown == before:
+            pending = any(first_unresolved(s) is not None for s in slots)
+            if pending and store.unknown == before:
                 # No progress: apply the cycle policy inside the cluster.
                 if self.cycle_policy == "error":
                     members = sorted({inst.path
                                       for inst in entry.instances})
-                    wmap = {w.wid: w for w in wires}
-                    groups = [describe_wire_group(kind, wmap[wid])
+                    wires = self._wires
+                    groups = [describe_wire_group(kind, wires[wid])
                               for kind, wid in entry.groups
-                              if _group_unresolved(kind, wmap[wid])]
+                              if _group_unresolved(kind, wires[wid])]
                     raise CombinationalCycleError(
                         f"timestep {self.now}: combinational cluster "
                         f"{entry!r} did not converge:\n"
                         + self._unresolved_report()
                         + _cycle_detail(members, groups),
                         members=members, groups=groups)
-                for wire in wires:
-                    signal = wire.first_unresolved()
+                for s in slots:
+                    signal = first_unresolved(s)
                     if signal is not None:
-                        wire.force_default(signal)
-                        self.relaxations_total += 1
-                        if self.profiler is not None:
-                            self.profiler._on_relax(wire)
+                        self._force(s, signal)
                         break
 
     def _step(self) -> None:
         self._begin_step()
-        for entry, wires in zip(self.schedule, self._cluster_wires):
+        for entry, slots in zip(self.schedule, self._cluster_slots):
             if entry.cluster:
-                self._run_cluster(entry, wires)
+                self._run_cluster(entry, slots)
             else:
                 entry.instances[0].react()
-        if self._unknown > 0:
+        if self._store.unknown > 0:
             self._fallback()
         self._end_step()
 
     def _fallback(self) -> None:
         """Worklist-style safety net for mis-declared dependencies."""
         self.fallback_steps += 1
+        store = self._store
         guard = 3 * len(self._wires) * 3 + 3
-        while self._unknown > 0 and guard > 0:
+        while store.unknown > 0 and guard > 0:
             guard -= 1
-            before = self._unknown
+            before = store.unknown
             for inst in self._react_instances:
                 inst.react()
-            if self._unknown == before:
+            if store.unknown == before:
                 if self.cycle_policy == "error":
                     members, groups = unresolved_cycle_report(self.design)
                     raise CombinationalCycleError(

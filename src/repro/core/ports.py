@@ -19,10 +19,10 @@ sanctioned way for module code to touch wires; they
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from .errors import ContractViolationError, WiringError
-from .signals import CtrlStatus, DataStatus, Wire
+from .signals import CtrlStatus, DataStatus, SignalStore, Wire
 from .typesys import ANY, WireType
 
 INPUT = "input"
@@ -98,14 +98,34 @@ def out_port(name: str, wtype: WireType = ANY, **kw) -> PortDecl:
     return PortDecl(name, OUTPUT, wtype, **kw)
 
 
-class _ViewBase:
-    """Common machinery of the two port views."""
+_D_UNKNOWN = DataStatus.UNKNOWN
+_D_NOTHING = DataStatus.NOTHING
+_D_SOMETHING = DataStatus.SOMETHING
+_C_UNKNOWN = CtrlStatus.UNKNOWN
+_C_DEASSERTED = CtrlStatus.DEASSERTED
+_C_ASSERTED = CtrlStatus.ASSERTED
 
-    __slots__ = ("decl", "wires")
+#: What a zero-width view binds, so an index error stays an index error.
+_NO_STORE = SignalStore()
+
+
+class _ViewBase:
+    """Common machinery of the two port views.
+
+    A view binds, at wiring time, the design's
+    :class:`~repro.core.signals.SignalStore` and the slot of each of
+    its wires; every read and write below indexes the store's planes
+    directly (``store.<plane>[slots[i]]``).  A bad index surfaces as the
+    ``IndexError`` of that one lookup.
+    """
+
+    __slots__ = ("decl", "wires", "_store", "_slots")
 
     def __init__(self, decl: PortDecl, wires: List[Wire]):
         self.decl = decl
         self.wires = wires
+        self._slots = [w.wid for w in wires]
+        self._store = wires[0].store if wires else _NO_STORE
 
     @property
     def name(self) -> str:
@@ -114,18 +134,21 @@ class _ViewBase:
     @property
     def width(self) -> int:
         """Number of connections (including default-driven stubs)."""
-        return len(self.wires)
+        return len(self._slots)
 
     def __len__(self) -> int:
-        return len(self.wires)
+        return len(self._slots)
+
+    def _bad_index(self, i: int) -> ContractViolationError:
+        return ContractViolationError(
+            f"port {self.decl.name!r}: index {i} out of range "
+            f"(width {len(self._slots)})")
 
     def _wire(self, i: int) -> Wire:
         try:
             return self.wires[i]
         except IndexError:
-            raise ContractViolationError(
-                f"port {self.decl.name!r}: index {i} out of range "
-                f"(width {len(self.wires)})") from None
+            raise self._bad_index(i) from None
 
 
 class InView(_ViewBase):
@@ -138,46 +161,81 @@ class InView(_ViewBase):
     __slots__ = ()
 
     # -- reads ---------------------------------------------------------
-    def _fwd(self, i: int) -> Tuple[DataStatus, Any, CtrlStatus]:
-        w = self._wire(i)
-        return w.data_status, w.data_value, w.enable
-
     def status(self, i: int = 0) -> DataStatus:
         """Data status as seen by this destination."""
-        return self._fwd(i)[0]
+        try:
+            return self._store.ds[self._slots[i]]
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def value(self, i: int = 0) -> Any:
         """The offered datum (None unless status is SOMETHING)."""
-        return self._fwd(i)[1]
+        try:
+            return self._store.dv[self._slots[i]]
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def enable(self, i: int = 0) -> CtrlStatus:
         """Enable status as seen by this destination."""
-        return self._fwd(i)[2]
+        try:
+            return self._store.en[self._slots[i]]
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def known(self, i: int = 0) -> bool:
         """True when both forward signals have resolved."""
-        ds, _, en = self._fwd(i)
-        return ds is not DataStatus.UNKNOWN and en is not CtrlStatus.UNKNOWN
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        return (store.ds[s] is not _D_UNKNOWN
+                and store.en[s] is not _C_UNKNOWN)
 
     def present(self, i: int = 0) -> bool:
         """True when a committed datum is being offered."""
-        ds, _, en = self._fwd(i)
-        return ds is DataStatus.SOMETHING and en is CtrlStatus.ASSERTED
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        return store.ds[s] is _D_SOMETHING and store.en[s] is _C_ASSERTED
 
     def absent(self, i: int = 0) -> bool:
         """True when the source has resolved to *not* offering a datum."""
-        ds, _, en = self._fwd(i)
-        if ds is DataStatus.UNKNOWN or en is CtrlStatus.UNKNOWN:
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        ds, en = store.ds[s], store.en[s]
+        if ds is _D_UNKNOWN or en is _C_UNKNOWN:
             return False
-        return ds is not DataStatus.SOMETHING or en is not CtrlStatus.ASSERTED
+        return ds is not _D_SOMETHING or en is not _C_ASSERTED
 
     # -- writes --------------------------------------------------------
     def set_ack(self, i: int = 0, accept: bool = True) -> None:
         """Resolve this index's ack signal (monotone)."""
-        self._wire(i).drive_ack(accept)
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        if store.rak[s] is _C_UNKNOWN and store.control[s] is None:
+            # First drive of a slot without control: nothing to check.
+            store.rak[s] = store.ak[s] = \
+                _C_ASSERTED if accept else _C_DEASSERTED
+            store.unknown -= 1
+            if store.hook is not None:
+                store.hook(s, True)
+        else:
+            store.drive_ack(s, accept)
 
     def ack_known(self, i: int = 0) -> bool:
-        return self._wire(i).ack is not CtrlStatus.UNKNOWN
+        try:
+            return self._store.ak[self._slots[i]] is not _C_UNKNOWN
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def took(self, i: int = 0) -> bool:
         """True iff this destination consumed a datum on index ``i``.
@@ -186,15 +244,21 @@ class InView(_ViewBase):
         port's own ack accepted.  Meaningful once the timestep has
         resolved — i.e. from ``update()`` handlers.
         """
-        return self._wire(i).took_dst()
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        return (store.ds[s] is _D_SOMETHING and store.en[s] is _C_ASSERTED
+                and store.rak[s] is _C_ASSERTED)
 
     # -- convenience over all indices ----------------------------------
     def indices_present(self):
         """Indices currently offering a committed datum."""
-        return [i for i in range(len(self.wires)) if self.present(i)]
+        return [i for i in range(len(self._slots)) if self.present(i)]
 
     def all_known(self) -> bool:
-        return all(self.known(i) for i in range(len(self.wires)))
+        return all(self.known(i) for i in range(len(self._slots)))
 
     # Guard against contract misuse -------------------------------------
     def send(self, *a, **kw):
@@ -205,8 +269,8 @@ class InView(_ViewBase):
 class OutView(_ViewBase):
     """Runtime view of an output port.
 
-    Writable signals are ``data`` and ``enable``; reads of ``ack`` pass
-    through the wire's control function (source side).
+    Writable signals are ``data`` and ``enable``; reads of ``ack`` see
+    the wire's committed (post-control) value.
     """
 
     __slots__ = ()
@@ -214,37 +278,83 @@ class OutView(_ViewBase):
     # -- writes --------------------------------------------------------
     def send(self, i: int = 0, value: Any = None) -> None:
         """Offer ``value`` and assert enable — the common case."""
-        w = self._wire(i)
-        w.drive_data(DataStatus.SOMETHING, value)
-        w.drive_enable(True)
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        if (store.rds[s] is _D_UNKNOWN and store.ren[s] is _C_UNKNOWN
+                and store.control[s] is None):
+            # First drive of a slot without control: nothing to check.
+            store.rds[s] = store.ds[s] = _D_SOMETHING
+            store.rdv[s] = store.dv[s] = value
+            store.ren[s] = store.en[s] = _C_ASSERTED
+            store.unknown -= 2
+            if store.hook is not None:
+                store.hook(s, False)
+        else:
+            store.drive_data(s, _D_SOMETHING, value)
+            store.drive_enable(s, True)
 
     def send_nothing(self, i: int = 0) -> None:
         """Affirmatively send no datum this timestep."""
-        w = self._wire(i)
-        w.drive_data(DataStatus.NOTHING)
-        w.drive_enable(False)
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        if (store.rds[s] is _D_UNKNOWN and store.ren[s] is _C_UNKNOWN
+                and store.control[s] is None):
+            store.rds[s] = store.ds[s] = _D_NOTHING
+            store.ren[s] = store.en[s] = _C_DEASSERTED
+            store.unknown -= 2
+            if store.hook is not None:
+                store.hook(s, False)
+        else:
+            store.drive_data(s, _D_NOTHING)
+            store.drive_enable(s, False)
 
     def drive_data(self, i: int, status: DataStatus, value: Any = None) -> None:
         """Low-level data drive (for modules separating data/enable)."""
-        self._wire(i).drive_data(status, value)
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        self._store.drive_data(s, status, value)
 
     def drive_enable(self, i: int, asserted: bool) -> None:
         """Low-level enable drive."""
-        self._wire(i).drive_enable(asserted)
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        self._store.drive_enable(s, asserted)
 
     # -- reads ---------------------------------------------------------
     def ack(self, i: int = 0) -> CtrlStatus:
         """Committed (post-control) ack status as seen by this source."""
-        return self._wire(i).ack
+        try:
+            return self._store.ak[self._slots[i]]
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def ack_known(self, i: int = 0) -> bool:
-        return self.ack(i) is not CtrlStatus.UNKNOWN
+        try:
+            return self._store.ak[self._slots[i]] is not _C_UNKNOWN
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def accepted(self, i: int = 0) -> bool:
-        return self.ack(i) is CtrlStatus.ASSERTED
+        try:
+            return self._store.ak[self._slots[i]] is _C_ASSERTED
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def data_known(self, i: int = 0) -> bool:
-        return self._wire(i).data_status is not DataStatus.UNKNOWN
+        try:
+            return self._store.ds[self._slots[i]] is not _D_UNKNOWN
+        except IndexError:
+            raise self._bad_index(i) from None
 
     def took(self, i: int = 0) -> bool:
         """True iff this source's offer was accepted on index ``i``.
@@ -252,10 +362,16 @@ class OutView(_ViewBase):
         Source-relative: the raw offer this port made, judged against
         the (post-control) ack it observes.
         """
-        return self._wire(i).took_src()
+        try:
+            s = self._slots[i]
+        except IndexError:
+            raise self._bad_index(i) from None
+        store = self._store
+        return (store.rds[s] is _D_SOMETHING and store.ren[s] is _C_ASSERTED
+                and store.ak[s] is _C_ASSERTED)
 
     def indices_accepted(self):
-        return [i for i in range(len(self.wires)) if self.accepted(i)]
+        return [i for i in range(len(self._slots)) if self.accepted(i)]
 
     # Guard against contract misuse -------------------------------------
     def set_ack(self, *a, **kw):

@@ -9,7 +9,8 @@ turns that into numpy array operations:
   ``(wires, lanes)`` int8 planes (one ``(lanes,)`` row per wire) plus an
   object-dtype value plane, with one-fill step reset, a vectorized
   end-of-step transfer scan, and gather/scatter converters to and from
-  the per-lane :class:`~repro.core.signals.Wire` objects;
+  the same slots of the per-lane
+  :class:`~repro.core.signals.SignalStore` planes;
 * :class:`LaneRng` — a bank of the module instances' own per-lane
   ``numpy`` Generators, pre-drawing blocks of uniforms per lane and
   consuming them through a cursor.  ``Generator.random(n)`` produces the
@@ -205,23 +206,30 @@ class VecStats:
             touched.fill(False)
 
 
+#: int8 code -> enum member, for writing array state back into a store.
+_DATA = (DataStatus.UNKNOWN, DataStatus.NOTHING, DataStatus.SOMETHING)
+_CTRL = (CtrlStatus.UNKNOWN, CtrlStatus.DEASSERTED, CtrlStatus.ASSERTED)
+
+
 class VecWires:
     """The SoA signal planes of every vectorizable wire.
 
-    ``lane_wires[row][lane]`` is the per-lane :class:`Wire` object the
-    row shadows; :meth:`gather` parks those objects in a resolved, non-
-    transferring state (so engine-side relaxation scans skip them) and
-    :meth:`scatter` writes the array state back, enum singletons and
-    raw mirrors included.
+    Row ``r`` shadows slot ``slots[r]`` of every lane's signal store
+    (same-fingerprint lanes wire in the same order, so a slot means the
+    same wire on each).  While a plan is active the lanes park those
+    slots (see ``SignalStore.park``) so engine-side relaxation scans
+    skip them; :meth:`scatter` writes the array state back, enum
+    members and raw mirrors included, and :meth:`absorb` reads it home.
     """
 
-    __slots__ = ("lane_wires", "data", "enable", "ack", "value",
+    __slots__ = ("stores", "slots", "data", "enable", "ack", "value",
                  "transfers", "rows", "lanes")
 
-    def __init__(self, lane_wires: List[List[Any]]):
-        self.lane_wires = lane_wires
-        self.rows = len(lane_wires)
-        self.lanes = len(lane_wires[0]) if lane_wires else 0
+    def __init__(self, stores: List[Any], slots: List[int]):
+        self.stores = stores
+        self.slots = slots
+        self.rows = len(slots)
+        self.lanes = len(stores)
         shape = (self.rows, self.lanes)
         self.data = np.zeros(shape, np.int8)
         self.enable = np.zeros(shape, np.int8)
@@ -230,21 +238,10 @@ class VecWires:
         self.transfers = np.zeros(shape, np.int64)
 
     def gather(self) -> None:
-        for row, wires in enumerate(self.lane_wires):
-            for lane, wire in enumerate(wires):
-                self.transfers[row, lane] = wire.transfers
-                # Park the object in a resolved no-transfer state: the
-                # lanes' relaxation/fallback scans then never pick a
-                # shadowed wire, and idempotent re-drives during a
-                # scalar fallback are judged against scattered state.
-                wire.data_status = DataStatus.NOTHING
-                wire.data_value = None
-                wire.raw_data_status = DataStatus.NOTHING
-                wire.raw_data_value = None
-                wire.enable = CtrlStatus.DEASSERTED
-                wire.raw_enable = CtrlStatus.DEASSERTED
-                wire.ack = CtrlStatus.DEASSERTED
-                wire.raw_ack = CtrlStatus.DEASSERTED
+        slots = self.slots
+        for lane, store in enumerate(self.stores):
+            counts = store.transfers
+            self.transfers[:, lane] = [counts[s] for s in slots]
 
     def begin_step(self) -> None:
         self.data.fill(D_UNKNOWN)
@@ -260,29 +257,28 @@ class VecWires:
 
     def unknown_by_lane(self) -> np.ndarray:
         """Per-lane count of unresolved plane signals (data/enable/ack
-        each count one, mirroring the scalar ``_unknown`` budget)."""
+        each count one, mirroring the stores' ``unknown`` budget)."""
         return ((self.data == D_UNKNOWN).astype(np.int64)
                 + (self.enable == C_UNKNOWN)
                 + (self.ack == C_UNKNOWN)).sum(axis=0)
 
     def absorb(self) -> None:
-        """Read the lanes' wire signal state back into the planes — the
+        """Read the lanes' committed signals back into the planes — the
         signal-plane inverse of :meth:`scatter` (transfer counters stay
         array-side).  Used after a scalar fallback resolved signals a
         Mealy implementation had to leave unknown: :meth:`scatter` hands
         the planes to the lanes, the fallback's re-reacts and relaxation
-        finish the resolution on the wire objects, and absorb brings the
+        finish the resolution in the stores, and absorb brings the
         result home before the transfer scan."""
-        for row, wires in enumerate(self.lane_wires):
-            data = self.data[row]
-            enable = self.enable[row]
-            ack = self.ack[row]
-            value = self.value[row]
-            for lane, wire in enumerate(wires):
-                data[lane] = int(wire.data_status)
-                value[lane] = wire.data_value
-                enable[lane] = int(wire.enable)
-                ack[lane] = int(wire.ack)
+        slots = self.slots
+        for lane, store in enumerate(self.stores):
+            ds, dv, en, ak = store.ds, store.dv, store.en, store.ak
+            self.data[:, lane] = [ds[s] for s in slots]
+            value = self.value[:, lane]
+            for row, s in enumerate(slots):
+                value[row] = dv[s]  # elementwise: a datum may be a sequence
+            self.enable[:, lane] = [en[s] for s in slots]
+            self.ack[:, lane] = [ak[s] for s in slots]
 
     def end_step(self) -> np.ndarray:
         """Vectorized transfer scan; returns per-lane transfer counts.
@@ -302,27 +298,23 @@ class VecWires:
         return took.sum(axis=0)
 
     def scatter(self) -> None:
-        """Write the array state back onto the per-lane wire objects."""
-        for row, wires in enumerate(self.lane_wires):
-            data = self.data[row]
-            enable = self.enable[row]
-            ack = self.ack[row]
-            value = self.value[row]
-            transfers = self.transfers[row]
-            for lane, wire in enumerate(wires):
-                ds = DataStatus(int(data[lane]))
-                en = CtrlStatus(int(enable[lane]))
-                ak = CtrlStatus(int(ack[lane]))
-                val = value[lane] if ds is DataStatus.SOMETHING else None
-                wire.data_status = ds
-                wire.data_value = val
-                wire.raw_data_status = ds
-                wire.raw_data_value = val
-                wire.enable = en
-                wire.raw_enable = en
-                wire.ack = ak
-                wire.raw_ack = ak
-                wire.transfers = int(transfers[lane])
+        """Write the array state back into the lanes' store slots."""
+        slots = self.slots
+        for lane, store in enumerate(self.stores):
+            ds, dv, en, ak = store.ds, store.dv, store.en, store.ak
+            rds, rdv, ren, rak = store.rds, store.rdv, store.ren, store.rak
+            counts = store.transfers
+            for s, data, value, enable, ack, n in zip(
+                    slots, self.data[:, lane].tolist(),
+                    self.value[:, lane].tolist(),
+                    self.enable[:, lane].tolist(),
+                    self.ack[:, lane].tolist(),
+                    self.transfers[:, lane].tolist()):
+                ds[s] = rds[s] = _DATA[data]
+                dv[s] = rdv[s] = value if data == D_SOMETHING else None
+                en[s] = ren[s] = _CTRL[enable]
+                ak[s] = rak[s] = _CTRL[ack]
+                counts[s] = n
 
 
 class VecPortIndex:
@@ -330,19 +322,20 @@ class VecPortIndex:
 
     Vectorized module implementations speak only this adapter.  On a
     vectorizable wire the operations are row-wide array ops; on a
-    boundary wire they loop the lanes through the real ``Wire`` drive
-    methods, so monotonicity checks, control functions, constant stubs
-    and the lanes' ``_unknown`` accounting all keep working.
+    boundary wire they loop the lanes through the real drive methods of
+    each lane's signal store at the wire's ``slot``, so monotonicity
+    checks, control functions, constant stubs and the lanes' unknown
+    accounting all keep working.
     """
 
-    __slots__ = ("vw", "row", "wires", "lanes")
+    __slots__ = ("vw", "row", "slot", "lanes")
 
-    def __init__(self, vw: Optional[VecWires], row: Optional[int],
-                 wires: Optional[List[Any]], lanes: int):
+    def __init__(self, vw: VecWires, row: Optional[int],
+                 slot: Optional[int]):
         self.vw = vw
         self.row = row
-        self.wires = wires
-        self.lanes = lanes
+        self.slot = slot
+        self.lanes = vw.lanes
 
     @property
     def is_vec(self) -> bool:
@@ -358,13 +351,14 @@ class VecPortIndex:
             vw.value[row] = np.where(mask, values, None)
             vw.enable[row] = np.where(mask, C_ASSERTED, C_DEASSERTED)
             return
-        for lane, wire in enumerate(self.wires):
+        slot = self.slot
+        for lane, store in enumerate(self.vw.stores):
             if mask[lane]:
-                wire.drive_data(DataStatus.SOMETHING, values[lane])
-                wire.drive_enable(True)
+                store.drive_data(slot, DataStatus.SOMETHING, values[lane])
+                store.drive_enable(slot, True)
             else:
-                wire.drive_data(DataStatus.NOTHING)
-                wire.drive_enable(False)
+                store.drive_data(slot, DataStatus.NOTHING)
+                store.drive_enable(slot, False)
 
     def send_where(self, mask: np.ndarray, values: np.ndarray) -> None:
         """``send(value)`` on exactly the lanes in ``mask``; other lanes
@@ -377,10 +371,10 @@ class VecPortIndex:
             vw.value[row][mask] = values[mask]
             vw.enable[row][mask] = C_ASSERTED
             return
+        stores, slot = self.vw.stores, self.slot
         for lane in np.nonzero(mask)[0]:
-            wire = self.wires[lane]
-            wire.drive_data(DataStatus.SOMETHING, values[lane])
-            wire.drive_enable(True)
+            stores[lane].drive_data(slot, DataStatus.SOMETHING, values[lane])
+            stores[lane].drive_enable(slot, True)
 
     def send_nothing_where(self, mask: np.ndarray) -> None:
         """``send_nothing()`` on exactly the lanes in ``mask``."""
@@ -390,10 +384,10 @@ class VecPortIndex:
             vw.data[row][mask] = D_NOTHING
             vw.enable[row][mask] = C_DEASSERTED
             return
+        stores, slot = self.vw.stores, self.slot
         for lane in np.nonzero(mask)[0]:
-            wire = self.wires[lane]
-            wire.drive_data(DataStatus.NOTHING)
-            wire.drive_enable(False)
+            stores[lane].drive_data(slot, DataStatus.NOTHING)
+            stores[lane].drive_enable(slot, False)
 
     def drive_data_where(self, mask: np.ndarray,
                          values: np.ndarray) -> None:
@@ -405,8 +399,9 @@ class VecPortIndex:
             vw.data[row][mask] = D_SOMETHING
             vw.value[row][mask] = values[mask]
             return
+        stores, slot = self.vw.stores, self.slot
         for lane in np.nonzero(mask)[0]:
-            self.wires[lane].drive_data(DataStatus.SOMETHING, values[lane])
+            stores[lane].drive_data(slot, DataStatus.SOMETHING, values[lane])
 
     def drive_enable_where(self, mask: np.ndarray,
                            asserted: np.ndarray) -> None:
@@ -416,16 +411,18 @@ class VecPortIndex:
             row = self.vw.enable[self.row]
             row[mask] = np.where(asserted, C_ASSERTED, C_DEASSERTED)[mask]
             return
+        stores, slot = self.vw.stores, self.slot
         for lane in np.nonzero(mask)[0]:
-            self.wires[lane].drive_enable(bool(asserted[lane]))
+            stores[lane].drive_enable(slot, bool(asserted[lane]))
 
     # -- destination-side writes -------------------------------------------
     def set_ack_masked(self, mask: np.ndarray) -> None:
         if self.row is not None:
             self.vw.ack[self.row] = np.where(mask, C_ASSERTED, C_DEASSERTED)
             return
-        for lane, wire in enumerate(self.wires):
-            wire.drive_ack(bool(mask[lane]))
+        slot = self.slot
+        for lane, store in enumerate(self.vw.stores):
+            store.drive_ack(slot, bool(mask[lane]))
 
     def set_ack_where(self, mask: np.ndarray, accept) -> None:
         """Drive ack on exactly the lanes in ``mask``.  ``accept`` is a
@@ -438,10 +435,11 @@ class VecPortIndex:
             else:
                 ack[mask] = C_ASSERTED if accept else C_DEASSERTED
             return
+        stores, slot = self.vw.stores, self.slot
         scalar = not isinstance(accept, np.ndarray)
         for lane in np.nonzero(mask)[0]:
-            self.wires[lane].drive_ack(
-                bool(accept) if scalar else bool(accept[lane]))
+            stores[lane].drive_ack(
+                slot, bool(accept) if scalar else bool(accept[lane]))
 
     # -- update-phase reads ------------------------------------------------
     def _took_vec(self) -> np.ndarray:
@@ -451,21 +449,23 @@ class VecPortIndex:
                 & (vw.enable[row] == C_ASSERTED)
                 & (vw.ack[row] == C_ASSERTED))
 
+    def _per_lane(self, read, dtype=bool) -> np.ndarray:
+        """``read(store, slot)`` of every lane's boundary slot."""
+        slot = self.slot
+        out = np.empty(self.lanes, dtype)
+        for lane, store in enumerate(self.vw.stores):
+            out[lane] = read(store, slot)
+        return out
+
     def took_src(self) -> np.ndarray:
         if self.row is not None:
             return self._took_vec()
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = wire.took_src()
-        return out
+        return self._per_lane(lambda store, s: store.took_src(s))
 
     def took_dst(self) -> np.ndarray:
         if self.row is not None:
             return self._took_vec()
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = wire.took_dst()
-        return out
+        return self._per_lane(lambda store, s: store.took_dst(s))
 
     def present(self) -> np.ndarray:
         if self.row is not None:
@@ -473,20 +473,15 @@ class VecPortIndex:
             row = self.row
             return ((vw.data[row] == D_SOMETHING)
                     & (vw.enable[row] == C_ASSERTED))
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = (wire.data_status is DataStatus.SOMETHING
-                         and wire.enable is CtrlStatus.ASSERTED)
-        return out
+        return self._per_lane(
+            lambda store, s: store.ds[s] is DataStatus.SOMETHING
+            and store.en[s] is CtrlStatus.ASSERTED)
 
     def values(self) -> np.ndarray:
         """Per-lane committed data values (None where no datum)."""
         if self.row is not None:
             return self.vw.value[self.row]
-        out = np.empty(self.lanes, object)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = wire.data_value
-        return out
+        return self._per_lane(lambda store, s: store.dv[s], object)
 
     # -- react-phase handshake reads ---------------------------------------
     def known(self) -> np.ndarray:
@@ -496,29 +491,23 @@ class VecPortIndex:
             row = self.row
             return ((vw.data[row] != D_UNKNOWN)
                     & (vw.enable[row] != C_UNKNOWN))
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = (wire.data_status is not DataStatus.UNKNOWN
-                         and wire.enable is not CtrlStatus.UNKNOWN)
-        return out
+        return self._per_lane(
+            lambda store, s: store.ds[s] is not DataStatus.UNKNOWN
+            and store.en[s] is not CtrlStatus.UNKNOWN)
 
     def ack_known(self) -> np.ndarray:
         if self.row is not None:
             return self.vw.ack[self.row] != C_UNKNOWN
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = wire.ack is not CtrlStatus.UNKNOWN
-        return out
+        return self._per_lane(
+            lambda store, s: store.ak[s] is not CtrlStatus.UNKNOWN)
 
     def accepted(self) -> np.ndarray:
         """Per-lane: ack asserted (False where unknown — pair with
         :meth:`ack_known` exactly as the scalar views do)."""
         if self.row is not None:
             return self.vw.ack[self.row] == C_ASSERTED
-        out = np.empty(self.lanes, bool)
-        for lane, wire in enumerate(self.wires):
-            out[lane] = wire.ack is CtrlStatus.ASSERTED
-        return out
+        return self._per_lane(
+            lambda store, s: store.ak[s] is CtrlStatus.ASSERTED)
 
 
 class VecModuleContext:
@@ -683,10 +672,6 @@ class VecPlan:
     def n_wires(self) -> int:
         return len(self.wire_positions)
 
-    def lane_wire_objects(self, lane: int) -> List[Any]:
-        """This lane's Wire objects shadowed by the SoA planes."""
-        return [wires[lane] for wires in self.vw.lane_wires]
-
     def gather(self) -> None:
         self.vw.gather()
         for impl in self.impls:
@@ -826,11 +811,10 @@ def _materialize(lanes: Sequence, schedule: Sequence, vec_paths: set,
     ``(vec_paths, wire_positions)`` structure."""
     n_lanes = len(lanes)
     design0 = lanes[0].design
-    lane_wires = [[lane.design.wires[pos] for lane in lanes]
-                  for pos in wire_positions]
-    vw = VecWires(lane_wires)
-    row_by_id = {id(design0.wires[pos]): row
-                 for row, pos in enumerate(wire_positions)}
+    # A wire's position in ``design.wires`` is its slot (its wid).
+    vw = VecWires([lane.design.store for lane in lanes],
+                  list(wire_positions))
+    row_of = {pos: row for row, pos in enumerate(wire_positions)}
     stats = VecStats(n_lanes)
 
     impl_by_path: Dict[str, Any] = {}
@@ -840,15 +824,10 @@ def _materialize(lanes: Sequence, schedule: Sequence, vec_paths: set,
         ports: Dict[str, List[VecPortIndex]] = {}
         for port_name, view0 in inst0.ports.items():
             indices: List[VecPortIndex] = []
-            for idx, wire0 in enumerate(view0.wires):
-                row = row_by_id.get(id(wire0))
-                if row is not None:
-                    indices.append(VecPortIndex(vw, row, None, n_lanes))
-                else:
-                    per_lane = [lane.design.leaves[path].ports[port_name]
-                                .wires[idx] for lane in lanes]
-                    indices.append(VecPortIndex(None, None, per_lane,
-                                                n_lanes))
+            for wire0 in view0.wires:
+                row = row_of.get(wire0.wid)
+                indices.append(VecPortIndex(
+                    vw, row, None if row is not None else wire0.wid))
             ports[port_name] = indices
         ctx = VecModuleContext(path, insts, ports, stats)
         impl_by_path[path] = candidates[path](ctx)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import logging
 import os
 import threading
 import time
@@ -53,6 +54,8 @@ from ..obs.metrics import MetricsRegistry
 from .artifacts import export_artifact
 from .protocol import FabricError, read_message, send_message
 from .shards import JobSpec, Shard, plan_shards, shard_fingerprints
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -175,6 +178,14 @@ class Coordinator:
                     message = await read_message(reader)
                 except FabricError:
                     break  # torn frame: drop the connection
+                except ConnectionError as exc:
+                    # A worker terminated with its channel open resets
+                    # the connection: a disconnect like any other (its
+                    # leases expire and are stolen), not a traceback.
+                    _log.info("peer %s disconnected (%s)",
+                              writer.get_extra_info("peername"),
+                              type(exc).__name__)
+                    break
                 if message is None:
                     break
                 try:

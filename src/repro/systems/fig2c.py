@@ -203,13 +203,25 @@ class GridNode(HierTemplate):
         body.export("bus_in", ni, "bus_in")
 
 
+def _load_remote(reg: str, node: int, local: int) -> str:
+    """Assembly loading ``node``'s remote address of ``local`` into ``reg``.
+
+    A ``lui``/``ori`` pair.  I-format immediates are sign-extended, so
+    when the low half has bit 15 set (remote offsets of 2^15 and beyond,
+    i.e. more than 8 nodes) the pair is ``lui`` of the next upper half
+    and a negative ``addi`` instead.
+    """
+    addr = HOST_WINDOW + node * NODE_SPAN + local
+    upper, lower = addr >> 16, addr & 0xFFFF
+    if lower < 0x8000:
+        return f"lui  {reg}, {upper:#x}\n        ori  {reg}, {reg}, {lower}"
+    return (f"lui  {reg}, {upper + 1:#x}\n"
+            f"        addi {reg}, {reg}, {lower - 0x10000}")
+
+
 def ring_reduce_program(node: int, n_nodes: int, *, k_words: int) -> Program:
     """Node ``node`` of the ring reduction (see module docstring)."""
     next_node = (node + 1) % n_nodes
-    if next_node * NODE_SPAN + NODE_SPAN - 1 > 0x7FFF:
-        raise ValueError(
-            "remote offsets beyond 2^15 need a lui/ori pair per address; "
-            "keep n_nodes <= 8 with the default NODE_SPAN")
     wait = "" if node == 0 else f"""
     wait:
         lw   t5, {FLAG_ADDR}(zero)
@@ -226,13 +238,11 @@ def ring_reduce_program(node: int, n_nodes: int, *, k_words: int) -> Program:
         lui  t0, 0x40            # MMIO
         li   t1, {OUT_ADDR}
         sw   t1, 2(t0)           # DMA_SRC
-        lui  t1, 0x10
-        ori  t1, t1, {(next_node * NODE_SPAN + ACC_ADDR) & 0xFFFF}
+        {_load_remote("t1", next_node, ACC_ADDR)}
         sw   t1, 3(t0)           # DMA_DST
         li   t1, 1
         sw   t1, 4(t0)           # DMA_LEN
-        lui  t1, 0x10
-        ori  t1, t1, {(next_node * NODE_SPAN + FLAG_ADDR) & 0xFFFF}
+        {_load_remote("t1", next_node, FLAG_ADDR)}
         sw   t1, 7(t0)           # DMA_BELL -> neighbor's flag
         li   t1, 1
         sw   t1, 8(t0)           # DMA_BELLVAL

@@ -266,6 +266,105 @@ class TestScalarFallbackPaths:
             assert probe.log == logs[i], f"lane {i} probe log diverged"
             sim.close()
 
+    @pytest.mark.parametrize("n_lanes", (1, 7, 64))
+    def test_mid_run_demotion_on_fig2d_statistical(self, n_lanes):
+        """The parking hazard: while a plan is active every lane's store
+        holds the vec-owned slots parked *through its per-step reset*; a
+        probe attached at step k re-plans (unpark, re-carve around the
+        watched wire) mid-run.  Each lane stays bit-identical to a solo
+        worklist run probed at the same step."""
+        from repro.core.engine import Simulator
+        from repro.core.signals import CtrlStatus, DataStatus
+
+        def make(i):
+            return build_design(build_fig2d(
+                field="statistical", backend="statistical",
+                aggregate_every=2 + i % 5, backend_rate=0.3 + 0.1 * (i % 4),
+                seed=i)[0])
+
+        ends = ("reg1", "out", "tap1", "in")
+        seeds = list(range(11, 11 + n_lanes))
+        batch = VectorizedBatchedSimulator(
+            [make(i) for i in range(n_lanes)], seeds=seeds)
+        batch.run(30)
+        plan = batch.vec_plan
+        assert plan is not None and plan.n_wires == len(batch.design.wires)
+        store = batch.lane(n_lanes - 1).design.store
+        parked = plan.vw.slots
+        assert all(store.t_ds[s] is DataStatus.NOTHING
+                   and store.t_ak[s] is CtrlStatus.DEASSERTED for s in parked)
+        watched = n_lanes // 2
+        probe = batch.lane(watched).probe_between(*ends)
+        batch.run(50)
+        replanned = batch.vec_plan
+        assert replanned is not None and replanned.n_wires < plan.n_wires
+        slot = batch.lane(watched).design.wire_between(*ends).wid
+        assert slot not in replanned.vw.slots
+        assert store.t_ds[slot] is DataStatus.UNKNOWN      # un-parked
+        assert all(store.t_ds[s] is DataStatus.NOTHING
+                   for s in replanned.vw.slots)
+        lanes = [_observe(batch.lane(i)) for i in range(n_lanes)]
+        batch.close()
+        assert all(t is DataStatus.UNKNOWN for t in store.t_ds)
+        assert probe.log
+        for i in range(n_lanes):
+            solo = Simulator(make(i), seed=seeds[i])
+            solo.run(30)
+            solo_probe = solo.probe_between(*ends) if i == watched else None
+            solo.run(50)
+            solo.fallback_steps = 0     # the oracle has no fallback tier
+            assert lanes[i] == _observe(solo), f"lane {i} diverged"
+            if solo_probe is not None:
+                assert solo_probe.log == probe.log
+            solo.close()
+
+    def test_mid_step_fallback_scatters_and_absorbs(self):
+        """A scalar neighbour with an over-optimistic ``DEPS`` leaves its
+        ack unresolved when the schedule is done, so the vectorized
+        register upstream cannot resolve its own input ack in the
+        planes: every step ends in ``_vec_end``'s scatter -> lane
+        fallback -> absorb round trip through the lanes' store slots."""
+        from repro.core import LeafModule, PortDecl, INPUT
+        from repro.pcl import PipelineReg
+
+        class LateSink(LeafModule):
+            PORTS = (PortDecl("in", INPUT, min_width=1, max_width=1),)
+            DEPS = {}        # wrong on purpose: the ack waits for the data
+
+            def react(self):
+                inp = self.port("in")
+                if inp.known(0):
+                    inp.set_ack(0, True)
+
+            def update(self):
+                if self.port("in").took(0):
+                    self.collect("consumed")
+
+        def make(rate):
+            spec = LSS("late")
+            src = spec.instance("src", Source, pattern="bernoulli",
+                                rate=rate, payload=1, seed=3)
+            reg = spec.instance("reg", PipelineReg)
+            # Ties in the schedule walk break by path: "a_snk" reacts
+            # before "reg" has offered anything.
+            snk = spec.instance("a_snk", LateSink)
+            spec.connect(src.port("out"), reg.port("in"))
+            spec.connect(reg.port("out"), snk.port("in"))
+            return build_design(spec)
+
+        rates = (0.2, 0.5, 0.9)
+        batch = VectorizedBatchedSimulator([make(r) for r in rates],
+                                           seeds=[4, 5, 6])
+        batch.run(60)
+        plan = batch.vec_plan
+        assert plan is not None and plan.n_wires == 1   # src -> reg
+        lanes = [_observe(batch.lane(i)) for i in range(len(rates))]
+        batch.close()
+        for i, rate in enumerate(rates):
+            solo = _solo_run(make(rate), 4 + i, 60)
+            assert solo["fallback"] == 60 and solo["transfers"] > 0
+            assert lanes[i] == solo, f"lane {i} diverged"
+
     def test_probe_same_wire_twice_is_idempotent(self):
         # Satellite regression: a second probe on an already-demoted
         # wire must not double-demote (n_wires drops by exactly one),

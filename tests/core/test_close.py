@@ -1,12 +1,15 @@
 """Simulator teardown tests: close(), context managers, reanimation.
 
-Animation installs backrefs (``wire.engine``, ``inst.sim``, the
-pre-bound ``react``) and marks the design owned; historically nothing
-ever undid that, so a finished simulator pinned its design forever.
-``close()`` severs the links and re-permits animation.
+Animation installs backrefs (the signal store's hook, ``inst.sim``,
+the pre-bound ``react``) and marks the design owned; historically
+nothing ever undid that, so a finished simulator pinned its design
+forever.  ``close()`` severs the links and re-permits animation.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -42,7 +45,7 @@ class TestClose:
         design = sim.design
         sim.close()
         assert design._owned is False
-        assert all(w.engine is None for w in design.wires)
+        assert design.store.hook is None
         assert all(inst.sim is None for inst in design.leaves.values())
 
     def test_results_stay_readable(self):
@@ -92,3 +95,47 @@ class TestClose:
         # profiler wrapper, no stale simulator capture).
         assert not hasattr(inst.react, "_obs_original")
         assert inst.react.__func__ is type(inst).react
+
+
+class TestNoCyclicGarbage:
+    """A closed simulator is freed by reference counting alone.
+
+    It used to be cyclic garbage (wires pointed back at the engine,
+    endpoints at instances that own the views that own the wires), and
+    the collection landed on whoever built next (perf finding 11).
+    """
+
+    @staticmethod
+    def _closed_refs(make_spec, engine, opt):
+        sim = build_simulator(make_spec(), engine=engine, opt=opt, seed=1)
+        sim.run(20)
+        sim.close()
+        return weakref.ref(sim), weakref.ref(sim.design.store)
+
+    @pytest.mark.parametrize("opt", (0, 2))
+    @pytest.mark.parametrize(
+        "name", ("worklist", "levelized", "codegen", "batched",
+                 "batched-vec"))
+    def test_closed_simulator_needs_no_gc(self, name, opt):
+        gc.collect()
+        gc.disable()
+        try:
+            sim_ref, store_ref = self._closed_refs(simple_pipe_spec, name,
+                                                   opt)
+            assert sim_ref() is None
+            assert store_ref() is None
+        finally:
+            gc.enable()
+
+    def test_detailed_fig2d_needs_no_gc(self):
+        from repro.systems import build_fig2d
+        gc.collect()
+        gc.disable()
+        try:
+            sim_ref, store_ref = self._closed_refs(
+                lambda: build_fig2d(4, backend="detailed",
+                                    field="detailed")[0], "codegen", 2)
+            assert sim_ref() is None
+            assert store_ref() is None
+        finally:
+            gc.enable()

@@ -101,3 +101,86 @@ class TestRegisteredRing:
         design = build_design(_ring_spec(2, with_register=True))
         schedule = build_schedule(design)
         assert not any(entry.cluster for entry in schedule)
+
+
+class _LooseQueue(Queue):
+    """A Queue that declares nothing about itself (``DEPS = None``):
+    behaviourally registered, but the scheduler must assume every output
+    depends on every input, so a ring through it is a *cluster* that
+    iteration — not relaxation — resolves."""
+
+    DEPS = None
+
+
+def _clustered_spec(dead_ring: bool):
+    """A token ring through a conservatively-declared queue (a cluster
+    that converges and carries traffic) beside, optionally, a ring of
+    pass-throughs that only the cycle policy can resolve."""
+    spec = LSS("clustered")
+    src = spec.instance("src", Source, pattern="list", items=("tok", "tik"))
+    q = spec.instance("q", _LooseQueue, depth=3)
+    m = spec.instance("m", Monitor)
+    spec.connect(src.port("out"), q.port("in", 1))
+    spec.connect(q.port("out"), m.port("in"))
+    spec.connect(m.port("out"), q.port("in", 0))
+    if dead_ring:
+        a = spec.instance("a", Monitor)
+        b = spec.instance("b", Monitor)
+        spec.connect(a.port("out"), b.port("in"))
+        spec.connect(b.port("out"), a.port("in"))
+    return spec
+
+
+def _observed(sim, cycles=25):
+    sim.run(cycles)
+    return {"stats": sim.stats.summary_dict(),
+            "transfers": sim.transfers_total,
+            "wires": [w.transfers for w in sim.design.wires],
+            "signals": [(w.data_status, w.data_value, w.enable, w.ack)
+                        for w in sim.design.wires]}
+
+
+class TestClusterDifferential:
+    """No shipped system has a combinational cluster, so this is where
+    ``_run_cluster``, the relax cursor and the cycle policy run over the
+    signal store on every engine, against the worklist oracle."""
+
+    ENGINES = ("worklist", "levelized", "codegen", "batched", "batched-vec")
+
+    @pytest.mark.parametrize("opt", (0, 2))
+    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("policy", ("relax", "error"))
+    def test_converging_cluster_matches_worklist(self, name, opt, policy):
+        oracle = build_simulator(_clustered_spec(False), "worklist", opt=0,
+                                 cycle_policy=policy)
+        sim = build_simulator(_clustered_spec(False), name, opt=opt,
+                              cycle_policy=policy)
+        if name != "worklist":
+            assert any(entry.cluster for entry in sim.schedule)
+        want, got = _observed(oracle), _observed(sim)
+        assert got == want
+        assert want["transfers"] > 20          # the tokens orbit
+        assert sim.relaxations_total == oracle.relaxations_total == 0
+
+    @pytest.mark.parametrize("opt", (0, 2))
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_relaxed_ring_matches_worklist(self, name, opt):
+        oracle = build_simulator(_clustered_spec(True), "worklist", opt=0,
+                                 cycle_policy="relax")
+        sim = build_simulator(_clustered_spec(True), name, opt=opt,
+                              cycle_policy="relax")
+        want, got = _observed(oracle), _observed(sim)
+        assert got == want
+        assert want["transfers"] > 20
+        # Forced signals resolve the dead ring on every step, everywhere.
+        assert oracle.relaxations_total >= 25
+        assert sim.relaxations_total >= 25
+
+    @pytest.mark.parametrize("opt", (0, 2))
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_error_policy_raises_on_the_dead_ring(self, name, opt):
+        sim = build_simulator(_clustered_spec(True), name, opt=opt,
+                              cycle_policy="error")
+        with pytest.raises(CombinationalCycleError) as err:
+            sim.run(1)
+        assert {"a", "b"} <= set(err.value.members)

@@ -51,9 +51,31 @@ class TestIndependence:
         sim = Simulator(design)
         sim.run(20)
         dup = design.copy()
-        assert all(w.engine is None for w in dup.wires)
+        assert dup.store is not design.store
+        assert dup.store.hook is None
         assert all(w.transfers == 0 for w in dup.wires)
         assert all(leaf.sim is None for leaf in dup.leaves.values())
+
+    def test_copy_of_animated_design_gets_its_own_store(self):
+        design = build_design(simple_pipe_spec())
+        sim = Simulator(design)            # the worklist installs a hook
+        sim.run(20)
+        assert design.store.hook is not None
+        dup = design.copy()
+        assert dup.store is not design.store
+        assert dup.store.hook is None
+        assert all(w.store is dup.store for w in dup.wires)
+        assert all(view._store is dup.store
+                   for leaf in dup.leaves.values()
+                   for view in leaf.ports.values())
+        # Endpoints follow the copy: nothing points back at the original.
+        assert all(w.src is None or w.src.instance is dup.leaves[
+            w.src.instance.path] for w in dup.wires)
+        # Stepping the copy leaves the original's planes alone.
+        before = list(design.store.ds), list(design.store.transfers)
+        Simulator(dup).run(10)
+        assert (list(design.store.ds), list(design.store.transfers)) == before
+        assert sum(dup.store.transfers) > 0
 
     def test_two_engines_on_copies_agree(self):
         design = build_design(simple_pipe_spec(rate=0.7, seed=5))

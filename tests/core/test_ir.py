@@ -29,7 +29,7 @@ class TestCompileModel:
         assert private_cache.stats["stores"] == 1
         assert bound.model.fingerprint
         assert bound.schedule
-        assert len(bound.cluster_wires) == len(bound.schedule)
+        assert len(bound.cluster_slots) == len(bound.schedule)
 
     def test_hit_rebinds_the_cached_artifact(self, private_cache):
         first = compile_model(_design())
@@ -45,10 +45,11 @@ class TestCompileModel:
         bound = compile_model(_design())
         design = bound.design
         assert bound.partition.begin_unknown == bound.model.begin_unknown
-        assert len(bound.partition.const) == len(bound.model.const_keys)
+        assert len(design.store.consts) == len(bound.model.const_keys)
         assert len(bound.partition.transfer) == len(bound.model.transfer_keys)
-        total = len(bound.partition.const) + len(bound.partition.plain)
-        assert total == len(design.wires)
+        assert len(design.store) == len(design.wires)
+        assert bound.partition.begin_unknown == sum(
+            w.begin_step() for w in design.wires)
 
     def test_metadata_tables_cover_design(self):
         model = compile_model(_design()).model

@@ -400,7 +400,8 @@ class TestCrossEngineDifferential:
             lanes = sim.lanes if hasattr(sim, "lanes") else (sim,)
             for _ in range(20):
                 sim.step()
-                assert [lane._unknown for lane in lanes] == [0] * len(lanes)
+                assert [lane.design.store.unknown for lane in lanes] \
+                    == [0] * len(lanes)
             assert all(lane.fallback_steps == 0 for lane in lanes)
         finally:
             sim.close()
@@ -482,7 +483,7 @@ class TestFailedBuildRestore:
         # untouched, plain reacts back, no dangling engine backrefs.
         assert design._owned is False
         assert [w.control for w in design.wires] == before_controls
-        assert all(w.engine is None for w in design.wires)
+        assert design.store.hook is None
         assert all(inst.sim is None for inst in design.leaves.values())
         assert all(inst.react.__func__ is type(inst).react
                    for inst in design.leaves.values())

@@ -381,3 +381,42 @@ class TestCommandLine:
         ledger = Ledger.load(
             str(tmp_path / "ledgers" / "pipe.campaign.jsonl"))
         assert len(ledger.completed_ids()) == 2
+
+
+class TestAbruptDisconnect:
+    def test_reset_connection_is_a_normal_disconnect(self, caplog):
+        """A worker terminated with its channel open resets the TCP
+        connection.  The coordinator used to let the
+        ``ConnectionResetError`` escape its connection handler (asyncio
+        logged a traceback); it is one INFO line and the service lives."""
+        import logging
+        import socket
+        import struct
+        coordinator = Coordinator(lease_timeout=10.0)
+        with caplog.at_level(logging.INFO):
+            with CoordinatorThread(coordinator):
+                sock = socket.create_connection(
+                    (coordinator.host, coordinator.port))
+                channel = Channel(coordinator.host, coordinator.port)
+                assert channel.request({"type": "ping"})["type"] == "pong"
+                # SO_LINGER 0: close() sends RST instead of FIN, with an
+                # unanswered frame prefix still in flight.
+                sock.sendall(struct.pack(">I", 64)[:2])
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                struct.pack("ii", 1, 0))
+                sock.close()
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and not any(
+                        "disconnected" in r.getMessage()
+                        for r in caplog.records):
+                    time.sleep(0.02)
+                # The service is still answering.
+                assert channel.request({"type": "ping"})["type"] == "pong"
+                channel.close()
+        lines = [r for r in caplog.records
+                 if r.name == "repro.fabric.coordinator"]
+        assert len(lines) == 1
+        assert "ConnectionResetError" in lines[0].getMessage()
+        assert lines[0].levelno == logging.INFO and not lines[0].exc_info
+        assert not [r for r in caplog.records if r.name == "asyncio"
+                    and r.levelno >= logging.ERROR]

@@ -66,6 +66,24 @@ class TestFig2cGrid:
     def test_cycles_scale_with_ring_length(self):
         assert run_fig2c(8)["cycles"] > run_fig2c(2)["cycles"]
 
+    @pytest.mark.parametrize("n_nodes", [9, 12])
+    def test_ring_beyond_eight_nodes(self, n_nodes):
+        """Remote offsets of 2^15 and beyond (node 8 onwards) used to
+        raise ``ValueError``: the address no longer fits the low half of
+        a ``lui``/``ori`` pair without tripping the sign extension."""
+        runs = {name: run_fig2c(n_nodes, engine=name) for name in
+                ("worklist", "levelized", "codegen", "batched",
+                 "batched-vec")}
+        oracle = runs["worklist"]
+        assert oracle["halted"] and oracle["correct"]
+        assert oracle["total"] == oracle["expected_total"]
+        assert oracle["messages"] == 2 * (n_nodes - 1)
+        for name, result in runs.items():
+            assert (result["cycles"], result["total"], result["messages"],
+                    result["sim"].stats.summary_dict()) == (
+                oracle["cycles"], oracle["total"], oracle["messages"],
+                oracle["sim"].stats.summary_dict()), name
+
 
 class TestFig2dSystemOfSystems:
     def test_statistical_backend(self):
