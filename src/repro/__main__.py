@@ -82,8 +82,9 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument("--engine", default="levelized", choices=_ENGINES)
     parser.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",
-                        help="IR optimizer level 0-2 (default: REPRO_OPT "
-                             "environment, else 0)")
+                        help="IR optimizer level 0-2; 2 eliminates dead "
+                             "instances, 1 has no pass left (default: "
+                             "REPRO_OPT environment, else 0)")
     parser.add_argument("--stats", default="",
                         help="only print statistics under this path prefix")
     parser.add_argument("--dot", default=None,
@@ -128,8 +129,9 @@ def _add_profile_parser(subparsers) -> None:
     parser.add_argument("--engine", default="levelized", choices=_ENGINES)
     parser.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",
-                        help="IR optimizer level 0-2 (default: REPRO_OPT "
-                             "environment, else 0)")
+                        help="IR optimizer level 0-2; 2 eliminates dead "
+                             "instances, 1 has no pass left (default: "
+                             "REPRO_OPT environment, else 0)")
     parser.add_argument("--seed", type=int, default=None,
                         help="engine RNG seed")
     parser.add_argument("--sample", type=int, default=4, metavar="N",
@@ -149,12 +151,13 @@ def _add_profile_parser(subparsers) -> None:
 def _add_opt_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "opt",
-        help="report what the IR optimizer pipeline does to a model",
-        description="Run the repro.core.opt pass pipeline over a model "
+        help="report what the IR optimizer does to a model",
+        description="Run the repro.core.opt optimizer over a model "
                     "and report the result without simulating: schedule "
                     "entries and react calls per step before and after, "
-                    "parked wires, eliminated instances and specialized "
-                    "reacts.  --explain prints the per-pass deltas.")
+                    "parked wires and eliminated instances.  --explain "
+                    "adds the eliminated paths and the vec-planning "
+                    "preview per level.")
     parser.add_argument("spec", nargs="?", default=None,
                         help="path to the .lss specification "
                              "(omit with --builder)")
@@ -166,12 +169,13 @@ def _add_opt_parser(subparsers) -> None:
                         help="keyword argument for --builder; repeatable")
     parser.add_argument("--level", type=opt_level_argument, default=None,
                         metavar="LEVEL",
-                        help="optimizer level 0-2 to report (default: "
-                             "REPRO_OPT environment, else 2 — show the "
-                             "full pipeline)")
+                        help="optimizer level 0-2 to report: 1 runs the "
+                             "observation-equivalent passes (none "
+                             "remain), 2 adds dead-code elimination "
+                             "(default: REPRO_OPT environment, else 2)")
     parser.add_argument("--explain", action="store_true",
-                        help="print the per-pass report instead of the "
-                             "one-line summary")
+                        help="print the multi-line report instead of "
+                             "the one-line summary")
 
 
 def _opt_command(args) -> int:
@@ -204,9 +208,8 @@ def _opt_command(args) -> int:
           f"react calls/step {react_calls(before)}->"
           f"{react_calls(result.schedule)}, "
           f"{len(block['dead_instances'])} instance(s) eliminated, "
-          f"{len(block['dead_wires'])} dead wire(s) parked, "
-          f"{len(block['specialized'])} react(s) specialized  "
-          f"(--explain for per-pass deltas)")
+          f"{len(block['dead_wires'])} dead wire(s) parked  "
+          f"(--explain for the full report)")
     return 0
 
 

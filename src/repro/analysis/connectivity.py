@@ -56,7 +56,7 @@ def dead_instance_paths(design) -> Tuple[List[str], List[str]]:
     This is the single source of truth for the dead-instance
     semantics — :class:`ConnectivityPass` renders it as diagnostics and
     the optimizer's dead-code pass
-    (:mod:`repro.core.opt.passes.dead_code`) consumes it for
+    (:func:`repro.core.opt.pipeline.eliminable_instances`) consumes it for
     elimination, so ``repro check`` findings and ``--opt 2``
     eliminations agree by construction.
     """
@@ -197,7 +197,7 @@ class ConnectivityPass(AnalysisPass):
         # Cross-link with the optimizer: findings the dead-code pass
         # would actually eliminate (closed dead subgraphs outside any
         # combinational cluster) get a "removable" note in their hint.
-        from repro.core.opt.passes.dead_code import eliminable_instances
+        from repro.core.opt.pipeline import eliminable_instances
         removable, _ = eliminable_instances(design, ctx.signal_graph)
         removable_note = "; removable at --opt 2"
 

@@ -51,7 +51,7 @@ import inspect
 import textwrap
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.module import LeafModule
+from ..core.module import PORT_ATTR_PREFIX, LeafModule
 from ..core.ports import INPUT, OUTPUT
 from .diagnostics import Diagnostic, Severity
 from .passes import AnalysisContext, AnalysisPass, register_pass
@@ -119,8 +119,20 @@ def _is_self_port_call(node: ast.AST) -> bool:
             and node.func.value.id == "self")
 
 
+def _bound_port_attr(node: ast.AST) -> Optional[str]:
+    """The port name of a ``self.io_<port>`` attribute read, if any
+    (the spelling :meth:`LeafModule.bind_port` sets)."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr.startswith(PORT_ATTR_PREFIX)):
+        return node.attr[len(PORT_ATTR_PREFIX):]
+    return None
+
+
 class _ReactVisitor(ast.NodeVisitor):
-    """Walks one method body, tracking ``x = self.port('lit')`` aliases."""
+    """Walks one method body, tracking ``x = self.io_lit`` and
+    ``x = self.port('lit')`` aliases."""
 
     def __init__(self, analyzer: "_TemplateAnalyzer", fp: ReactFootprint):
         self.analyzer = analyzer
@@ -139,7 +151,7 @@ class _ReactVisitor(ast.NodeVisitor):
                 self.fp.complete = False
                 return _DYNAMIC
             return name
-        return None
+        return _bound_port_attr(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self.visit(node.value)
@@ -177,7 +189,8 @@ class _ReactVisitor(ast.NodeVisitor):
         # A view alias passed as an argument escapes the analysis.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             if (isinstance(arg, ast.Name) and arg.id in self.aliases) \
-                    or _is_self_port_call(arg):
+                    or _is_self_port_call(arg) \
+                    or _bound_port_attr(arg) is not None:
                 self.fp.complete = False
         self.generic_visit(node)
 

@@ -226,11 +226,14 @@ class ContractMonitor:
         self.sim = sim
         for inst in sim._instances:
             self._declared[id(inst)] = _declared_reads(inst.deps())
-            for name, view in inst._views.items():
+            # Swap through bind_port so the proxies are what the
+            # template bodies read (``self.io_<port>``), not only what
+            # ``self.port(name)`` returns.
+            for name, view in inst.ports.items():
                 if isinstance(view, InView):
-                    inst._views[name] = CheckedInView(view, self, inst)
+                    inst.bind_port(name, CheckedInView(view, self, inst))
                 elif isinstance(view, OutView):
-                    inst._views[name] = CheckedOutView(view, self, inst)
+                    inst.bind_port(name, CheckedOutView(view, self, inst))
             inst.react = _wrap_react(self, inst, inst.react)
         sim.contract_monitor = self
         sim._instrumentation_changed()
@@ -245,9 +248,9 @@ class ContractMonitor:
             original = getattr(wrapped, "_contract_original", None)
             if original is not None:
                 inst.react = original
-            for name, view in inst._views.items():
+            for name, view in inst.ports.items():
                 if isinstance(view, _CheckedViewBase):
-                    inst._views[name] = view._view
+                    inst.bind_port(name, view._view)
         sim.contract_monitor = None
         sim._instrumentation_changed()
         self.sim = None

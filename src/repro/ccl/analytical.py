@@ -103,8 +103,8 @@ class AnalyticalFabric(LeafModule):
         return max(1, int(round(total)))
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         for i in range(inp.width):
             inp.set_ack(i, True)  # infinite analytical capacity
         ready: Dict[int, Packet] = {}
@@ -118,8 +118,8 @@ class AnalyticalFabric(LeafModule):
                 out.send_nothing(j)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         # Deliveries (re-deriving the heads offered in react).
         ready: Dict[int, Tuple[int, int, int, Packet]] = {}
         for entry in self._inflight:

@@ -26,9 +26,8 @@ class Link(Delay):
     ``length_mm`` recorded for the power model's per-length capacitance.
 
     Under the ``batched-vec`` backend the link runs as
-    :class:`repro.pcl.vec.VecLink`, and because ``react`` is inherited
-    unchanged from ``Delay``, the optimizer's cross-instance
-    specialization pass folds it with ``Delay``'s hook as well.
+    :class:`repro.pcl.vec.VecLink`; ``react`` is inherited unchanged
+    from ``Delay``.
     """
 
     PARAMS = Delay.PARAMS + (
@@ -37,7 +36,7 @@ class Link(Delay):
     )
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         if inp.took(0):
             packet = inp.value(0)
             if hasattr(packet, "hops"):

@@ -125,14 +125,14 @@ class PacketInjector(LeafModule):
                                size=self.p["size"], created=now)
 
     def react(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         if self._pending is not None:
             out.send(0, self._pending)
         else:
             out.send_nothing(0)
 
     def update(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         if self._pending is not None:
             if out.took(0):
                 self.collect("injected")
@@ -158,10 +158,10 @@ class PacketEjector(LeafModule):
     DEPS = {}
 
     def react(self) -> None:
-        self.port("in").set_ack(0, True)
+        self.io_in.set_ack(0, True)
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         if inp.took(0):
             packet: Packet = inp.value(0)
             self.collect("ejected")

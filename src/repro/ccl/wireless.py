@@ -68,12 +68,12 @@ class WirelessMedium(LeafModule):
         """Choose the winner and loss draws once per cycle."""
         if self._plan_cycle == self.now:
             return
-        inp = self.port("in")
+        inp = self.io_in
         senders = inp.indices_present()
         self._plan_cycle = self.now
         self._collided = False
         self._winner = None
-        out_width = self.port("out").width
+        out_width = self.io_out.width
         self._drops = [bool(self.rng.random() < self.p["loss"])
                        for _ in range(out_width)]
         if not senders:
@@ -86,8 +86,8 @@ class WirelessMedium(LeafModule):
         self._winner = ordered[0]
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.all_known():
             return
         self._plan()
@@ -109,8 +109,8 @@ class WirelessMedium(LeafModule):
                 out.send(j, packet)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self._collided:
             lost = len(inp.indices_present())
             self.collect("collisions")

@@ -302,10 +302,10 @@ def build_simulator(spec: LSS, engine: Optional[str] = None, *,
         default engine: the ``REPRO_ENGINE`` environment variable when
         set, else ``'worklist'``.
     opt:
-        Optimizer level 0–2 (:mod:`repro.core.opt`): 0 disables the
-        pass pipeline, 1 specializes reacts per constant parameter
-        binding, 2 adds dead-instance elimination.  ``None`` defers to the ``REPRO_OPT`` environment
-        variable (default 0).  Every engine accepts it; optimization
+        Optimizer level 0–2 (:mod:`repro.core.opt`): 0 skips the
+        optimizer, 1 runs the observation-equivalent passes (none
+        remain), 2 adds dead-instance elimination.  ``None`` defers to
+        the ``REPRO_OPT`` environment variable (default 0).  Every engine accepts it; optimization
         never changes observable results, only the work per timestep.
     engine_kw:
         Forwarded to the engine constructor (e.g. ``cycle_policy``,

@@ -37,6 +37,7 @@ import numpy as np
 
 from .collector import StatsRegistry, WireProbe
 from .errors import CombinationalCycleError, SimulationError
+from .module import PORT_ATTR_PREFIX, LeafModule
 from .netlist import Design
 from .signals import CtrlStatus, DataStatus, Wire
 
@@ -115,9 +116,8 @@ class SimulatorBase:
                 # attach/detach cycles.
                 inst.react = inst.react
             # Cache which instances override update() to skip no-ops.
-            default_update = _find_base_method("update")
             self._updaters = [i for i in self._instances
-                              if type(i).update is not default_update]
+                              if type(i).update is not LeafModule.update]
             # The slot tables the per-timestep loops run over (see
             # WirePartition).  The static engines pass the ones their
             # compiled-model binding already holds.
@@ -148,13 +148,12 @@ class SimulatorBase:
 
         Shared by :meth:`close` and by ``__init__`` when construction
         raises part-way.  Construction mutates shared state the moment
-        ownership is taken: backrefs on wires and instances and
-        pre-bound (possibly specialized) dispatch.  A failed build — a
-        bad parameter, a module ``init()`` error, an optimizer pass
-        that does not apply — must leave the Design exactly as it was
-        found, so the caller can rebuild (e.g. retry at ``--opt 0``
-        after a failed ``--opt 2``) without a stale ownership or a
-        folded react corrupting the rerun.
+        ownership is taken: backrefs on wires and instances and the
+        pre-bound dispatch.  A failed build — a bad parameter, a module
+        ``init()`` error, an opt block that does not apply — must leave
+        the Design exactly as it was found, so the caller can rebuild
+        (e.g. retry at ``--opt 0`` after a failed ``--opt 2``) without
+        a stale ownership corrupting the rerun.
         """
         design.store.hook = None
         for inst in design.leaves.values():
@@ -306,16 +305,10 @@ class SimulatorBase:
           (dead) instances leave the react/update rosters — the
           schedule the optimizer shipped never reacts them anyway, but
           the worklist seed and the levelized fallback honor the same
-          set;
-        * **specialized** instances get their react folded per constant
-          binding: the template's ``specialize_react`` hook rebuilds the
-          closure against *this* design's bound ports and replaces the
-          pre-bound dispatch entry, so every engine's react tables pick
-          it up.  ``close()`` restores the plain class react (it rebinds
-          ``type(inst).react`` unconditionally).
+          set.
 
-        Nothing here touches the design beyond those dispatch entries —
-        in particular no engine mutates ``wire.control``.
+        Nothing here touches the design — in particular no engine
+        mutates ``wire.control``.
         """
         self.opt_level = block.get("level", 1)
         if block.get("dead_wires"):
@@ -333,13 +326,6 @@ class SimulatorBase:
                                      if i.path not in dead_paths]
             self._updaters = [i for i in self._updaters
                               if i.path not in dead_paths]
-        for path in block.get("specialized") or ():
-            inst = self.design.leaves.get(path)
-            hook = (None if inst is None
-                    else getattr(type(inst), "specialize_react", None))
-            folded = hook(inst) if hook is not None else None
-            if folded is not None:
-                inst.react = folded
 
     def _force_next_unresolved(self) -> bool:
         """Force the lowest-numbered unresolved signal to its default.
@@ -391,8 +377,16 @@ class SimulatorBase:
     # Checkpointing
     # ------------------------------------------------------------------
     #: Instance attributes owned by the framework, never part of state
-    #: ("react" shadows appear only while a profiler is attached).
+    #: (``react`` is pre-bound into every animated instance's dict).
     _FRAMEWORK_ATTRS = ("path", "p", "_views", "sim", "react")
+
+    @classmethod
+    def _framework_attrs(cls, inst) -> set:
+        """:attr:`_FRAMEWORK_ATTRS` plus ``inst``'s bound port views: a
+        deep-copied view would drag the whole signal store into the
+        snapshot, and a restore must not delete the live ones."""
+        return {PORT_ATTR_PREFIX + name
+                for name in inst._views}.union(cls._FRAMEWORK_ATTRS)
 
     def state_dict(self) -> Dict[str, Any]:
         """Snapshot the simulator's dynamic state between timesteps.
@@ -400,7 +394,8 @@ class SimulatorBase:
         Covers ``now``, the engine RNG, transfer/relaxation totals, the
         statistics registry, per-wire transfer counts, and every leaf
         instance's own attributes (everything in ``__dict__`` except the
-        framework bindings ``path``/``p``/``_views``/``sim``).  Instance
+        framework bindings ``path``/``p``/``_views``/``sim`` and the
+        bound port views ``io_<port>``).  Instance
         state is deep-copied with a shared memo, so containers aliased
         *between* instances stay aliased on restore.
 
@@ -420,8 +415,9 @@ class SimulatorBase:
         instances: Dict[str, Dict[str, Any]] = {}
         for path, inst in self.design.leaves.items():
             own: Dict[str, Any] = {}
+            framework = self._framework_attrs(inst)
             for attr, value in inst.__dict__.items():
-                if attr in self._FRAMEWORK_ATTRS:
+                if attr in framework:
                     continue
                 try:
                     own[attr] = copy.deepcopy(value, memo)
@@ -475,8 +471,9 @@ class SimulatorBase:
             memo[id(inst)] = inst
         for path, inst in self.design.leaves.items():
             saved = copy.deepcopy(state["instances"][path], memo)
+            framework = self._framework_attrs(inst)
             for key in list(inst.__dict__):
-                if key not in self._FRAMEWORK_ATTRS and key not in saved:
+                if key not in framework and key not in saved:
                     del inst.__dict__[key]
             inst.__dict__.update(saved)
         # Engine-specific counters (absent in pre-upgrade checkpoints).
@@ -499,20 +496,15 @@ class SimulatorBase:
         raise NotImplementedError
 
 
-def _find_base_method(name: str):
-    from .module import LeafModule
-    return getattr(LeafModule, name)
-
-
 class Simulator(SimulatorBase):
     """The reference worklist engine (dynamic reactive scheduling).
 
     ``opt`` (default: the ``REPRO_OPT`` environment) routes the design
     through :func:`repro.core.ir.compile_model` at that optimizer level
     and applies the resulting opt block — the worklist has no static
-    schedule, but react specialization and dead-instance parking carry
-    over.  At level 0 no compilation happens at all, preserving the
-    historical zero-dependency path.
+    schedule, but dead-instance parking carries over.  At level 0 no
+    compilation happens at all, preserving the historical
+    zero-dependency path.
     """
 
     def __init__(self, design: Design, *, opt: Optional[int] = None, **kw):

@@ -28,6 +28,10 @@ from .errors import SpecificationError
 from .params import Parameter, resolve_bindings
 from .ports import InView, OutView, PortDecl
 
+#: ``LeafModule.bind_port`` sets each bound view as the instance
+#: attribute ``PORT_ATTR_PREFIX + port name``.
+PORT_ATTR_PREFIX = "io_"
+
 #: Signal-group key helpers for ``DEPS`` maps.  ``fwd(port)`` names the
 #: forward (data+enable) signals of a port; ``ack(port)`` names the
 #: backward signal.
@@ -118,10 +122,23 @@ class LeafModule:
     # Runtime wiring
     # ------------------------------------------------------------------
     def bind_port(self, name: str, view) -> None:
+        """Bind ``view`` to port ``name``: the one writer of a binding.
+
+        Which wires a port touches is a constant of the design, so the
+        view is also set as the instance attribute ``io_<name>`` —
+        template bodies read ``self.io_in`` instead of resolving the
+        name with :meth:`port` on every ``react``/``update``.  The
+        ``io_`` prefix keeps port names (``p``, ``decl``, …) clear of
+        the template API.  Whoever swaps a view
+        (:class:`repro.analysis.monitor.ContractMonitor`) goes through
+        here, so both spellings always name the same object.
+        """
         self._views[name] = view
+        setattr(self, PORT_ATTR_PREFIX + name, view)
 
     def port(self, name: str):
-        """The bound :class:`InView`/:class:`OutView` for port ``name``."""
+        """The bound :class:`InView`/:class:`OutView` for port ``name``
+        (for computed names and for callers outside the instance)."""
         try:
             return self._views[name]
         except KeyError:

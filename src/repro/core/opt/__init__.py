@@ -1,21 +1,17 @@
-"""The IR optimizer pipeline: decide what an engine binds, not its order.
+"""The IR optimizer: decide what an engine binds, not its order.
 
 The paper's construction-time argument (§2.3) is that a fixed model of
 computation lets the *system* analyze and optimize a specification
 before any engine animates it.  The schedule itself is that analysis:
 :func:`repro.core.optimize.build_schedule` orders it once, fused and
-instance-affine, for every engine at every level.  This package is
-what remains to rewrite afterwards: a pass manager
-(:mod:`repro.core.opt.pipeline`) over the compiled-model IR
-(:class:`repro.core.ir.CompiledModel`) whose two passes
-(:mod:`repro.core.opt.passes`) produce a portable *opt block* every
-engine applies at construction:
+instance-affine, for every engine at every level, and port views are
+bound into the instances at wiring time
+(:meth:`repro.core.module.LeafModule.bind_port`), so a template's one
+``react`` is already the specialized one.  What remains to rewrite
+afterwards is one pass (:mod:`repro.core.opt.pipeline`) over the
+compiled-model IR (:class:`repro.core.ir.CompiledModel`), producing a
+portable *opt block* every engine applies at construction:
 
-``specialize`` (``--opt 1`` and up)
-    Cross-instance specialization: templates publishing a
-    ``specialize_react`` hook get their react folded per constant
-    parameter binding at construction time.  Observation-equivalent:
-    every statistic, probe and transfer is unchanged.
 ``dead-code`` (``--opt 2`` only)
     Eliminates instances that cannot reach a consuming endpoint —
     the exact ``connectivity.dead-instance`` semantics of
@@ -25,7 +21,9 @@ engine applies at construction:
     own statistics vanish with them, which is why this is level 2.
 
 Optimization levels: ``0`` skips the pipeline, ``1`` runs the
-observation-equivalent passes, ``2`` adds dead-code elimination.
+observation-equivalent passes — none remain, so it takes the same
+staged path with an empty pass list — and ``2`` adds dead-code
+elimination.
 Optimized artifacts are cached by :func:`repro.core.ir.compile_model`
 under a ``(fingerprint, opt_level, OPT_VERSION)`` key
 (:func:`opt_cache_key`) so warm constructions skip the pipeline
@@ -45,7 +43,10 @@ from ..errors import SpecificationError
 #: 3: fusion/prune folded into build_schedule; const-prop, group-merge
 #: and control-inline deleted with the ``static``/``controls`` keys;
 #: specialize moved to level 1.
-OPT_VERSION = 3
+#: 4: specialize deleted with the ``specialized`` block key (port views
+#: are bound into the instances at wiring time instead); ``passes`` is
+#: the list of pass names run.
+OPT_VERSION = 4
 
 #: Environment variable naming the default optimization level.
 OPT_ENV_VAR = "REPRO_OPT"

@@ -117,8 +117,8 @@ class LiberatedModule(LeafModule):
         return self.p["legacy"]
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         adapter: LegacyAdapter = self.p["adapter"]
         if self._pending_out is not None:
             out.send(0, self._pending_out)
@@ -136,8 +136,8 @@ class LiberatedModule(LeafModule):
         inp.set_ack(0, self._accept_decision)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         adapter: LegacyAdapter = self.p["adapter"]
         if inp.took(0):
             self.collect("admitted")

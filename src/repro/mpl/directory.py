@@ -117,10 +117,10 @@ class DirCacheCtl(LeafModule):
                                    created=self.now))
 
     def react(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        net_out = self.port("net_out")
-        self.port("net_in").set_ack(0, True)
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        net_out = self.io_net_out
+        self.io_net_in.set_ack(0, True)
         cpu_req.set_ack(0, self._busy is None)
         if self._resp is not None and self.now >= self._resp_at:
             cpu_resp.send(0, self._resp)
@@ -132,10 +132,10 @@ class DirCacheCtl(LeafModule):
             net_out.send_nothing(0)
 
     def update(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        net_out = self.port("net_out")
-        net_in = self.port("net_in")
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        net_out = self.io_net_out
+        net_in = self.io_net_in
 
         if self._resp is not None and cpu_resp.took(0):
             self._resp = None
@@ -218,16 +218,16 @@ class DirectoryHome(LeafModule):
                                     created=self.now)))
 
     def react(self) -> None:
-        self.port("net_in").set_ack(0, True)
-        net_out = self.port("net_out")
+        self.io_net_in.set_ack(0, True)
+        net_out = self.io_net_out
         if self._outbox and self._outbox[0][0] <= self.now:
             net_out.send(0, self._outbox[0][1])
         else:
             net_out.send_nothing(0)
 
     def update(self) -> None:
-        net_in = self.port("net_in")
-        net_out = self.port("net_out")
+        net_in = self.io_net_in
+        net_out = self.io_net_out
         if self._outbox and net_out.took(0):
             self._outbox.popleft()
         if net_in.took(0):

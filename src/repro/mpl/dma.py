@@ -113,10 +113,10 @@ class DMAController(LeafModule):
         return None
 
     def react(self) -> None:
-        cmd = self.port("cmd")
-        mem_req = self.port("mem_req")
-        done = self.port("done")
-        self.port("mem_resp").set_ack(0, True)
+        cmd = self.io_cmd
+        mem_req = self.io_mem_req
+        done = self.io_done
+        self.io_mem_resp.set_ack(0, True)
         cmd.set_ack(0, self._job is None)
         request = self._next_request()
         if request is not None:
@@ -129,10 +129,10 @@ class DMAController(LeafModule):
             done.send_nothing(0)
 
     def update(self) -> None:
-        cmd = self.port("cmd")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
-        done = self.port("done")
+        cmd = self.io_cmd
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
+        done = self.io_done
         job = self._job
 
         if self._done is not None and done.took(0):

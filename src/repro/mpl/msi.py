@@ -116,11 +116,11 @@ class MSICache(LeafModule):
 
     # -- reactive interface --------------------------------------------------
     def react(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        bus_req = self.port("bus_req")
-        self.port("snoop").set_ack(0, True)
-        self.port("mem_resp").set_ack(0, True)
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        bus_req = self.io_bus_req
+        self.io_snoop.set_ack(0, True)
+        self.io_mem_resp.set_ack(0, True)
         cpu_req.set_ack(0, self._busy is None)
         if self._resp is not None and self.now >= self._resp_at:
             cpu_resp.send(0, self._resp)
@@ -173,11 +173,11 @@ class MSICache(LeafModule):
                                      request.tag))
 
     def update(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        bus_req = self.port("bus_req")
-        snoop = self.port("snoop")
-        mem_resp = self.port("mem_resp")
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        bus_req = self.io_bus_req
+        snoop = self.io_snoop
+        mem_resp = self.io_mem_resp
 
         if self._resp is not None and cpu_resp.took(0):
             self._resp = None
@@ -311,8 +311,8 @@ class MSIMemoryController(LeafModule):
         self._pending: Deque[Tuple[int, int, MemResponse]] = deque()
 
     def react(self) -> None:
-        self.port("snoop").set_ack(0, True)
-        resp = self.port("resp")
+        self.io_snoop.set_ack(0, True)
+        resp = self.io_resp
         heads: Dict[int, MemResponse] = {}
         for ready, who, response in self._pending:
             if ready <= self.now and who not in heads:
@@ -324,8 +324,8 @@ class MSIMemoryController(LeafModule):
                 resp.send_nothing(i)
 
     def update(self) -> None:
-        snoop = self.port("snoop")
-        resp = self.port("resp")
+        snoop = self.io_snoop
+        resp = self.io_resp
         delivered = []
         heads: Dict[int, Tuple] = {}
         for entry in self._pending:

@@ -89,10 +89,10 @@ class StoreBuffer(LeafModule):
         return self.now >= enq + self.p["drain_delay"]
 
     def react(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        mem_req = self.port("mem_req")
-        self.port("mem_resp").set_ack(0, True)
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        mem_req = self.io_mem_req
+        self.io_mem_resp.set_ack(0, True)
 
         if self.p["model"] == "sc":
             cpu_req.set_ack(0, self._sc_busy is None and self._resp is None)
@@ -118,10 +118,10 @@ class StoreBuffer(LeafModule):
             cpu_resp.send_nothing(0)
 
     def update(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
 
         if self._resp is not None and cpu_resp.took(0):
             self._resp = None

@@ -128,8 +128,8 @@ class FormatConverter(LeafModule):
         self._ready_at = 0
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         inp.set_ack(0, self._pending is None)
         if self._pending is not None and self.now >= self._ready_at:
             out.send(0, self._pending)
@@ -137,8 +137,8 @@ class FormatConverter(LeafModule):
             out.send_nothing(0)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self._pending is not None and out.took(0):
             self._pending = None
         if self._pending is None and inp.took(0):
@@ -178,8 +178,8 @@ class PCIUnpacker(LeafModule):
         self._ready_at = 0
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         inp.set_ack(0, self._pending is None)
         if self._pending is not None and self.now >= self._ready_at:
             out.send(0, self._pending)
@@ -187,8 +187,8 @@ class PCIUnpacker(LeafModule):
             out.send_nothing(0)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self._pending is not None and out.took(0):
             self._pending = None
         if self._pending is None and inp.took(0):

@@ -76,11 +76,11 @@ class MACAssist(LeafModule):
         return self.prod - self.cons >= self.p["slots"]
 
     def react(self) -> None:
-        wire_in = self.port("wire_in")
-        mem_req = self.port("mem_req")
-        ev_out = self.port("ev_out")
-        self.port("mem_resp").set_ack(0, True)
-        self.port("cons_in").set_ack(0, True)
+        wire_in = self.io_wire_in
+        mem_req = self.io_mem_req
+        ev_out = self.io_ev_out
+        self.io_mem_resp.set_ack(0, True)
+        self.io_cons_in.set_ack(0, True)
         # Accept a new frame only when the previous one is fully stored
         # (and, under the stall policy, only when the ring has room).
         idle = not self._writes and not self._awaiting
@@ -98,11 +98,11 @@ class MACAssist(LeafModule):
             ev_out.send_nothing(0)
 
     def update(self) -> None:
-        wire_in = self.port("wire_in")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
-        ev_out = self.port("ev_out")
-        cons_in = self.port("cons_in")
+        wire_in = self.io_wire_in
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
+        ev_out = self.io_ev_out
+        cons_in = self.io_cons_in
 
         if self._event is not None and ev_out.took(0):
             self._event = None
@@ -173,11 +173,11 @@ class MACTx(LeafModule):
         self._event: Optional[Tuple[str, int]] = None
 
     def react(self) -> None:
-        tx_in = self.port("tx_in")
-        mem_req = self.port("mem_req")
-        wire_out = self.port("wire_out")
-        ev_out = self.port("ev_out")
-        self.port("mem_resp").set_ack(0, True)
+        tx_in = self.io_tx_in
+        mem_req = self.io_mem_req
+        wire_out = self.io_wire_out
+        ev_out = self.io_ev_out
+        self.io_mem_resp.set_ack(0, True)
         tx_in.set_ack(0, self._job is None and self._frame is None)
         if self._job is not None and self._reads_left > 0 \
                 and not self._awaiting:
@@ -194,11 +194,11 @@ class MACTx(LeafModule):
             ev_out.send_nothing(0)
 
     def update(self) -> None:
-        tx_in = self.port("tx_in")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
-        wire_out = self.port("wire_out")
-        ev_out = self.port("ev_out")
+        tx_in = self.io_tx_in
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
+        wire_out = self.io_wire_out
+        ev_out = self.io_ev_out
 
         if self._event is not None and ev_out.took(0):
             self._event = None

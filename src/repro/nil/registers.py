@@ -109,10 +109,10 @@ class NICRegisters(LeafModule):
                 self._cons_out.append(("rx_cons", value))
 
     def react(self) -> None:
-        req = self.port("req")
-        resp = self.port("resp")
-        self.port("dma_done").set_ack(0, True)
-        ev_in = self.port("ev_in")
+        req = self.io_req
+        resp = self.io_resp
+        self.io_dma_done.set_ack(0, True)
+        ev_in = self.io_ev_in
         for i in range(ev_in.width):
             ev_in.set_ack(i, True)
         req.set_ack(0, self._resp is None)
@@ -130,10 +130,10 @@ class NICRegisters(LeafModule):
                 port.send_nothing(0)
 
     def update(self) -> None:
-        req = self.port("req")
-        resp = self.port("resp")
-        dma_done = self.port("dma_done")
-        ev_in = self.port("ev_in")
+        req = self.io_req
+        resp = self.io_resp
+        dma_done = self.io_dma_done
+        ev_in = self.io_ev_in
 
         if self._resp is not None and resp.took(0):
             self._resp = None

@@ -74,13 +74,13 @@ class Arbiter(LeafModule):
 
     def init(self) -> None:
         self.state: dict = {"last": -1, "since": {},
-                            "width": self.port("in").width}
+                            "width": self.io_in.width}
         self._grants: List[int] = []   # out index -> in index (this cycle)
         self._grant_cycle = -1
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.all_known():
             return  # wait until every requester has resolved
         if self._grant_cycle != self.now:
@@ -108,9 +108,9 @@ class Arbiter(LeafModule):
                 inp.set_ack(i, out.accepted(j))
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         completed = [i for j, i in enumerate(self._grants)
-                     if self.port("out").took(j)]
+                     if self.io_out.took(j)]
         for i in completed:
             self.collect("grants")
             self.state["last"] = i

@@ -183,7 +183,7 @@ class Buffer(LeafModule):
         if self._offer_cycle == self.now:
             return
         self._offer_cycle = self.now
-        out_width = self.port("out").width
+        out_width = self.io_out.width
         chosen = self.p["select_policy"](self.entries, self.now)
         self._offers = [None] * out_width
         for slot, entry_index in enumerate(chosen[:out_width]):
@@ -192,9 +192,9 @@ class Buffer(LeafModule):
 
     def react(self) -> None:
         self._compute_offers()
-        inp = self.port("in")
-        out = self.port("out")
-        upd = self.port("upd")
+        inp = self.io_in
+        out = self.io_out
+        upd = self.io_upd
         emit = self.p["emit"]
         free = self.free
         for i in range(inp.width):
@@ -210,9 +210,9 @@ class Buffer(LeafModule):
                 out.send(j, emit(entry) if emit is not None else entry.value)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        upd = self.port("upd")
+        inp = self.io_in
+        out = self.io_out
+        upd = self.io_upd
         handler = self.p["on_update"]
         for k in range(upd.width):
             if upd.took(k):

@@ -120,7 +120,7 @@ class MemoryArray(LeafModule):
         elif initial is not None:
             for addr, value in enumerate(initial):
                 self.data[addr] = value
-        n = self.port("req").width
+        n = self.io_req.width
         self._inflight: List[Deque[Tuple[int, MemResponse]]] = \
             [deque() for _ in range(n)]
         self._ready: List[Deque[MemResponse]] = [deque() for _ in range(n)]
@@ -143,8 +143,8 @@ class MemoryArray(LeafModule):
                            req.tag, meta=req.meta)
 
     def react(self) -> None:
-        req = self.port("req")
-        resp = self.port("resp")
+        req = self.io_req
+        resp = self.io_resp
         for i in range(req.width):
             backlog = len(self._inflight[i]) + len(self._ready[i])
             req.set_ack(i, backlog < self.p["bandwidth"])
@@ -155,8 +155,8 @@ class MemoryArray(LeafModule):
                 resp.send_nothing(i)
 
     def update(self) -> None:
-        req = self.port("req")
-        resp = self.port("resp")
+        req = self.io_req
+        resp = self.io_resp
         for i in range(resp.width):
             if i < len(self._ready) and self._ready[i] and resp.took(i):
                 self._ready[i].popleft()

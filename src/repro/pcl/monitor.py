@@ -31,8 +31,8 @@ class Monitor(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if inp.known(0):
             if inp.present(0):
                 out.send(0, inp.value(0))
@@ -42,7 +42,7 @@ class Monitor(LeafModule):
             inp.set_ack(0, out.accepted(0))
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         if inp.took(0):
             self.collect("transfers")
             value = inp.value(0)
@@ -79,8 +79,8 @@ class Gate(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.known(0):
             return
         if not inp.present(0):
@@ -100,8 +100,8 @@ class Gate(LeafModule):
                 inp.set_ack(0, False)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if out.took(0):
             self.collect("passed")
         elif inp.took(0):

@@ -58,8 +58,8 @@ class Queue(LeafModule):
         return self.p["depth"] - len(self.items)
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         free = self.free
         for i in range(inp.width):
             inp.set_ack(i, i < free)
@@ -69,37 +69,9 @@ class Queue(LeafModule):
             else:
                 out.send_nothing(j)
 
-    @classmethod
-    def specialize_react(cls, inst: "Queue"):
-        """Optimizer fold (``--opt 2``): the constant ``depth`` binding
-        is baked into the free-space computation and the port views into
-        the closure.  Guards both ``react`` and the ``free`` property —
-        a subclass redefining either keeps the generic dispatch."""
-        if cls.react is not Queue.react or cls.free is not Queue.free:
-            return None
-        inp, out = inst.port("in"), inst.port("out")
-        set_ack = inp.set_ack
-        send, send_nothing = out.send, out.send_nothing
-        in_indices = tuple(range(inp.width))
-        out_indices = tuple(range(out.width))
-        depth = inst.p["depth"]
-
-        def specialized_react() -> None:
-            items = inst.items
-            free = depth - len(items)
-            for i in in_indices:
-                set_ack(i, i < free)
-            n = len(items)
-            for j in out_indices:
-                if j < n:
-                    send(j, items[j])
-                else:
-                    send_nothing(j)
-        return specialized_react
-
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         # Remove accepted heads (collect indices first: deque mutation).
         taken = [j for j in range(out.width)
                  if j < len(self.items) and out.took(j)]
@@ -144,8 +116,8 @@ class PipelineReg(LeafModule):
         self.item = self.p["init_value"]
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self.item is not None:
             out.send(0, self.item)
             if out.ack_known(0):
@@ -154,32 +126,9 @@ class PipelineReg(LeafModule):
             out.send_nothing(0)
             inp.set_ack(0, True)
 
-    @classmethod
-    def specialize_react(cls, inst: "PipelineReg"):
-        """Optimizer fold (``--opt 2``): Mealy reacts run at every
-        schedule occurrence, so dropping the two port lookups pays per
-        re-entry; the live ``ack_known`` read is preserved exactly."""
-        if cls.react is not PipelineReg.react:
-            return None
-        inp, out = inst.port("in"), inst.port("out")
-        set_ack = inp.set_ack
-        send, send_nothing = out.send, out.send_nothing
-        ack_known, accepted = out.ack_known, out.accepted
-
-        def specialized_react() -> None:
-            item = inst.item
-            if item is not None:
-                send(0, item)
-                if ack_known(0):
-                    set_ack(0, accepted(0))
-            else:
-                send_nothing(0)
-                set_ack(0, True)
-        return specialized_react
-
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         departed = self.item is not None and out.took(0)
         if departed:
             self.item = None
@@ -217,36 +166,16 @@ class Delay(LeafModule):
         self._exit: Deque[Any] = deque()
 
     def react(self) -> None:
-        self.port("in").set_ack(0, True)
-        out = self.port("out")
+        self.io_in.set_ack(0, True)
+        out = self.io_out
         if self._exit:
             out.send(0, self._exit[0])
         else:
             out.send_nothing(0)
 
-    @classmethod
-    def specialize_react(cls, inst: "Delay"):
-        """Optimizer fold (``--opt 2``); subclasses that keep this react
-        (e.g. the ccl Link, which only extends ``update``) inherit the
-        fold unchanged."""
-        if cls.react is not Delay.react:
-            return None
-        set_ack = inst.port("in").set_ack
-        out = inst.port("out")
-        send, send_nothing = out.send, out.send_nothing
-
-        def specialized_react() -> None:
-            set_ack(0, True)
-            exits = inst._exit
-            if exits:
-                send(0, exits[0])
-            else:
-                send_nothing(0)
-        return specialized_react
-
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self._exit and out.took(0):
             self._exit.popleft()
             self.collect("delivered")

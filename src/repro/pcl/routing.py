@@ -39,8 +39,8 @@ class Tee(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.known(0):
             return
         if not inp.present(0):
@@ -75,7 +75,7 @@ class Tee(LeafModule):
             inp.set_ack(0, unanimous)
 
     def update(self) -> None:
-        if self.port("in").took(0):
+        if self.io_in.took(0):
             self.collect("broadcasts")
 
 
@@ -102,9 +102,9 @@ class Mux(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        sel = self.port("sel")
-        out = self.port("out")
+        inp = self.io_in
+        sel = self.io_sel
+        out = self.io_out
         if not sel.known(0):
             return
         sel.set_ack(0, True)
@@ -133,7 +133,7 @@ class Mux(LeafModule):
             inp.set_ack(chosen, False)
 
     def update(self) -> None:
-        if self.port("out").took(0):
+        if self.io_out.took(0):
             self.collect("selected")
 
 
@@ -161,8 +161,8 @@ class Demux(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.known(0):
             return
         if not inp.present(0):
@@ -182,7 +182,7 @@ class Demux(LeafModule):
             inp.set_ack(0, out.accepted(target))
 
     def update(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         for j in range(out.width):
             if out.took(j):
                 self.collect("routed")
@@ -214,8 +214,8 @@ class Combine(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.all_known():
             return
         if all(inp.present(i) for i in range(inp.width)):
@@ -232,8 +232,8 @@ class Combine(LeafModule):
                 inp.set_ack(i, False)
 
     def update(self) -> None:
-        inp = self.port("in")
-        if self.port("out").took(0):
+        inp = self.io_in
+        if self.io_out.took(0):
             self.collect("joined")
         elif any(inp.present(i) for i in range(inp.width)) \
                 and not all(inp.present(i) for i in range(inp.width)):
@@ -267,8 +267,8 @@ class Splitter(LeafModule):
         self._next = 0
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if not inp.known(0):
             return
         if not inp.present(0):
@@ -309,7 +309,7 @@ class Splitter(LeafModule):
         inp.set_ack(0, accepted_at is not None)
 
     def update(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         for j in range(out.width):
             if out.took(j):
                 self.collect("distributed")

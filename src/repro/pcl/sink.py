@@ -52,7 +52,7 @@ class Sink(LeafModule):
     VEC_LANE_PARAMS = ("rate",)
 
     def init(self) -> None:
-        width = self.port("in").width
+        width = self.io_in.width
         base = (self.p["seed"] * 999331) ^ zlib.crc32(self.path.encode())
         self.rng = np.random.default_rng(base & 0x7FFFFFFF)
         self._accepts = [True] * width
@@ -73,37 +73,12 @@ class Sink(LeafModule):
                     if policy is not None else True
 
     def react(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         for i in range(inp.width):
             inp.set_ack(i, self._accepts[i])
 
-    @classmethod
-    def specialize_react(cls, inst: "Sink"):
-        """Optimizer fold (``--opt 2``): the constant ``accept`` binding
-        selects the clone — ``'always'``/``'never'`` drop the per-cycle
-        ``_accepts`` read entirely, the stochastic modes keep it (drawn
-        in ``update()``) but skip the port lookup."""
-        if cls.react is not Sink.react:
-            return None
-        inp = inst.port("in")
-        set_ack = inp.set_ack
-        indices = tuple(range(inp.width))
-        mode = inst.p["accept"]
-        if mode in ("always", "never"):
-            constant = mode == "always"
-
-            def specialized_react() -> None:
-                for i in indices:
-                    set_ack(i, constant)
-        else:
-            def specialized_react() -> None:
-                accepts = inst._accepts
-                for i in indices:
-                    set_ack(i, accepts[i])
-        return specialized_react
-
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         callback = self.p["on_consume"]
         for i in range(inp.width):
             if inp.took(i):
@@ -136,12 +111,12 @@ class LatencySink(LeafModule):
     DEPS = {}
 
     def react(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         for i in range(inp.width):
             inp.set_ack(i, True)
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         extractor = self.p["stamp"]
         for i in range(inp.width):
             if inp.took(i):

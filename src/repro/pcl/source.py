@@ -74,7 +74,7 @@ class Source(LeafModule):
     VEC_LANE_PARAMS = ("rate", "period", "blocking")
 
     def init(self) -> None:
-        width = self.port("out").width
+        width = self.io_out.width
         base = (self.p["seed"] * 1000003) ^ zlib.crc32(self.path.encode())
         self.rng = np.random.default_rng(base & 0x7FFFFFFF)
         self._counter = 0
@@ -123,7 +123,7 @@ class Source(LeafModule):
         # Must stay idempotent: the worklist engine may invoke react
         # several times per timestep, so statistics are counted once in
         # update() instead of here (cross-engine parity).
-        out = self.port("out")
+        out = self.io_out
         for i in range(out.width):
             value = self._pending[i]
             if value is None:
@@ -131,29 +131,8 @@ class Source(LeafModule):
             else:
                 out.send(i, value)
 
-    @classmethod
-    def specialize_react(cls, inst: "Source"):
-        """Optimizer fold (``--opt 2``): port views and the output width
-        are baked into a closure; ``_pending`` is read at call time
-        (``init()`` runs after the fold is installed)."""
-        if cls.react is not Source.react:
-            return None
-        out = inst.port("out")
-        send, send_nothing = out.send, out.send_nothing
-        indices = tuple(range(out.width))
-
-        def specialized_react() -> None:
-            pending = inst._pending
-            for i in indices:
-                value = pending[i]
-                if value is None:
-                    send_nothing(i)
-                else:
-                    send(i, value)
-        return specialized_react
-
     def update(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         for i in range(out.width):
             if self._pending[i] is not None:
                 self.collect("offered")
@@ -200,14 +179,14 @@ class TraceSource(LeafModule):
 
     def react(self) -> None:
         self._refill(self.now)
-        out = self.port("out")
+        out = self.io_out
         if self._backlog:
             out.send(0, self._backlog[0])
         else:
             out.send_nothing(0)
 
     def update(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         if self._backlog and out.took(0):
             self._backlog.pop(0)
             self.collect("emitted")

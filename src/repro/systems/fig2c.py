@@ -81,12 +81,12 @@ class GridNI(LeafModule):
         self._inbound_busy = False
 
     def react(self) -> None:
-        dma_req = self.port("dma_req")
-        dma_resp = self.port("dma_resp")
-        bus_out = self.port("bus_out")
-        mem_req = self.port("mem_req")
-        self.port("bus_in").set_ack(0, self._inbound is None)
-        self.port("mem_resp").set_ack(0, True)
+        dma_req = self.io_dma_req
+        dma_resp = self.io_dma_resp
+        bus_out = self.io_bus_out
+        mem_req = self.io_mem_req
+        self.io_bus_in.set_ack(0, self._inbound is None)
+        self.io_mem_resp.set_ack(0, True)
         dma_req.set_ack(0, self._out is None and self._ack is None)
         if self._out is not None:
             bus_out.send(0, self._out)
@@ -102,12 +102,12 @@ class GridNI(LeafModule):
             mem_req.send_nothing(0)
 
     def update(self) -> None:
-        dma_req = self.port("dma_req")
-        dma_resp = self.port("dma_resp")
-        bus_out = self.port("bus_out")
-        bus_in = self.port("bus_in")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
+        dma_req = self.io_dma_req
+        dma_resp = self.io_dma_resp
+        bus_out = self.io_bus_out
+        bus_in = self.io_bus_in
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
 
         if self._ack is not None and dma_resp.took(0):
             self._ack = None

@@ -112,10 +112,10 @@ class Cache(LeafModule):
 
     # -- reactive interface -------------------------------------------------
     def react(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        mem_req = self.port("mem_req")
-        self.port("mem_resp").set_ack(0, True)
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        mem_req = self.io_mem_req
+        self.io_mem_resp.set_ack(0, True)
         cpu_req.set_ack(0, self._busy is None)
         if self._resp is not None and self.now >= self._resp_at:
             cpu_resp.send(0, self._resp)
@@ -127,10 +127,10 @@ class Cache(LeafModule):
             mem_req.send_nothing(0)
 
     def update(self) -> None:
-        cpu_req = self.port("cpu_req")
-        cpu_resp = self.port("cpu_resp")
-        mem_req = self.port("mem_req")
-        mem_resp = self.port("mem_resp")
+        cpu_req = self.io_cpu_req
+        cpu_resp = self.io_cpu_resp
+        mem_req = self.io_mem_req
+        mem_resp = self.io_mem_resp
 
         if self._resp is not None and cpu_resp.took(0):
             self._resp = None

@@ -125,10 +125,10 @@ class SimpleCore(LeafModule):
         return MemRequest("write", op[1], value=op[2], tag="data")
 
     def react(self) -> None:
-        imem_req = self.port("imem_req")
-        dmem_req = self.port("dmem_req")
-        self.port("imem_resp").set_ack(0, True)
-        self.port("dmem_resp").set_ack(0, True)
+        imem_req = self.io_imem_req
+        dmem_req = self.io_dmem_req
+        self.io_imem_resp.set_ack(0, True)
+        self.io_dmem_resp.set_ack(0, True)
         want_imem = want_dmem = None
         if self._pending is not None and not self._awaiting:
             request = self._request_for(self._pending)
@@ -146,10 +146,10 @@ class SimpleCore(LeafModule):
             dmem_req.send_nothing(0)
 
     def update(self) -> None:
-        imem_req = self.port("imem_req")
-        dmem_req = self.port("dmem_req")
-        imem_resp = self.port("imem_resp")
-        dmem_resp = self.port("dmem_resp")
+        imem_req = self.io_imem_req
+        dmem_req = self.io_dmem_req
+        imem_resp = self.io_imem_resp
+        dmem_resp = self.io_dmem_resp
 
         if self._pending is not None and not self._awaiting:
             port = imem_req if self._pending[0] == OP_IFETCH else dmem_req

@@ -202,7 +202,7 @@ class Dispatch(LeafModule):
         return op
 
     def react(self) -> None:
-        out = self.port("out")
+        out = self.io_out
         if self._op is None:
             self._op = self._make_op()
         if self._op is not None:
@@ -212,7 +212,7 @@ class Dispatch(LeafModule):
 
     def update(self) -> None:
         shared: OoOShared = self.p["shared"]
-        out = self.port("out")
+        out = self.io_out
         if self._op is not None and out.took(0):
             op = self._op
             self.collect("dispatched")
@@ -287,8 +287,8 @@ class ALUUnit(LeafModule):
         return execute_alu(inst, op.a_val, b)
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         shared: OoOShared = self.p["shared"]
         holding_ready = self._op is not None and self.now >= self._ready_at
         if holding_ready:
@@ -309,8 +309,8 @@ class ALUUnit(LeafModule):
         inp.set_ack(0, self._op is None)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
+        inp = self.io_in
+        out = self.io_out
         if self._op is not None and out.took(0):
             self.collect("executed")
             self._op = None
@@ -354,10 +354,10 @@ class CommitUnit(LeafModule):
         self._wake_msg: Optional[CDBMsg] = None
 
     def react(self) -> None:
-        inp = self.port("in")
-        dmem_req = self.port("dmem_req")
-        wake = self.port("wake")
-        self.port("dmem_resp").set_ack(0, True)
+        inp = self.io_in
+        dmem_req = self.io_dmem_req
+        wake = self.io_wake
+        self.io_dmem_resp.set_ack(0, True)
         inp.set_ack(0, self._op is None)
         if self._state == "issue":
             op = self._op
@@ -389,10 +389,10 @@ class CommitUnit(LeafModule):
         self._state = "idle"
 
     def update(self) -> None:
-        inp = self.port("in")
-        dmem_req = self.port("dmem_req")
-        dmem_resp = self.port("dmem_resp")
-        wake = self.port("wake")
+        inp = self.io_in
+        dmem_req = self.io_dmem_req
+        dmem_resp = self.io_dmem_resp
+        wake = self.io_wake
         shared: OoOShared = self.p["shared"]
 
         if self._wake_msg is not None and wake.took(0):

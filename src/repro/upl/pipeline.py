@@ -125,17 +125,17 @@ class ProgFetch(LeafModule):
                         pred_next)
 
     def react(self) -> None:
-        self.port("redirect").set_ack(0, True)
+        self.io_redirect.set_ack(0, True)
         self._prepare()
-        out = self.port("out")
+        out = self.io_out
         if self._uop is not None:
             out.send(0, self._uop)
         else:
             out.send_nothing(0)
 
     def update(self) -> None:
-        out = self.port("out")
-        redirect = self.port("redirect")
+        out = self.io_out
+        redirect = self.io_redirect
         if self._uop is not None and out.took(0):
             self.collect("fetched")
             if self._uop.inst.op == "halt":
@@ -196,11 +196,11 @@ class DecodeStage(LeafModule):
         return inst.writes_reg
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        rf_req = self.port("rf_req")
-        rf_resp = self.port("rf_resp")
-        claim = self.port("claim")
+        inp = self.io_in
+        out = self.io_out
+        rf_req = self.io_rf_req
+        rf_resp = self.io_rf_resp
+        claim = self.io_claim
         rf_resp.set_ack(0, True)
         if not inp.known(0):
             return
@@ -244,7 +244,7 @@ class DecodeStage(LeafModule):
             claim.send_nothing(0)
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         if inp.took(0):
             uop: Uop = inp.value(0)
             if uop.epoch < self.p["shared"].epoch:
@@ -328,9 +328,9 @@ class ExecuteStage(LeafModule):
             uop.result = execute_alu(inst, uop.a, b)
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        redirect = self.port("redirect")
+        inp = self.io_in
+        out = self.io_out
+        redirect = self.io_redirect
         holding_ready = (self._uop is not None and self.now >= self._ready_at)
         if holding_ready:
             uop = self._uop
@@ -364,9 +364,9 @@ class ExecuteStage(LeafModule):
             inp.set_ack(0, False)  # busy with a multi-cycle operation
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        redirect = self.port("redirect")
+        inp = self.io_in
+        out = self.io_out
+        redirect = self.io_redirect
         if self._uop is not None and out.took(0):
             self.collect("executed")
             self._uop = None
@@ -412,10 +412,10 @@ class MemStage(LeafModule):
         self._state = "idle"     # idle | issue | wait | done
 
     def react(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        dmem_req = self.port("dmem_req")
-        self.port("dmem_resp").set_ack(0, True)
+        inp = self.io_in
+        out = self.io_out
+        dmem_req = self.io_dmem_req
+        self.io_dmem_resp.set_ack(0, True)
 
         if self._state == "issue":
             uop = self._uop
@@ -448,10 +448,10 @@ class MemStage(LeafModule):
             inp.set_ack(0, False)
 
     def update(self) -> None:
-        inp = self.port("in")
-        out = self.port("out")
-        dmem_req = self.port("dmem_req")
-        dmem_resp = self.port("dmem_resp")
+        inp = self.io_in
+        out = self.io_out
+        dmem_req = self.io_dmem_req
+        dmem_resp = self.io_dmem_resp
 
         if self._state == "done" and out.took(0):
             self._uop = None
@@ -495,8 +495,8 @@ class WriteBack(LeafModule):
     }
 
     def react(self) -> None:
-        inp = self.port("in")
-        wr = self.port("wr")
+        inp = self.io_in
+        wr = self.io_wr
         if not inp.known(0):
             return
         if not inp.present(0):
@@ -513,7 +513,7 @@ class WriteBack(LeafModule):
             inp.set_ack(0, True)
 
     def update(self) -> None:
-        inp = self.port("in")
+        inp = self.io_in
         if inp.took(0):
             uop: Uop = inp.value(0)
             self.collect("retired")

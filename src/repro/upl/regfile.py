@@ -113,10 +113,10 @@ class RegFile(LeafModule):
 
     # -- reactive interface --------------------------------------------------
     def react(self) -> None:
-        rd_req = self.port("rd_req")
-        rd_resp = self.port("rd_resp")
-        wr = self.port("wr")
-        claim = self.port("claim")
+        rd_req = self.io_rd_req
+        rd_resp = self.io_rd_resp
+        wr = self.io_wr
+        claim = self.io_claim
         for i in range(wr.width):
             wr.set_ack(i, True)
         for i in range(claim.width):
@@ -136,9 +136,9 @@ class RegFile(LeafModule):
                 rd_resp.send_nothing(i)
 
     def update(self) -> None:
-        wr = self.port("wr")
-        claim = self.port("claim")
-        rd_req = self.port("rd_req")
+        wr = self.io_wr
+        claim = self.io_claim
+        rd_req = self.io_rd_req
         for i in range(wr.width):
             if wr.took(i):
                 reg, value, seq = wr.value(i)

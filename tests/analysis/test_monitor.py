@@ -48,6 +48,45 @@ class TestLiarCaught:
         assert "contract-monitor.undeclared-read" in report.to_text()
 
 
+class TestInheritedReactEscapesContract:
+    """A stock template's react reads its views through the attributes
+    ``bind_port`` sets, so the monitor must swap *those* — at every opt
+    level, on every engine.  The subclass declares ``DEPS = {}`` but
+    inherits ``PipelineReg.react``, which reads the output's ack."""
+
+    @staticmethod
+    def _spec():
+        from repro import LSS
+        from repro.pcl import PipelineReg
+
+        class MooreReg(PipelineReg):
+            DEPS = {}
+
+        spec = LSS("moore_reg")
+        src = spec.instance("src", Source, pattern="counter")
+        reg = spec.instance("reg", MooreReg)
+        snk = spec.instance("snk", Sink)
+        spec.connect(src.port("out"), reg.port("in"))
+        spec.connect(reg.port("out"), snk.port("in"))
+        return spec
+
+    @pytest.mark.parametrize("opt", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["worklist", "levelized", "codegen"])
+    def test_undeclared_read_found_at_every_opt_level(self, name, opt):
+        sim = build_simulator(self._spec(), engine=name, opt=opt)
+        raw = {path: dict(inst._views)
+               for path, inst in sim.design.leaves.items()}
+        mon = ContractMonitor(sim, mode="record")
+        sim.run(10)
+        assert [(d.rule, d.path) for d in mon.violations] \
+            == [("contract-monitor.undeclared-read", "reg")]
+        mon.detach()
+        for path, inst in sim.design.leaves.items():
+            for port, view in raw[path].items():
+                assert inst._views[port] is view
+                assert getattr(inst, "io_" + port) is view
+
+
 class TestCleanModels:
     def test_no_false_positives_on_shipped_pipe(self, engine):
         sim = build_simulator(pipe_spec(), engine=engine)

@@ -68,6 +68,10 @@ class TestIndependence:
         assert all(view._store is dup.store
                    for leaf in dup.leaves.values()
                    for view in leaf.ports.values())
+        # The attribute spelling names the copy's own views too.
+        assert all(getattr(leaf, "io_" + name) is view
+                   for leaf in dup.leaves.values()
+                   for name, view in leaf.ports.items())
         # Endpoints follow the copy: nothing points back at the original.
         assert all(w.src is None or w.src.instance is dup.leaves[
             w.src.instance.path] for w in dup.wires)

@@ -7,8 +7,8 @@ Four layers of assurance:
   topological order of the signal graph with every live group exactly
   once and clusters whole, and its react-call counts on the shipped
   systems are pinned as a ceiling;
-* **golden snapshots** — per-pass before/after schedule signatures on
-  small hand-built designs, plus headline numbers on the Figure 2(d)
+* **golden snapshots** — before/after schedule signatures on small
+  hand-built designs, plus headline numbers on the Figure 2(d)
   system of systems;
 * **cross-engine differentials** — every shipped system builder must
   simulate bit-identically at ``--opt 0/1/2`` under all five engines
@@ -29,10 +29,9 @@ from repro.core import compile_cache as cc
 from repro.core.opt import (MAX_OPT_LEVEL, OPT_VERSION, opt_cache_key,
                             resolve_opt_level)
 from repro.core.opt import pipeline as opt_pipeline
-from repro.core.opt.pipeline import (OptContext, explain_report,
+from repro.core.opt.pipeline import (eliminable_instances, explain_report,
                                      optimize_model, react_calls,
                                      schedule_signature)
-from repro.core.opt.passes import dead_code, specialize
 from repro.core.optimize import build_schedule, build_signal_graph
 from repro.pcl import Queue, Sink, Source
 
@@ -203,35 +202,26 @@ class TestScheduler:
 
 
 class TestGoldenPassSnapshots:
-    """Per-pass before/after IR snapshots on a hand-built design."""
+    """Before/after IR snapshots on a hand-built design."""
 
-    def _context(self, spec):
-        design = build_design(spec)
+    def test_cut_spec_dead_code(self):
+        design = build_design(_cut_spec())
         graph = build_signal_graph(design)
-        entries = build_schedule(design, graph=graph)
-        return design, OptContext(design, graph, entries)
-
-    def test_cut_spec_pass_by_pass(self):
-        _design, ctx = self._context(_cut_spec())
+        handed_in = build_schedule(design, graph=graph)
         # One occurrence per instance, the queue's two groups in one
         # react: the schedule arrives fused.
-        assert schedule_signature(ctx.entries) \
-            == ["q(2g)", "snk(1g)", "src(1g)"]
-        handed_in = list(ctx.entries)
-
-        detail = dead_code.run(ctx)
-        assert detail == {"instances": 1, "wires": 1}
-        assert sorted(ctx.dead_paths) == ["snk"]
-        # dead-code drops the dead sink's entry itself and leaves the
-        # caller's list alone.
-        assert schedule_signature(ctx.entries) == ["q(2g)", "src(1g)"]
         assert schedule_signature(handed_in) \
             == ["q(2g)", "snk(1g)", "src(1g)"]
 
-        detail = specialize.run(ctx)
-        assert detail == {"instances": 2, "clones": 2}
-        assert ctx.specialized == ["q", "src"]
-        assert schedule_signature(ctx.entries) == ["q(2g)", "src(1g)"]
+        result = optimize_model(design, level=2, graph=graph,
+                                schedule=handed_in)
+        assert result.block["dead_instances"] == ["snk"]
+        assert len(result.block["dead_wires"]) == 1
+        # dead-code drops the dead sink's entry itself and leaves the
+        # caller's list alone.
+        assert schedule_signature(result.schedule) == ["q(2g)", "src(1g)"]
+        assert schedule_signature(handed_in) \
+            == ["q(2g)", "snk(1g)", "src(1g)"]
 
     def test_pipe_fusion_collapses_queue_levels(self):
         design = build_design(simple_pipe_spec())
@@ -242,18 +232,16 @@ class TestGoldenPassSnapshots:
 
     def test_level_1_skips_dead_code(self):
         design = build_design(_cut_spec())
-        result = optimize_model(design, level=1)
+        base = build_schedule(design)
+        # Level 1 is the same staged path with an empty pass list.
+        result = optimize_model(design, level=1, schedule=base)
         assert result.block["dead_instances"] == []
-        assert result.block["specialized"] == ["q", "snk", "src"]
-        assert [rec["name"] for rec in result.block["passes"]] \
-            == ["specialize"]
-        result2 = optimize_model(design, level=2)
+        assert result.block["dead_wires"] == []
+        assert result.block["passes"] == []
+        assert result.schedule == base
+        result2 = optimize_model(design, level=2, schedule=base)
         assert result2.block["dead_instances"] == ["snk"]
-        assert result2.block["specialized"] == ["q", "src"]
-        assert [rec["name"] for rec in result2.block["passes"]] \
-            == ["dead-code", "specialize"]
-        assert [name for name, _level, _mod in opt_pipeline.PASS_TABLE] \
-            == ["dead-code", "specialize"]
+        assert result2.block["passes"] == ["dead-code"]
 
     def test_fig2d_headline_numbers(self):
         """The measured wins the README cites, pinned as goldens."""
@@ -283,7 +271,7 @@ class TestGoldenPassSnapshots:
         assert clone["version"] == OPT_VERSION
         assert clone["level"] == 2
         assert sorted(clone) == ["dead_instances", "dead_wires", "level",
-                                 "passes", "specialized", "version"]
+                                 "passes", "version"]
 
 
 class TestEliminationMatchesAnalysis:
@@ -292,7 +280,6 @@ class TestEliminationMatchesAnalysis:
 
     def test_fig2d_eliminated_set_equals_analysis_findings(self):
         from repro.analysis.connectivity import dead_instance_paths
-        from repro.core.opt.passes.dead_code import eliminable_instances
         design = _fig2d_design("detailed")
         isolated, unreachable = dead_instance_paths(design)
         analysis = sorted(set(isolated) | set(unreachable))
@@ -423,7 +410,7 @@ class TestCrossEngineDifferential:
 
 class TestFailedBuildRestore:
     """Satellite regression: a build that raises *after* the optimizer
-    applied (reacts folded, backrefs installed) must leave the Design
+    applied (reacts pre-bound, backrefs installed) must leave the Design
     exactly as found — ownership released, plain reacts restored — so
     a retry at ``--opt 0`` behaves like a fresh Design."""
 
@@ -466,11 +453,13 @@ class TestFailedBuildRestore:
         from repro.core.optimize import LevelizedSimulator
 
         flag = {"explode": False}
-        # Premise check: the opt-2 pipeline really does rebind reacts
-        # on a successful build of this spec.
+        # Premise check: a successful build of this spec really does
+        # pre-bind reacts and carry an opt-2 block.
         probe_sim = LevelizedSimulator(build_design(self._spec(flag)),
                                        seed=3, opt=2)
-        assert probe_sim.compiled.opt["specialized"] == ["q", "src"]
+        assert probe_sim.compiled.opt["level"] == 2
+        assert all("react" in inst.__dict__
+                   for inst in probe_sim.design.leaves.values())
         probe_sim.close()
 
         flag["explode"] = True
@@ -653,12 +642,12 @@ class TestBuildSimulatorKnobs:
 
 
 class TestExplainReport:
-    def test_report_names_every_pass(self):
+    def test_report_names_the_pass_run(self):
         design = _fig2d_design("detailed")
         text = explain_report(design, 2)
-        assert text.count("  pass ") == 2
-        for name in ("dead-code", "specialize"):
-            assert name in text
+        assert "passes run: dead-code" in text
+        assert "passes run: none" in explain_report(design, 1)
+        assert "specializ" not in text
         assert "gateway/txstub" in text
         assert "46->45" in text
 

@@ -135,23 +135,24 @@ class TestCacheStateMatrix:
 class TestVersionBump:
     """A pre-bump on-disk entry is never bound."""
 
+    @staticmethod
+    def _build():
+        sim = build_simulator(_vec_pipe_spec(), engine="codegen",
+                              seed=3, opt=2)
+        sim.run(50)
+        observed = _observe(sim)
+        from_cache = sim.compiled_from_cache
+        sim.close()
+        return observed, from_cache
+
     def test_planted_old_version_entries_are_not_bound(self, tmp_path):
         import json
         import os
         from repro.core.opt import OPT_VERSION, opt_cache_key
 
-        def build():
-            sim = build_simulator(_vec_pipe_spec(), engine="codegen",
-                                  seed=3, opt=2)
-            sim.run(50)
-            observed = _observe(sim)
-            from_cache = sim.compiled_from_cache
-            sim.close()
-            return observed, from_cache
-
         disk = str(tmp_path / "planted")
         cc.configure(enabled=True, disk_enabled=True, disk_dir=disk)
-        reference, _ = build()
+        reference, _ = self._build()
         fingerprint = cc.design_fingerprint(build_design(_vec_pipe_spec()))
         key = opt_cache_key(fingerprint, 2)
         assert key.endswith(f".{OPT_VERSION}")
@@ -177,11 +178,37 @@ class TestVersionBump:
 
         cc.configure(enabled=True, disk_enabled=True, disk_dir=disk)
         runs = opt_pipeline.PIPELINE_RUNS
-        observed, from_cache = build()
+        observed, from_cache = self._build()
         assert not from_cache, "a stale entry was bound"
         assert opt_pipeline.PIPELINE_RUNS == runs + 1
         assert observed == reference
         assert cc.get_cache().lookup(old_key).schedule == []  # untouched
+
+    def test_installed_old_opt_version_artifact_is_not_bound(self):
+        """What a not-yet-upgraded fabric coordinator would ship: the
+        optimized artifact under the previous ``OPT_VERSION`` key."""
+        import hashlib
+        import json
+        from repro.core.opt import OPT_VERSION, opt_cache_key
+        from repro.fabric import export_artifact, install_artifact
+
+        reference, _ = self._build()
+        fingerprint = cc.design_fingerprint(build_design(_vec_pipe_spec()))
+        key = opt_cache_key(fingerprint, 2)
+        old_key = f"{fingerprint}@opt2.{OPT_VERSION - 1}"
+        payload = json.loads(export_artifact(key)["blob"])
+        payload.update(fingerprint=old_key, schedule=[])
+        payload["opt"]["version"] = OPT_VERSION - 1
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        cc.get_cache().evict(key)
+        install_artifact({"fingerprint": old_key, "blob": blob,
+                          "sha256": hashlib.sha256(
+                              blob.encode("utf-8")).hexdigest()})
+        runs = opt_pipeline.PIPELINE_RUNS
+        observed, from_cache = self._build()
+        assert not from_cache, "a stale artifact was bound"
+        assert opt_pipeline.PIPELINE_RUNS == runs + 1
+        assert observed == reference
 
 
 class TestWarmBuilds:

@@ -14,8 +14,8 @@ from ..conftest import simple_pipe_spec
 class TestLifecycle:
     def test_attach_and_detach_restore_clean_state(self, engine):
         sim = build_simulator(simple_pipe_spec(), engine=engine)
-        # At REPRO_OPT>=2 a leaf's react may already be a specialized
-        # instance-dict closure; detach must restore whatever attach saw.
+        # A leaf's react is pre-bound into its instance dict at every
+        # opt level; detach must restore whatever attach saw.
         before = {path: leaf.react
                   for path, leaf in sim.design.leaves.items()}
         prof = Profiler(sim)

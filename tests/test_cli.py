@@ -282,19 +282,20 @@ class TestOptCommand:
         out = capsys.readouterr().out
         assert "--opt 2" in out
         assert "schedule" in out and "react calls/step" in out
-        assert "react(s) specialized" in out
+        assert "dead wire(s) parked" in out
+        assert "specialized" not in out
         assert "static" not in out and "control(s)" not in out
 
     def test_level_0_reports_disabled(self, spec_file, capsys):
         assert main(["opt", spec_file, "--level", "0"]) == 0
         assert "pipeline disabled" in capsys.readouterr().out
 
-    def test_explain_prints_per_pass_deltas(self, spec_file, capsys):
+    def test_explain_names_the_pass_run(self, spec_file, capsys):
         assert main(["opt", spec_file, "--explain"]) == 0
         out = capsys.readouterr().out
         assert "optimizer report" in out
-        for name in ("dead-code", "specialize"):
-            assert name in out
+        assert "passes run: dead-code" in out
+        assert "specializ" not in out
         assert "static" not in out and "controls inlined" not in out
 
     def test_builder_target(self, capsys):
