@@ -388,6 +388,27 @@ class SimulatorBase:
         return {PORT_ATTR_PREFIX + name
                 for name in inst._views}.union(cls._FRAMEWORK_ATTRS)
 
+    def _shared_params(self) -> Dict[str, Any]:
+        """Parameter values that are state shared by reference.
+
+        A hierarchical template may hand one mutable state object to
+        several of its leaves (and to its caller) through a parameter —
+        the OoO core's architected registers, say.  Such a value opts
+        in by implementing ``state_dict``/``load_state_dict``; it is
+        keyed ``<path>.<param>`` by the first leaf that holds it, so an
+        object shared by four leaves is snapshotted once.
+        """
+        found: Dict[str, Any] = {}
+        seen = set()
+        for path, inst in self.design.leaves.items():
+            for name, value in inst.p.items():
+                if id(value) in seen or not hasattr(value,
+                                                    "load_state_dict"):
+                    continue
+                seen.add(id(value))
+                found[f"{path}.{name}"] = value
+        return found
+
     def state_dict(self) -> Dict[str, Any]:
         """Snapshot the simulator's dynamic state between timesteps.
 
@@ -399,8 +420,12 @@ class SimulatorBase:
         state is deep-copied with a shared memo, so containers aliased
         *between* instances stay aliased on restore.
 
-        Out of scope: parameter bindings (``p`` — configuration, not
-        state; rebuild from the same spec), probes/observers (re-attach
+        Parameter values that implement ``state_dict``/``load_state_dict``
+        are shared state, not configuration (see :meth:`_shared_params`):
+        they ride along under ``shared_params`` and are restored in place.
+
+        Out of scope: other parameter bindings (``p`` — configuration,
+        not state; rebuild from the same spec), probes/observers (re-attach
         after restore), and instance attributes that reference other
         module instances or the simulator itself (such references are
         preserved by identity in-memory but are not meaningful across
@@ -436,6 +461,8 @@ class SimulatorBase:
             "stats": self.stats.state_dict(),
             "wires": list(self._store.transfers),
             "instances": instances,
+            "shared_params": {key: value.state_dict() for key, value
+                              in self._shared_params().items()},
             "engine_extra": self._extra_state(),
         }
 
@@ -476,6 +503,12 @@ class SimulatorBase:
                 if key not in framework and key not in saved:
                     del inst.__dict__[key]
             inst.__dict__.update(saved)
+        # In place, so every holder of the object sees the restored run
+        # (absent in checkpoints from before the field).
+        shared = state.get("shared_params") or {}
+        for key, value in self._shared_params().items():
+            if key in shared:
+                value.load_state_dict(shared[key])
         # Engine-specific counters (absent in pre-upgrade checkpoints).
         self._load_extra_state(state.get("engine_extra") or {})
         self._initialized = True

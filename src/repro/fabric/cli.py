@@ -89,8 +89,9 @@ def add_fabric_parsers(subparsers) -> None:
                            "(default: keep polling)")
     work.add_argument("--lane-cap", type=int, default=None, metavar="N",
                       help="largest lockstep batch this worker accepts "
-                           "per shard (default: the host's CPU count); "
-                           "the coordinator splits wider shards")
+                           "per shard, as a memory ceiling (default: no "
+                           "cap, whole planned shards); the coordinator "
+                           "splits wider shards")
 
     submit = subparsers.add_parser(
         "submit", help="submit a sweep to a fabric coordinator",

@@ -95,12 +95,16 @@ class FabricClient:
 
     def wait(self, job_id: str, *, timeout: float = 300.0,
              poll: float = 0.2) -> Dict[str, Any]:
-        """Block until the job settles; returns the final results reply."""
+        """Block until the job settles; returns the final results reply.
+
+        Polls the job's ``status`` (constant size) and fetches the rows
+        once, when it is done: a ``results`` reply encodes every row,
+        on the coordinator loop that also grants leases.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            reply = self.results(job_id)
-            if reply.get("state") == "done":
-                return reply
+            if self.status(job_id)["job"]["state"] == "done":
+                return self.results(job_id)
             if time.monotonic() > deadline:
                 raise FabricError(
                     f"job {job_id} still running after {timeout:g}s")

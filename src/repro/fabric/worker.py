@@ -39,16 +39,14 @@ from .shards import JobSpec, Shard, execute_shard
 def worker_capabilities(lane_cap: Optional[int] = None) -> Dict[str, Any]:
     """The capability tags a worker reports with each lease request.
 
-    ``cpus`` is the host's logical CPU count, ``numpy`` whether the
-    vectorized lockstep backend can run here, and ``lane_cap`` the
-    largest lockstep batch this worker wants in one shard — explicit
-    ``lane_cap`` wins, else the CPU count (one lane per logical CPU is
-    the empirical knee for the scalar batched backend's dispatch walk).
-    The coordinator splits larger batch shards at lease time, so a
-    4-core box leased from a 64-lane sweep gets 4-lane slices while a
-    big host drains whole groups.
+    ``cpus`` is the host's logical CPU count and ``numpy`` whether the
+    vectorized lockstep backend can run here.  The lease size is the
+    shard the planner made (``JobSpec.batch_max`` lanes at most): a vec
+    step costs nearly the same at 2 lanes as at 32, so splitting a
+    batch per host only multiplies steps.  ``lane_cap`` is reported
+    only when set explicitly, as a memory ceiling — the coordinator
+    then splits wider batch shards at lease time.
     """
-    cpus = os.cpu_count() or 1
     try:
         import numpy  # noqa: F401 - availability probe only
         has_numpy = True
@@ -56,12 +54,15 @@ def worker_capabilities(lane_cap: Optional[int] = None) -> Dict[str, Any]:
         has_numpy = False
     from ..core.opt import OPT_VERSION
     from ..core.vec import VEC_VERSION
-    return {"cpus": cpus, "numpy": has_numpy,
-            "lane_cap": int(lane_cap) if lane_cap else cpus,
-            # Staged-artifact format versions: a coordinator can tell
-            # whether the composite opt/vec blobs it exports will
-            # install on this worker or degrade to a local recompile.
-            "opt_version": OPT_VERSION, "vec_version": VEC_VERSION}
+    caps: Dict[str, Any] = {
+        "cpus": os.cpu_count() or 1, "numpy": has_numpy,
+        # Staged-artifact format versions: a coordinator can tell
+        # whether the composite opt/vec blobs it exports will install
+        # on this worker or degrade to a local recompile.
+        "opt_version": OPT_VERSION, "vec_version": VEC_VERSION}
+    if lane_cap:
+        caps["lane_cap"] = int(lane_cap)
+    return caps
 
 
 class _Heartbeat:

@@ -34,6 +34,7 @@ until the branch resolves on the CDB, so there is never a wrong path.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,6 +57,12 @@ class OoOShared:
     in-flight producer; ``cdb_values`` records every result the moment
     it is computed (so consumers dispatched after a broadcast still
     find it).
+
+    The object reaches its holders as the ``shared`` parameter, which
+    engine checkpoints otherwise leave alone; ``state_dict`` and
+    ``load_state_dict`` make it checkpointed state, restored in place so
+    dispatch, the ALUs, commit, the window's insert hook and the
+    caller's ``shared_out`` handle all see the restored run.
     """
 
     def __init__(self):
@@ -69,6 +76,12 @@ class OoOShared:
         self.halted = False
         self.halted_at: Optional[int] = None
         self.committed = 0
+
+    def state_dict(self) -> Dict[str, Any]:
+        return copy.deepcopy(self.__dict__)
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(copy.deepcopy(state))
 
 
 class MicroOp:

@@ -47,13 +47,13 @@ def run_to_halt(sim, cores, max_cycles: int = 50_000, drain: int = 0):
     return all(core.halted for core in cores)
 
 
-def ooo_spec() -> LSS:
+def ooo_spec(shared_out=None) -> LSS:
     """The out-of-order core running a short sieve against a memory."""
     from repro.pcl import MemoryArray
     from repro.upl import OoOCore, programs
     spec = LSS("ooo")
     core = spec.instance("core", OoOCore, n_alu=2, window_depth=16,
-                         rob_depth=32,
+                         rob_depth=32, shared_out=shared_out,
                          program=programs.assemble_named("sieve", limit=20))
     mem = spec.instance("mem", MemoryArray, size=4096, latency=1)
     spec.connect(core.port("dmem_req"), mem.port("req"))

@@ -8,6 +8,7 @@ from repro.core.errors import FirmwareError
 from repro.pcl import Buffer, MemoryArray
 from repro.upl import (FunctionalEmulator, OoOCore, assemble, programs)
 
+from ..conftest import ooo_spec
 from .test_differential import terminating_program
 
 INIT = {64 + i: 10 + i for i in range(16)}
@@ -148,6 +149,54 @@ class TestMicroarchitecture:
                                mem_latency=1)
         assert shared.halted  # still correct, just slower
         assert sim.stats.counter("core/dispatch", "alloc_stalls") > 0
+
+
+def _ooo_sim(engine, seed):
+    box = []
+    sim = build_simulator(ooo_spec(shared_out=box), engine=engine, seed=seed)
+    return sim, box[0]
+
+
+def _to_halt(sim, shared):
+    while not shared.halted:
+        assert sim.now < 20_000, "core never halted"
+        sim.step()
+    return {"now": sim.now, "transfers": sim.transfers_total,
+            "stats": sim.stats.summary_dict(), "halted_at": shared.halted_at,
+            "committed": shared.committed, "regs": list(shared.regs)}
+
+
+class TestCheckpoint:
+    """The architected :class:`OoOShared` state reaches its holders as a
+    parameter; a mid-run ``state_dict``/``load_state_dict`` must restore
+    it in place, or the resumed core commits from a fresh register file."""
+
+    @pytest.mark.parametrize("engine", ["worklist", "levelized", "codegen"])
+    def test_mid_run_round_trip_continues_identically(self, engine):
+        import pickle
+        reference = _to_halt(*_ooo_sim(engine, seed=1))
+        interrupted, _ = _ooo_sim(engine, seed=1)
+        interrupted.run(40)
+        state = pickle.loads(pickle.dumps(interrupted.state_dict()))
+        resumed, shared = _ooo_sim(engine, seed=0)
+        resumed.load_state_dict(state)
+        assert 0 < shared.committed < reference["committed"]
+        assert _to_halt(resumed, shared) == reference
+        # The restore kept the object every holder shares.
+        window = resumed.instance("core/window")
+        capture = window.p["on_insert"].__closure__[0].cell_contents
+        assert capture is shared
+        assert all(resumed.instance(f"core/{name}").p["shared"] is shared
+                   for name in ("dispatch", "alu0", "alu1", "commit"))
+
+    def test_payload_without_shared_state_still_loads(self):
+        sim, _ = _ooo_sim("levelized", seed=1)
+        sim.run(40)
+        state = sim.state_dict()
+        state.pop("shared_params", None)  # the format before the field
+        resumed, shared = _ooo_sim("levelized", seed=1)
+        resumed.load_state_dict(state)
+        assert resumed.now == 40 and shared.committed == 0
 
 
 @settings(max_examples=12, deadline=None)
