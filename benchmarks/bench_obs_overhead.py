@@ -17,6 +17,11 @@ Two claims, both asserted here (see DESIGN.md "Observability"):
   with traffic) whose reacts do representative work; a toy model with
   near-empty reacts would price the wrapper call itself, not the
   profiler design.
+* **profiler on the vec path** stays under the same 15%: 64
+  ``batched-vec`` lanes of fig2d-statistical (every wire vectorizes),
+  each with its own ``Profiler(sample_every=4)``, keep the vectorized
+  plan — the batch times each array op on sampled steps and credits
+  every profiled lane its share.
 
 Wall-clock ratios this tight are meaningless on a noisy machine, so
 each test calibrates first: two *identical* baseline arms measure the
@@ -37,10 +42,12 @@ import pytest
 
 from repro import LSS, build_design, build_simulator
 from repro.ccl import Mesh, attach_traffic, build_mesh_network
+from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 from repro.core.signals import CtrlStatus, DataStatus
 from repro.obs import Profiler
 from repro.pcl import Queue, Sink, Source
+from repro.systems.fig2d import build_fig2d
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -48,6 +55,9 @@ PIPE_CYCLES = 1_500 if QUICK else 4_000
 PIPE_ROUNDS = 5 if QUICK else 10
 MESH_CYCLES = 100 if QUICK else 250
 MESH_ROUNDS = 3 if QUICK else 6
+VEC_LANES = 64
+VEC_CYCLES = 40 if QUICK else 120
+VEC_ROUNDS = 3 if QUICK else 5
 
 OFF_BUDGET = 0.02   # hooks present (profiler off) vs. hook-free twin
 ON_BUDGET = 0.15    # attached at default sample_every=4
@@ -170,6 +180,42 @@ def test_profiler_on_budget(benchmark):
           f"attached {best['attached'] * 1e3:.1f}ms "
           f"({(best['attached'] - base) / base:+.1%})")
     _assert_within("profiler-on", best["attached"], base, ON_BUDGET, noise)
+
+
+def _fig2d_statistical_batch(profiled):
+    """64 lanes of the fig2d-statistical sweep, plan already built."""
+    def make():
+        designs = [build_design(build_fig2d(
+            8, field="statistical", backend="statistical",
+            aggregate_every=(2, 3, 4, 6)[i % 4],
+            backend_rate=round(0.10 + 0.05 * (i % 16), 2), seed=i % 2)[0])
+            for i in range(VEC_LANES)]
+        sim = VectorizedBatchedSimulator(designs,
+                                         seeds=list(range(VEC_LANES)))
+        if profiled:
+            for i in range(VEC_LANES):
+                Profiler(sim.lane(i), sample_every=4)
+        sim.run(1)              # plan and stepper built outside the timing
+        assert sim.vec_plan is not None
+        return sim
+    return make
+
+
+def test_profiler_on_budget_batched_vec(benchmark):
+    """A profiler per lane of a 64-lane batched-vec batch: < 15% vs bare."""
+    best = _min_of_rounds({"plain_a": _fig2d_statistical_batch(False),
+                           "plain_b": _fig2d_statistical_batch(False),
+                           "attached": _fig2d_statistical_batch(True)},
+                          VEC_CYCLES, VEC_ROUNDS)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    base = min(best["plain_a"], best["plain_b"])
+    noise = abs(best["plain_a"] - best["plain_b"]) / base
+    print(f"\n[OBS] {VEC_LANES} vec lanes x {VEC_CYCLES} cycles, best of "
+          f"{VEC_ROUNDS}: plain {base * 1e3:.1f}ms (noise {noise:.1%}), "
+          f"attached {best['attached'] * 1e3:.1f}ms "
+          f"({(best['attached'] - base) / base:+.1%})")
+    _assert_within("batched-vec profiler-on", best["attached"], base,
+                   ON_BUDGET, noise)
 
 
 def test_detach_leaves_no_measurable_residue(benchmark):

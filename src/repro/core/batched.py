@@ -33,7 +33,9 @@ from .optimize import LevelizedSimulator
 
 class _BatchLane(LevelizedSimulator):
     """One lane of a batch: a levelized simulator that tells its owner
-    when instrumentation changes so the shared dispatch is rebuilt."""
+    when its instrumentation (profiler, contract monitor, probe,
+    observer) changes, so the shared dispatch is rebuilt before the
+    next run."""
 
     def __init__(self, design: Design, **kw):
         self._owner = None
@@ -41,21 +43,19 @@ class _BatchLane(LevelizedSimulator):
 
     def _instrumentation_changed(self) -> None:
         if self._owner is not None:
-            self._owner._rebuild_dispatch()
+            self._owner._instrumentation_changed()
 
     def probe(self, wire, label=None, limit=None):
         probe = super().probe(wire, label=label, limit=limit)
         # Watching a wire is an instrumentation change at the batch
         # level: the vectorized backend must demote that wire to the
         # scalar path so the probe sees per-lane transfers.
-        if self._owner is not None:
-            self._owner._lane_instrumented()
+        self._instrumentation_changed()
         return probe
 
     def add_observer(self, fn) -> None:
         super().add_observer(fn)
-        if self._owner is not None:
-            self._owner._lane_instrumented()
+        self._instrumentation_changed()
 
 
 class BatchedSimulator:
@@ -113,7 +113,9 @@ class BatchedSimulator:
             lane = _BatchLane(design, seed=lane_seed, **kw)
             lane._owner = self
             self._lanes.append(lane)
-        self._rebuild_dispatch()
+        #: Set whenever a lane's instrumentation changes; the next
+        #: ``run()`` rebuilds the dispatch once, however many changed.
+        self._dispatch_dirty = True
 
     # -- the lockstep walk -------------------------------------------------
     def _rebuild_dispatch(self) -> None:
@@ -121,9 +123,11 @@ class BatchedSimulator:
 
         Acyclic entry ``i`` becomes one flat list of every lane's bound
         (possibly profiler-wrapped) react for that entry; cluster
-        entries stay ``None`` and are iterated per lane.  Rebuilt when
-        any lane's instrumentation changes.
+        entries stay ``None`` and are iterated per lane.  Called by
+        ``run()`` when the dispatch is dirty, so attaching a profiler to
+        each of N lanes costs one O(N) rebuild, not N of them.
         """
+        self._dispatch_dirty = False
         lanes = self._lanes
         reacts: List[Optional[List[Any]]] = []
         for i, entry in enumerate(lanes[0].schedule):
@@ -160,6 +164,8 @@ class BatchedSimulator:
         for lane in self._lanes:
             if not lane._initialized:
                 lane._do_init()
+        if self._dispatch_dirty:
+            self._rebuild_dispatch()
         for _ in range(cycles):
             self._step()
         return self
@@ -224,10 +230,7 @@ class BatchedSimulator:
         return self._lanes[0]._instances
 
     def _instrumentation_changed(self) -> None:
-        self._rebuild_dispatch()
-
-    def _lane_instrumented(self) -> None:
-        """Hook: a lane gained a probe or observer (see batched_vec)."""
+        self._dispatch_dirty = True
 
     # -- checkpointing ----------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:

@@ -24,9 +24,12 @@ vanish from the body entirely.
 
 Fallback ladder, outermost first:
 
-* ``REPRO_VEC=0`` (or an attached profiler/observer, or a plan-build
-  failure, or nothing vectorizable) disables the plan — the simulator
-  then behaves exactly like its ``batched`` parent;
+* ``REPRO_VEC=0`` (or a step observer or contract monitor on any lane,
+  or a plan-build failure, or nothing vectorizable) disables the plan —
+  the simulator then behaves exactly like its ``batched`` parent.  An
+  observer reads every lane's wires mid-step and a monitor checks each
+  port read a template's own ``react`` makes, and a vectorized
+  instance never runs that ``react``;
 * a probe attached to a wire demotes *that wire* (and, if thereby
   stranded, its endpoint instances) to the scalar path on the next
   plan rebuild, leaving the rest vectorized;
@@ -35,6 +38,13 @@ Fallback ladder, outermost first:
   wire and module state back to that lane first, so the fallback's
   re-drives and relaxation scans see exactly the state a scalar run
   would have.
+
+A profiler on a lane does not leave the plan.  Scalar entries keep the
+profiler's own react wrappers; the stepper is built with each vec react
+wrapped in a sampled timer (:class:`_LaneProfiles`), and the batch
+reports the step figures a scalar lane would (see
+:mod:`repro.obs.profiler`).  With no profiler attached the stepper and
+the per-step path are the unprofiled ones.
 
 Between runs the module instances and wires remain the source of truth:
 every ``run()`` gathers state into the arrays on entry and synchronizes
@@ -47,6 +57,7 @@ lane inspection all behave as on the scalar batched backend.
 from __future__ import annotations
 
 import os
+import time
 import warnings
 from typing import List, Optional
 
@@ -61,6 +72,126 @@ def _vec_disabled() -> bool:
     return os.environ.get("REPRO_VEC", "").strip().lower() in _DISABLE_VALUES
 
 
+class _LaneProfiles:
+    """What the vec stepper reports to the profiled lanes of a batch.
+
+    A vectorized instance never calls its lane's (profiler-wrapped)
+    ``react``; one array op serves every lane.  Per plan, this holds the
+    profiled lanes as ``(index, lane, profiler, records)`` — ``records[k]``
+    being the profiler's :class:`~repro.obs.profiler.InstanceProfile`
+    of vec implementation ``k`` — and each implementation's schedule
+    occurrences, i.e. how many react calls a scalar lane makes for it
+    per step.  The per-step work is O(profiled lanes): sampled time is
+    summed per implementation for each set of sampling lanes, and like
+    the call counts it reaches the records once per run (:meth:`flush`).
+    """
+
+    def __init__(self, lanes, schedule, plan: VecPlan):
+        n_impls = len(plan.impls)
+        occurrences = [0] * n_impls
+        paths: List[str] = [""] * n_impls
+        index_of = {}
+        for entry, op in zip(schedule, plan.entry_ops):
+            if op[0] not in ("vec", "skip"):
+                continue
+            # An instance's first occurrence is always its "vec" op.
+            path = entry.instances[0].path
+            k = index_of.setdefault(path, op[1])
+            paths[k] = path
+            occurrences[k] += 1
+        self.occurrences = occurrences
+        #: Vec react calls per step, and the signals of vectorized wires
+        #: (three each) the carved lanes no longer count at step start.
+        self.reacts = sum(occurrences)
+        self.unknown = 3 * plan.n_wires
+        self.n_lanes = len(lanes)
+        self.lanes = [(index, lane, lane.profiler,
+                       [lane.profiler._by_path[path] for path in paths])
+                      for index, lane in enumerate(lanes)
+                      if lane.profiler is not None]
+        #: Sampling lanes (positions in ``lanes``) -> per-implementation
+        #: ``(ns, sampled calls)`` not yet credited to their records.
+        self.totals: dict = {}
+        #: This step's entry of ``totals`` (None: no lane samples it),
+        #: and the sampling lanes that keep a trace.
+        self.sampled: Optional[tuple] = None
+        self.tracing: List[tuple] = []
+
+    def wrap(self, k: int, impl):
+        """``impl.react`` (vec implementation ``k``), timed on steps
+        some profiled lane samples.
+
+        Each sampling lane gets the op's wall time divided by the batch
+        size and the schedule occurrences it covered: all of them for a
+        Moore implementation (one call stands for every occurrence), one
+        per call for a re-entrant Mealy one.  Unsampled steps pay one
+        attribute test.
+        """
+        perf = time.perf_counter_ns
+        react = impl.react
+        calls = 1 if getattr(impl, "MEALY", False) else self.occurrences[k]
+        n_lanes = self.n_lanes
+
+        def sampled_vec_react():
+            sampled = self.sampled
+            if sampled is not None:
+                t0 = perf()
+                react()
+                t1 = perf()
+                ns, sampled_calls = sampled
+                ns[k] += (t1 - t0) // n_lanes
+                sampled_calls[k] += calls
+                for prof, records in self.tracing:
+                    prof._trace_react(records[k].index, t0, t1)
+            else:
+                react()
+
+        sampled_vec_react._obs_original = react
+        return sampled_vec_react
+
+    def begin(self) -> None:
+        """Open each profiled lane's step with the signal count a
+        scalar lane would report, and note which lanes sample it."""
+        unknown = self.unknown
+        sampling = []
+        for pos, (_, lane, prof, _) in enumerate(self.lanes):
+            prof._on_step_begin(lane.now, lane._begin_unknown + unknown)
+            if prof._sampling:
+                sampling.append(pos)
+        if not sampling:
+            self.sampled = None
+            return
+        key = tuple(sampling)
+        sampled = self.totals.get(key)
+        if sampled is None:
+            n_impls = len(self.occurrences)
+            sampled = self.totals[key] = ([0] * n_impls, [0] * n_impls)
+        self.sampled = sampled
+        lanes = self.lanes
+        self.tracing = [(lanes[pos][2], lanes[pos][3]) for pos in sampling
+                        if lanes[pos][2]._tracing]
+
+    def end(self, counts) -> None:
+        """Credit the step's vec reacts and array-scanned transfers
+        (``counts``, per lane) before the lanes close their steps."""
+        counts = counts.tolist()
+        for index, _, prof, _ in self.lanes:
+            prof._credit_step(self.reacts, counts[index])
+
+    def flush(self, steps: int) -> None:
+        """Credit the sampled time and ``steps`` steps' worth of vec
+        react calls to the records."""
+        for key, (ns, sampled_calls) in self.totals.items():
+            for pos in key:
+                for rec, t, n in zip(self.lanes[pos][3], ns, sampled_calls):
+                    rec.ns += t
+                    rec.sampled_calls += n
+        self.totals.clear()
+        for _, _, _, records in self.lanes:
+            for rec, n in zip(records, self.occurrences):
+                rec.calls += steps * n
+
+
 class VectorizedBatchedSimulator(BatchedSimulator):
     """Lockstep batch execution with a vectorized SoA fast path.
 
@@ -73,21 +204,20 @@ class VectorizedBatchedSimulator(BatchedSimulator):
     BACKEND_NAME = "batched-vec"
 
     def __init__(self, *args, **kw):
-        # Plan state must exist before super().__init__: construction
-        # already triggers _rebuild_dispatch(), which we intercept.
+        super().__init__(*args, **kw)
         self._plan: Optional[VecPlan] = None
         self._plan_dirty = True
         self._stepper = None
-        self._stepping = False
         self._saved_lane_state: Optional[List[tuple]] = None
         #: Whether the plan leaves the lanes any scalar signal to reset
         #: each step, and whether the next step must reset them anyway.
         self._lanes_scalar = True
         self._reset_lanes = True
+        #: The profiled lanes' vec-side reporting (None: none profiled).
+        self._profiles: Optional[_LaneProfiles] = None
         #: Source text of the generated vectorized stepper (None until
         #: a plan is built; inspectable like CodegenSimulator's).
         self.generated_vec_source: Optional[str] = None
-        super().__init__(*args, **kw)
 
     # -- plan lifecycle ----------------------------------------------------
     @property
@@ -97,25 +227,23 @@ class VectorizedBatchedSimulator(BatchedSimulator):
 
     def _rebuild_dispatch(self) -> None:
         super()._rebuild_dispatch()
-        self._invalidate_plan()
-
-    def _lane_instrumented(self) -> None:
-        self._invalidate_plan()
-
-    def _invalidate_plan(self) -> None:
         self._plan_dirty = True
+
+    def _needs_scalar(self) -> bool:
+        """A step observer or contract monitor on any lane (or on the
+        batch itself) needs every lane on the scalar path."""
+        if getattr(self, "contract_monitor", None) is not None:
+            return True
+        return any(lane._observers
+                   or getattr(lane, "contract_monitor", None) is not None
+                   for lane in self._lanes)
 
     def _ensure_plan(self) -> None:
         if not self._plan_dirty:
             return
         self._plan_dirty = False
         self._teardown_plan()
-        if _vec_disabled():
-            return
-        # A profiler or step observer needs the full per-lane scalar
-        # machinery (per-react timing, per-step sampling): run scalar.
-        if any(lane.profiler is not None or lane._observers
-               for lane in self._lanes):
+        if _vec_disabled() or self._needs_scalar():
             return
         try:
             plan = self._fetch_or_build_plan(self._lanes[0].schedule)
@@ -178,8 +306,15 @@ class VectorizedBatchedSimulator(BatchedSimulator):
                        f"<generated vec stepper {self.design.name!r}>",
                        "exec")
         exec(code, namespace)
-        self._stepper = namespace["make_vec_stepper"](
-            self, [impl.react for impl in plan.impls])
+        vec_reacts = [impl.react for impl in plan.impls]
+        profiles = None
+        if any(lane.profiler is not None for lane in self._lanes):
+            profiles = _LaneProfiles(self._lanes, self._lanes[0].schedule,
+                                     plan)
+            vec_reacts = [profiles.wrap(k, impl)
+                          for k, impl in enumerate(plan.impls)]
+        self._stepper = namespace["make_vec_stepper"](self, vec_reacts)
+        self._profiles = profiles
         self.generated_vec_source = source
 
     def _apply_partition(self, plan: VecPlan) -> None:
@@ -221,6 +356,7 @@ class VectorizedBatchedSimulator(BatchedSimulator):
                 lane._store.unpark(parked)
         self._plan = None
         self._stepper = None
+        self._profiles = None
         self._saved_lane_state = None
 
     # -- the vectorized timestep ------------------------------------------
@@ -228,11 +364,17 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         self._plan.vw.begin_step()
         if self._reset_lanes:
             for lane in self._lanes:
-                lane._begin_step()
+                # The lane's _begin_step minus its profiler hook: a
+                # profiled lane's step opens in _LaneProfiles.begin,
+                # with the signal count of the uncarved lane.
+                lane._store.reset(lane._begin_unknown)
+                lane._relax_cursor = 0
             # Lanes the plan left no scalar signal in stay parked (their
             # planes equal their templates) until something scatters
             # real values into them: nothing to reset until then.
             self._reset_lanes = self._lanes_scalar
+        if self._profiles is not None:
+            self._profiles.begin()
 
     def _vec_end(self) -> None:
         plan = self._plan
@@ -263,6 +405,8 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         now = lanes[0].now
         for impl in plan.impls:
             impl.update(now)
+        if self._profiles is not None:
+            self._profiles.end(counts)
         for index, lane in enumerate(lanes):
             lane.transfers_total += int(counts[index])
             lane._end_step()
@@ -282,6 +426,8 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         for lane in self._lanes:
             if not lane._initialized:
                 lane._do_init()
+        if self._dispatch_dirty:
+            self._rebuild_dispatch()
         self._ensure_plan()
         if self._plan is None:
             for _ in range(cycles):
@@ -292,16 +438,19 @@ class VectorizedBatchedSimulator(BatchedSimulator):
         plan = self._plan
         plan.gather()
         stepper = self._stepper
-        self._stepping = True
+        done = 0                    # completed steps, for the profilers
         try:
-            for _ in range(cycles):
+            for done in range(cycles):
                 stepper()
+            done = cycles
         finally:
-            self._stepping = False
             plan.scatter_state()
             self._reset_lanes = True
             plan.flush_stats(self._lanes)
-            if self._plan_dirty:
+            if self._profiles is not None:
+                # Profiler counts and times flush like the statistics do.
+                self._profiles.flush(done)
+            if self._dispatch_dirty:
                 self._teardown_plan()
         return self
 

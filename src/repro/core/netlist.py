@@ -109,7 +109,7 @@ class Design:
         shares nothing with the original: leaves, wires, port views and
         parameter values are all deep-copied — the copy gets a signal
         store of its own — engine bindings (the store's hook,
-        ``leaf.sim``) are cleared, profiler
+        ``leaf.sim``, vec-parked reset templates) are cleared, profiler
         instrumentation is dropped, and runtime counters (per-wire
         transfer counts, probe marks) are reset.
 
@@ -129,6 +129,9 @@ class Design:
         dup._owned = False
         dup.store.transfers[:] = [0] * len(dup.wires)
         dup.store.watched[:] = [False] * len(dup.wires)
+        # A batched-vec plan parks the slots it vectorizes in the reset
+        # templates; the copy's engine starts from the plain ones.
+        dup.store.unpark(range(len(dup.wires)))
         for leaf in dup.leaves.values():
             leaf.sim = None
             # Rebind the react dispatch to the copy: the original's

@@ -43,8 +43,9 @@ timestep; Mealy templates need an implementation declaring
 schedule occurrence of the instance, resolving incrementally exactly
 like the scalar react body it shadows (monotone, partial drives
 through the ``*_where`` port ops).  Everything else — and every lane,
-whenever a profiler or observer is attached — runs the existing scalar
-path.
+whenever a step observer or contract monitor is attached — runs the
+existing scalar path; a profiler keeps the plan (see
+:mod:`repro.core.batched_vec`).
 """
 
 from __future__ import annotations

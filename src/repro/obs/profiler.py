@@ -5,7 +5,8 @@ the right place to instrument is the *composition seams* — the
 handshake and scheduling layer the framework owns — not the component
 internals.  That is exactly what this profiler does: it attaches to any
 :class:`~repro.core.engine.SimulatorBase` (worklist, levelized or
-codegen engine alike) and observes
+codegen engine alike, or one lane of a ``batched``/``batched-vec``
+batch) and observes
 
 * **per-instance cost** — every ``react()`` dispatch is wrapped, so
   invoke counts are exact and wall time is measured on *sampled*
@@ -25,6 +26,17 @@ changing the dict's shape — so attach/detach cycles leave CPython's
 shared-key instance dicts split and the engine byte-for-byte back on
 its unprofiled path (the only residue is one ``is not None`` test per
 timestep).
+
+On a ``batched-vec`` lane the batch keeps its vectorized plan: an
+instance the plan vectorizes never calls its own ``react``, so the
+batch reports for it instead (see
+:mod:`repro.core.batched_vec`).  Its ``calls`` (steps × schedule
+occurrences, what a scalar lane counts), ``sampled_calls`` and ``ns``
+are credited in bulk at the end of each run, and ``ns`` is the lane's
+share of the array op that served the whole batch — the op's sampled
+wall time divided by the batch size.  The step figures (reacts,
+unknown signals, transfers) are the ones a scalar lane would report.
+Trace slices of such an op go to every lane sampling that step.
 
 Usage::
 
@@ -93,11 +105,7 @@ def _wrap_react(prof: "Profiler", rec: InstanceProfile, react):
             rec.sampled_calls += 1
             rec.ns += t1 - t0
             if prof._tracing:
-                events = prof._react_events
-                if len(events) < prof.trace_limit:
-                    events.append((rec.index, t0, t1))
-                else:
-                    prof._trace_dropped += 1
+                prof._trace_react(rec.index, t0, t1)
         else:
             react()
 
@@ -156,6 +164,7 @@ class Profiler:
         self._tracing = False
         self._step_reacts = 0
         self._step_unknown = 0
+        self._step_transfers = 0    # credited outside the engine's scan
         self._step_t0 = 0
 
         # Timeline storage for the Chrome trace exporter.
@@ -230,14 +239,32 @@ class Profiler:
     # ------------------------------------------------------------------
     def _on_step_begin(self, now: int, unknown: int) -> None:
         self._step_reacts = 0
+        self._step_transfers = 0
         self._step_unknown = unknown
         self._sampling = (self.steps % self.sample_every) == 0
         if self._sampling:
             self._tracing = self.trace
             self._step_t0 = time.perf_counter_ns()
 
+    def _credit_step(self, reacts: int, transfers: int) -> None:
+        """Count reacts and transfers the engine did for this step
+        outside the wrappers and its own transfer scan — a vectorized
+        batch's array ops (called before the step's ``_on_step_end``)."""
+        self._step_reacts += reacts
+        self._step_transfers += transfers
+
+    def _trace_react(self, index: int, t0: int, t1: int) -> None:
+        """Store one react slice of instance ``index`` (or count it as
+        dropped beyond ``trace_limit``)."""
+        events = self._react_events
+        if len(events) < self.trace_limit:
+            events.append((index, t0, t1))
+        else:
+            self._trace_dropped += 1
+
     def _on_step_end(self, now: int, transfers: int) -> None:
         reacts = self._step_reacts
+        transfers += self._step_transfers
         self.steps += 1
         self.reacts_total += reacts
         self.reacts_per_step.add(reacts)

@@ -6,9 +6,11 @@ during react — exactly the defect class the static pass flags; here the
 ``raise`` and ``record`` modes, and cost nothing once detached.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro import build_simulator
+from repro import build_design, build_simulator
 from repro.analysis import ContractMonitor, Severity
 from repro.core import INPUT, LeafModule, PortDecl
 from repro.core.errors import ContractViolationError, SimulationError
@@ -85,6 +87,82 @@ class TestInheritedReactEscapesContract:
             for port, view in raw[path].items():
                 assert inst._views[port] is view
                 assert getattr(inst, "io_" + port) is view
+
+
+class _CountingMonitor(ContractMonitor):
+    """Counts, per instance path, the reacts that ran under the monitor."""
+
+    def __init__(self, *args, **kw):
+        self.reacts = Counter()
+        super().__init__(*args, **kw)
+
+    @property
+    def _current(self):
+        return self.__dict__.get("_reacting")
+
+    @_current.setter
+    def _current(self, inst):
+        if inst is not None:
+            self.reacts[inst.path] += 1
+        self.__dict__["_reacting"] = inst
+
+
+class TestBatchEngines:
+    """A vectorized instance never runs its template's ``react`` or
+    reads through its views, so a monitored ``batched-vec`` lane keeps
+    the whole batch on the scalar path — monitored reacts and findings
+    match ``batched`` — and the plan comes back on detach."""
+
+    @pytest.mark.parametrize("monitored", [(0, 1), (1,)],
+                             ids=("every-lane", "lane-1"))
+    @pytest.mark.parametrize("make", [
+        pipe_spec, TestInheritedReactEscapesContract._spec],
+        ids=("pipe", "inherited-react"))
+    def test_same_reacts_and_violations_on_both_batch_engines(
+            self, make, monitored):
+        from repro.core.batched import BatchedSimulator
+        from repro.core.batched_vec import VectorizedBatchedSimulator
+
+        seen = {}
+        for engine in (BatchedSimulator, VectorizedBatchedSimulator):
+            batch = engine([build_design(make()) for _ in range(2)],
+                           seeds=[1, 2])
+            monitors = [_CountingMonitor(batch.lane(i), mode="record")
+                        for i in monitored]
+            batch.run(50)
+            if engine is VectorizedBatchedSimulator:
+                assert batch.vec_plan is None
+            seen[engine] = (
+                [dict(mon.reacts) for mon in monitors],
+                [[(d.rule, d.path, d.data["count"]) for d in mon.violations]
+                 for mon in monitors])
+            for mon in monitors:
+                mon.detach()
+            batch.run(5)
+            if engine is VectorizedBatchedSimulator and make is pipe_spec:
+                assert batch.vec_plan is not None
+            batch.close()
+        assert seen[BatchedSimulator] == seen[VectorizedBatchedSimulator]
+        reacts, violations = seen[VectorizedBatchedSimulator]
+        for lane in reacts:
+            assert lane and all(n >= 50 for n in lane.values())
+        expected = [] if make is pipe_spec \
+            else [("contract-monitor.undeclared-read", "reg")]
+        assert [[(rule, path) for rule, path, _ in lane]
+                for lane in violations] == [expected] * len(monitored)
+
+    def test_monitor_on_the_batch_itself(self):
+        from repro.core.batched_vec import VectorizedBatchedSimulator
+        batch = VectorizedBatchedSimulator(build_design(pipe_spec()))
+        mon = _CountingMonitor(batch, mode="record")
+        batch.run(10)
+        assert batch.vec_plan is None
+        assert dict(mon.reacts) == {"src": 10, "q": 10, "snk": 10}
+        mon.detach()
+        batch.run(10)
+        assert batch.vec_plan is not None
+        assert sum(mon.reacts.values()) == 30
+        batch.close()
 
 
 class TestCleanModels:

@@ -90,9 +90,21 @@ class TestValidation:
 
 
 class TestBatchedProfiling:
-    def test_per_lane_profile_in_results(self, tmp_path):
+    def test_per_lane_profile_in_results(self, tmp_path, monkeypatch):
+        # The default batch engine (batched-vec) keeps its vec plan under
+        # the profilers; per-lane invoke counts equal the scalar batched
+        # backend's exactly.
         result = _campaign(tmp_path, "prof", batch=True, workers=0,
                            profile=True).run()
+        monkeypatch.setenv("REPRO_BATCH_ENGINE", "batched")
+        scalar = _campaign(tmp_path, "prof-scalar", batch=True, workers=0,
+                           profile=True).run()
         assert len(result.done) == 8
-        for row in result.done:
-            assert row.result["profile"]["steps"] == 60
+        for row, ref in zip(result.done, scalar.done):
+            profile = row.result["profile"]
+            assert profile["steps"] == 60
+            calls = {path: rec["calls"]
+                     for path, rec in profile["instances"].items()}
+            assert calls == {path: rec["calls"] for path, rec
+                             in ref.result["profile"]["instances"].items()}
+            assert set(calls) == {"src", "q", "snk"}

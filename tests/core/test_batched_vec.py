@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from repro import LSS, build_design, build_simulator
+from repro.core import INPUT, LeafModule, PortDecl
 from repro.core.backends import resolve_engine
 from repro.core.batched import BatchedSimulator
 from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 from repro.core.vec import LaneRng
-from repro.pcl import Queue, Sink, Source
+from repro.obs import Profiler
+from repro.pcl import PipelineReg, Queue, Sink, Source
 from repro.systems.fig2a import build_fig2a_cmp
 from repro.systems.fig2b import build_fig2b_sensors
 from repro.systems.fig2c import build_fig2c_grid
@@ -48,12 +50,70 @@ def _vec_pipe_spec(rate=0.5, sink_rate=1.0, depth=4):
     return spec
 
 
+def _fig2d_statistical(i, n_sensors=8):
+    """Lane ``i`` of a fig2d-statistical sweep: every wire vectorizes."""
+    return build_design(build_fig2d(
+        n_sensors, field="statistical", backend="statistical",
+        aggregate_every=2 + i % 5, backend_rate=0.3 + 0.1 * (i % 4),
+        seed=i)[0])
+
+
+def _fig2d_mixed(i):
+    """Lane ``i`` of a stock fig2d sweep: mostly scalar, two vec
+    instances (the gateway queue and the statistical CMP tier)."""
+    return build_design(build_fig2d(
+        2, aggregate_every=(2, 4, 8)[i % 3],
+        backend_rate=0.2 + 0.1 * (i % 5))[0])
+
+
+class LateSink(LeafModule):
+    """A sink with an over-optimistic ``DEPS``: its ack waits for the
+    data, so a schedule walk leaves it unresolved and every step takes
+    the fallback."""
+
+    PORTS = (PortDecl("in", INPUT, min_width=1, max_width=1),)
+    DEPS = {}        # wrong on purpose: the ack waits for the data
+
+    def react(self):
+        inp = self.port("in")
+        if inp.known(0):
+            inp.set_ack(0, True)
+
+    def update(self):
+        if self.port("in").took(0):
+            self.collect("consumed")
+
+
+def _late_design(rate):
+    """Source -> PipelineReg -> LateSink: a vectorized register whose
+    input ack only resolves through the lanes' scalar fallback."""
+    spec = LSS("late")
+    src = spec.instance("src", Source, pattern="bernoulli",
+                        rate=rate, payload=1, seed=3)
+    reg = spec.instance("reg", PipelineReg)
+    # Ties in the schedule walk break by path: "a_snk" reacts
+    # before "reg" has offered anything.
+    snk = spec.instance("a_snk", LateSink)
+    spec.connect(src.port("out"), reg.port("in"))
+    spec.connect(reg.port("out"), snk.port("in"))
+    return build_design(spec)
+
+
 def _observe(sim):
     return {"now": sim.now, "transfers": sim.transfers_total,
             "relaxations": sim.relaxations_total,
             "fallback": sim.fallback_steps,
             "report": sim.stats.report(),
             "wires": [w.transfers for w in sim.design.wires]}
+
+
+def _profile_view(prof):
+    """A profiler's summary minus everything wall time decides."""
+    out = prof.summary_dict(top=None)
+    del out["elapsed_ns"], out["step_ns"]
+    for rec in out["instances"].values():
+        del rec["ns"]
+    return out
 
 
 def _solo_run(design, seed, cycles):
@@ -277,10 +337,7 @@ class TestScalarFallbackPaths:
         from repro.core.signals import CtrlStatus, DataStatus
 
         def make(i):
-            return build_design(build_fig2d(
-                field="statistical", backend="statistical",
-                aggregate_every=2 + i % 5, backend_rate=0.3 + 0.1 * (i % 4),
-                seed=i)[0])
+            return _fig2d_statistical(i, n_sensors=2)
 
         ends = ("reg1", "out", "tap1", "in")
         seeds = list(range(11, 11 + n_lanes))
@@ -324,36 +381,8 @@ class TestScalarFallbackPaths:
         register upstream cannot resolve its own input ack in the
         planes: every step ends in ``_vec_end``'s scatter -> lane
         fallback -> absorb round trip through the lanes' store slots."""
-        from repro.core import LeafModule, PortDecl, INPUT
-        from repro.pcl import PipelineReg
-
-        class LateSink(LeafModule):
-            PORTS = (PortDecl("in", INPUT, min_width=1, max_width=1),)
-            DEPS = {}        # wrong on purpose: the ack waits for the data
-
-            def react(self):
-                inp = self.port("in")
-                if inp.known(0):
-                    inp.set_ack(0, True)
-
-            def update(self):
-                if self.port("in").took(0):
-                    self.collect("consumed")
-
-        def make(rate):
-            spec = LSS("late")
-            src = spec.instance("src", Source, pattern="bernoulli",
-                                rate=rate, payload=1, seed=3)
-            reg = spec.instance("reg", PipelineReg)
-            # Ties in the schedule walk break by path: "a_snk" reacts
-            # before "reg" has offered anything.
-            snk = spec.instance("a_snk", LateSink)
-            spec.connect(src.port("out"), reg.port("in"))
-            spec.connect(reg.port("out"), snk.port("in"))
-            return build_design(spec)
-
         rates = (0.2, 0.5, 0.9)
-        batch = VectorizedBatchedSimulator([make(r) for r in rates],
+        batch = VectorizedBatchedSimulator([_late_design(r) for r in rates],
                                            seeds=[4, 5, 6])
         batch.run(60)
         plan = batch.vec_plan
@@ -361,7 +390,7 @@ class TestScalarFallbackPaths:
         lanes = [_observe(batch.lane(i)) for i in range(len(rates))]
         batch.close()
         for i, rate in enumerate(rates):
-            solo = _solo_run(make(rate), 4 + i, 60)
+            solo = _solo_run(_late_design(rate), 4 + i, 60)
             assert solo["fallback"] == 60 and solo["transfers"] > 0
             assert lanes[i] == solo, f"lane {i} diverged"
 
@@ -417,17 +446,21 @@ class TestScalarFallbackPaths:
             "q", "out", "snk", "in").transfers
         batch.close()
 
-    def test_profiler_forces_scalar_execution(self):
-        from repro.obs import Profiler
+    def test_profiler_keeps_vec_plan(self):
         batch = VectorizedBatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in (0.5, 0.5)],
             seeds=[2, 3])
         profilers = [Profiler(batch.lane(i), sample_every=2)
                      for i in range(2)]
         batch.run(80)
-        assert batch.vec_plan is None  # profiler needs per-react timing
+        plan = batch.vec_plan
+        assert plan is not None and plan.vec_paths == {"src", "q", "snk"}
         for prof in profilers:
-            assert prof.summary_dict(top=5)["steps"] == 80
+            summary = prof.summary_dict(top=5)
+            assert summary["steps"] == 80 and summary["sampled_steps"] == 40
+            for rec in prof.instances:
+                assert rec.calls == 80 and rec.sampled_calls == 40
+                assert rec.ns > 0
         batch.close()
 
     def test_repro_vec_env_disables_vectorization(self, monkeypatch):
@@ -463,6 +496,145 @@ class TestScalarFallbackPaths:
         batch.close()
         for i in range(2):
             assert lanes[i] == _solo_run(make(), 1 + i, 90)
+
+
+_PROFILED_DESIGNS = {"fig2d-statistical": _fig2d_statistical,
+                     "fig2d-mixed": _fig2d_mixed,
+                     "fallback": lambda i: _late_design((0.2, 0.5, 0.9)[i % 3])}
+
+
+def _profiled_run(engine, make, n_lanes, profiled, sample_every, cycles,
+                  trace=False):
+    batch = engine([make(i) for i in range(n_lanes)],
+                   seeds=[7 + i for i in range(n_lanes)])
+    profilers = {i: Profiler(batch.lane(i), sample_every=sample_every,
+                             trace=trace) for i in profiled}
+    batch.run(cycles)
+    plan = getattr(batch, "vec_plan", None)
+    views = {i: _profile_view(prof) for i, prof in profilers.items()}
+    lanes = [_observe(batch.lane(i)) for i in range(n_lanes)]
+    batch.close()
+    return views, lanes, plan, profilers
+
+
+class TestProfiledVecPlan:
+    """A profiler keeps the vec plan and reports what a scalar lane
+    would: every summary figure except wall time equals a ``batched``
+    run's, lane by lane."""
+
+    @pytest.mark.parametrize("sample_every", (1, 4))
+    @pytest.mark.parametrize("n_lanes,profiled", [
+        (1, (0,)), (3, (0, 2)), (64, tuple(range(64)))],
+        ids=("lanes1", "lanes3", "lanes64"))
+    @pytest.mark.parametrize("design", sorted(_PROFILED_DESIGNS))
+    def test_profile_matches_scalar_batched(self, design, n_lanes, profiled,
+                                            sample_every):
+        make = _PROFILED_DESIGNS[design]
+        cycles = 16
+        scalar, scalar_lanes, _, _ = _profiled_run(
+            BatchedSimulator, make, n_lanes, profiled, sample_every, cycles)
+        vec, vec_lanes, plan, _ = _profiled_run(
+            VectorizedBatchedSimulator, make, n_lanes, profiled,
+            sample_every, cycles)
+        assert plan is not None
+        assert vec_lanes == scalar_lanes
+        assert set(vec) == set(profiled)
+        for i in profiled:
+            assert vec[i] == scalar[i], f"lane {i} profile diverged"
+            assert vec[i]["steps"] == cycles
+            # The vectorized instances are really counted (not 0 == 0).
+            for path in plan.vec_paths:
+                assert vec[i]["instances"][path]["calls"] >= cycles
+
+    def test_attach_and_detach_mid_run(self):
+        n_lanes = 4
+        seeds = [3 + i for i in range(n_lanes)]
+
+        def designs():
+            return [_fig2d_statistical(i) for i in range(n_lanes)]
+
+        plain = VectorizedBatchedSimulator(designs(), seeds=seeds)
+        plain.run(90)
+        expected = [_observe(plain.lane(i)) for i in range(n_lanes)]
+        plain.close()
+
+        def closure(batch):
+            return [cell.cell_contents for cell in batch._stepper.__closure__]
+
+        batch = VectorizedBatchedSimulator(designs(), seeds=seeds)
+        batch.run(30)
+        assert batch.vec_plan is not None
+        profilers = [Profiler(batch.lane(i), sample_every=4)
+                     for i in range(n_lanes)]
+        assert batch.vec_plan is not None
+        batch.run(30)
+        assert batch.vec_plan is not None
+        # Every vec react runs under the sampled timer.
+        assert sum(hasattr(cell, "_obs_original")
+                   for cell in closure(batch)) == len(batch.vec_plan.impls)
+        for prof in profilers:
+            prof.detach()
+        assert batch.vec_plan is not None
+        batch.run(30)
+        plan = batch.vec_plan
+        assert plan is not None
+        # Rebuilt from the bare implementation reacts, no timer left.
+        cells = closure(batch)
+        assert not any(hasattr(cell, "_obs_original") for cell in cells)
+        assert all(impl.react in cells for impl in plan.impls)
+        assert [_observe(batch.lane(i)) for i in range(n_lanes)] == expected
+        batch.close()
+        for prof in profilers:
+            assert prof.steps == 30 and prof.sampled_steps == 8
+            assert prof.reacts_total == sum(r.calls for r in prof.instances)
+
+    def test_trace_slices_reach_every_sampling_lane(self):
+        _, _, plan, profilers = _profiled_run(
+            VectorizedBatchedSimulator, _fig2d_statistical, 3, (0, 2), 2,
+            8, trace=True)
+        assert plan is not None
+        first, last = profilers[0], profilers[2]
+        assert first._react_events and len(first._step_events) == 4
+        # One shared array op per vec react, stamped onto both lanes.
+        assert ([t for _, *t in first._react_events]
+                == [t for _, *t in last._react_events])
+
+
+class TestLazyDispatch:
+    """Instrumentation marks the batch dispatch dirty; ``run()``
+    rebuilds it once, however many lanes changed."""
+
+    def test_many_attaches_rebuild_once(self, monkeypatch):
+        builds = []
+        original = BatchedSimulator._rebuild_dispatch
+
+        def counting(self):
+            builds.append(type(self))
+            original(self)
+
+        monkeypatch.setattr(BatchedSimulator, "_rebuild_dispatch", counting)
+        rates = (0.2, 0.4, 0.6, 0.8, 0.3, 0.7)
+        outcomes = []
+        for engine in (BatchedSimulator, VectorizedBatchedSimulator):
+            builds.clear()
+            batch = engine([build_design(_vec_pipe_spec(rate=r))
+                            for r in rates], seeds=list(range(len(rates))))
+            batch.run(10)
+            assert len(builds) == 1
+            profilers = [Profiler(batch.lane(i), sample_every=2)
+                         for i in range(len(rates))]
+            probe = batch.lane(1).probe_between("q", "out", "snk", "in")
+            assert len(builds) == 1
+            batch.run(20)
+            batch.run(20)
+            assert len(builds) == 2
+            outcomes.append(([_observe(batch.lane(i))
+                              for i in range(len(rates))],
+                             [_profile_view(p) for p in profilers],
+                             probe.log))
+            batch.close()                # detaches every profiler
+            assert len(builds) == 2
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStatePreservation:

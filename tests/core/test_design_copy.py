@@ -56,6 +56,20 @@ class TestIndependence:
         assert all(w.transfers == 0 for w in dup.wires)
         assert all(leaf.sim is None for leaf in dup.leaves.values())
 
+    def test_copy_unparks_a_vec_plans_slots(self):
+        # A batched-vec plan parks its slots in the reset templates
+        # while it runs; a copy taken then must reset like a fresh build.
+        sim = build_simulator(simple_pipe_spec(), engine="batched-vec")
+        sim.run(8)
+        assert sim.vec_plan is not None
+        dup = sim.design.copy()
+        fresh = build_design(simple_pipe_spec()).store
+        assert (dup.store.t_ds, dup.store.t_en, dup.store.t_ak) \
+            == (fresh.t_ds, fresh.t_en, fresh.t_ak)
+        other = Simulator(dup)
+        other.run(8)
+        assert other.transfers_total > 0
+
     def test_copy_of_animated_design_gets_its_own_store(self):
         design = build_design(simple_pipe_spec())
         sim = Simulator(design)            # the worklist installs a hook
