@@ -62,7 +62,7 @@ import os
 import sys
 
 from . import __version__, build_simulator, library_env, parse_lss
-from .core.backends import engine_names
+from .core.backends import DEFAULT_ENGINE, engine_names
 from .core.errors import LibertyError
 from .core.opt import opt_level_argument
 from .core.visualize import activity_report, design_to_dot
@@ -79,7 +79,7 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument("spec", help="path to the .lss specification")
     parser.add_argument("--cycles", type=int, default=1000,
                         help="timesteps to simulate (default 1000)")
-    parser.add_argument("--engine", default="levelized", choices=_ENGINES)
+    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=_ENGINES)
     parser.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",
                         help="IR optimizer level 0-2; 2 eliminates dead "
@@ -126,7 +126,7 @@ def _add_profile_parser(subparsers) -> None:
                         help="keyword argument for --builder; repeatable")
     parser.add_argument("--cycles", type=int, default=1000,
                         help="timesteps to simulate (default 1000)")
-    parser.add_argument("--engine", default="levelized", choices=_ENGINES)
+    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=_ENGINES)
     parser.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",
                         help="IR optimizer level 0-2; 2 eliminates dead "

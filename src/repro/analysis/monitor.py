@@ -84,13 +84,18 @@ class _CheckedViewBase:
     def _check_took(self, i: int) -> None:
         mon = self._mon
         if mon._current is self._inst:
-            wire = self._view._wire(i)
-            if wire.unresolved():
+            view = self._view
+            try:
+                slot = view._slots[i]
+            except IndexError:
+                raise view._bad_index(i) from None
+            missing = view._store.unresolved(slot)
+            if missing:
                 mon._violation(
                     "contract-monitor.premature-took", self._inst,
-                    self._view.decl.name, i,
+                    view.decl.name, i,
                     f"took() called during react while "
-                    f"{'/'.join(wire.unresolved())} is still UNKNOWN; "
+                    f"{'/'.join(missing)} is still UNKNOWN; "
                     f"took judges a completed handshake",
                     hint="move the took() bookkeeping to update()")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional, Sequence, Union
 
+from ..core.backends import DEFAULT_ENGINE
 from .aggregate import CampaignResult, RunRow
 from .errors import CampaignError
 from .executor import (InlineExecutor, ProcessExecutor, RunOutcome, RunTask,
@@ -111,7 +112,7 @@ class Campaign:
     def __init__(self, name: str, sweep: Sweep,
                  target: Union[str, Callable, None] = None, *,
                  kind: str = "fn", lss_text: Optional[str] = None,
-                 engine: str = "levelized", opt: Optional[int] = None,
+                 engine: str = DEFAULT_ENGINE, opt: Optional[int] = None,
                  cycles: int = 1000,
                  seed_key: Optional[str] = "seed",
                  workers: int = 2, timeout: Optional[float] = None,

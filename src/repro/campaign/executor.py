@@ -48,6 +48,7 @@ import traceback
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..core.backends import DEFAULT_ENGINE
 from .checkpoint import clear as clear_checkpoint
 from .checkpoint import run_with_checkpoints
 from .errors import CampaignError
@@ -91,7 +92,7 @@ class RunTask:
     seed: int
     target: Union[str, Callable, None] = None
     kind: str = "fn"                      # fn | spec | lss
-    engine: str = "levelized"
+    engine: str = DEFAULT_ENGINE
     opt: Optional[int] = None             # IR optimizer level (None = env)
     cycles: int = 1000
     lss_text: Optional[str] = None

@@ -3,23 +3,29 @@
 The paper's construction-time argument (§2.3) separates *what* a
 specification means from *how* the system chooses to animate it.  This
 module is that seam: each engine registers here under a short name
-("worklist", "levelized", "codegen", "batched"), and every consumer —
-:func:`repro.core.constructor.build_simulator`, the CLI ``--engine``
-flags, the campaign layer, the benchmarks, the test matrix — resolves
-names through the registry instead of hard-coding the list.
+("worklist", "levelized", "codegen", "batched", "batched-vec"), and
+every consumer — :func:`repro.core.constructor.build_simulator`, the
+CLI ``--engine`` flags, the campaign layer, the benchmarks, the test
+matrix — resolves names through the registry instead of hard-coding
+the list.  :data:`DEFAULT_ENGINE` (``"levelized"``) is the one default
+every API signature and CLI flag shares; the worklist interpreter stays
+the reference semantics the others are checked against.
 
 Registration is **lazy**: a backend records a ``"module:attr"`` target
 string and the class is imported only when first resolved, so merely
 importing the registry (e.g. to enumerate names for an argparse
 ``choices=``) pulls in none of the engines.
 
-The ``REPRO_ENGINE`` environment variable selects the default engine
-used when a caller passes no explicit name — handy for running an
-entire test suite or campaign against a different backend without
-touching call sites.  ``REPRO_OPT`` plays the same role for the
-optimizer level (:mod:`repro.core.opt`): engines that receive no
-explicit ``opt=`` argument resolve it from the environment, so
-``REPRO_OPT=2 pytest`` runs everything over optimized IR.
+The ``REPRO_ENGINE`` environment variable selects the engine
+:func:`default_engine` returns when a caller passes no explicit name —
+handy for running an entire test suite against a different backend
+without touching call sites (CLI flags default to the constant and
+ignore it).  ``REPRO_OPT`` plays the same role for the optimizer level
+(:mod:`repro.core.opt`): engines that receive no explicit ``opt=``
+argument resolve it from the environment, so ``REPRO_OPT=2 pytest``
+runs everything over optimized IR.  ``REPRO_BATCH_ENGINE`` names the
+engine lockstep batch tasks use (``batched`` selects scalar lockstep
+instead of the vectorized default).
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ import os
 from typing import Dict, Optional, Tuple
 
 from .errors import SpecificationError
+
+#: The engine used when no explicit name is given: the fastest solo
+#: engine, bit-identical to the worklist reference.
+DEFAULT_ENGINE = "levelized"
 
 #: Environment variable naming the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
@@ -121,12 +131,12 @@ def default_engine() -> str:
     """The engine used when no explicit name is given.
 
     Honours the ``REPRO_ENGINE`` environment variable (validated
-    against the registry) and falls back to ``"worklist"`` — the
-    reference interpreter — when unset.
+    against the registry) and falls back to :data:`DEFAULT_ENGINE` when
+    unset.
     """
     name = os.environ.get(ENGINE_ENV_VAR, "").strip()
     if not name:
-        return "worklist"
+        return DEFAULT_ENGINE
     get_backend(name)  # validate, with the helpful listing on a typo
     return name
 

@@ -24,9 +24,9 @@ vanish from the body entirely.
 
 Fallback ladder, outermost first:
 
-* ``REPRO_VEC=0`` (or a step observer or contract monitor on any lane,
-  or a plan-build failure, or nothing vectorizable) disables the plan —
-  the simulator then behaves exactly like its ``batched`` parent.  An
+* a step observer or contract monitor on any lane (or a plan-build
+  failure, or nothing vectorizable) disables the plan — the simulator
+  then behaves exactly like its ``batched`` parent.  An
   observer reads every lane's wires mid-step and a monitor checks each
   port read a template's own ``react`` makes, and a vectorized
   instance never runs that ``react``;
@@ -56,7 +56,6 @@ lane inspection all behave as on the scalar batched backend.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from typing import List, Optional
@@ -64,13 +63,6 @@ from typing import List, Optional
 from .batched import BatchedSimulator
 from .codegen import generate_vec_stepper_source
 from .vec import VecPlan, VecPlanMismatch, adopt_vec_plan, build_vec_plan
-
-_DISABLE_VALUES = ("0", "off", "no", "false")
-
-
-def _vec_disabled() -> bool:
-    return os.environ.get("REPRO_VEC", "").strip().lower() in _DISABLE_VALUES
-
 
 class _LaneProfiles:
     """What the vec stepper reports to the profiled lanes of a batch.
@@ -243,7 +235,7 @@ class VectorizedBatchedSimulator(BatchedSimulator):
             return
         self._plan_dirty = False
         self._teardown_plan()
-        if _vec_disabled() or self._needs_scalar():
+        if self._needs_scalar():
             return
         try:
             plan = self._fetch_or_build_plan(self._lanes[0].schedule)

@@ -224,19 +224,16 @@ def build_design(spec: LSS) -> Design:
     design = Design(spec.name)
     design.leaves = flat.leaves
     store = design.store
-    wid = 0
 
     # Real wires from connections.
     per_port: Dict[Tuple[str, str], Dict[int, Wire]] = {}
     for conn in flat.connections:
         src_leaf = flat.leaves[conn.src_path]
         dst_leaf = flat.leaves[conn.dst_path]
-        wire = Wire(wid,
-                    Endpoint(src_leaf, conn.src_port, conn.src_index),
-                    Endpoint(dst_leaf, conn.dst_port, conn.dst_index),
-                    wtype=conn.wtype, control=conn.control, store=store)
-        wid += 1
-        design.wires.append(wire)
+        wire = _claim_slot(design,
+                           Endpoint(src_leaf, conn.src_port, conn.src_index),
+                           Endpoint(dst_leaf, conn.dst_port, conn.dst_index),
+                           conn.wtype, conn.control)
         per_port.setdefault((conn.src_path, conn.src_port), {})[conn.src_index] = wire
         per_port.setdefault((conn.dst_path, conn.dst_port), {})[conn.dst_index] = wire
 
@@ -250,20 +247,38 @@ def build_design(spec: LSS) -> Design:
             for i in range(width):
                 wire = slots.get(i)
                 if wire is None:
-                    wire = _make_stub(store, wid, leaf, decl, i)
-                    wid += 1
-                    design.stub_wires.append(wire)
-                    design.wires.append(wire)
+                    wire = _make_stub(design, leaf, decl, i)
                 wires.append(wire)
             design.port_wires[(path, decl.name)] = wires
-            view = (InView if decl.direction == INPUT else OutView)(decl, wires)
+            view = (InView if decl.direction == INPUT else OutView)(
+                decl, store, [w.wid for w in wires])
             leaf.bind_port(decl.name, view)
 
     store.allocate()
     return design
 
 
-def _make_stub(store, wid: int, leaf: LeafModule, decl, index: int) -> Wire:
+def _claim_slot(design: Design, src: Optional[Endpoint],
+                dst: Optional[Endpoint], wtype, control=None) -> Wire:
+    """Append a wire to ``design``, claiming the next slot of its store.
+
+    Only the structural tables grow here; ``store.allocate()`` sizes the
+    signal planes for every claimed slot in one shot once wiring is done.
+    """
+    store = design.store
+    wid = len(design.wires)
+    if len(store.ends) != wid:
+        raise WiringError(
+            f"wire id {wid} is not the next slot of its store "
+            f"({len(store.ends)})")
+    store.ends.append((src, dst))
+    store.control.append(control)
+    wire = Wire(wid, src, dst, wtype)
+    design.wires.append(wire)
+    return wire
+
+
+def _make_stub(design: Design, leaf: LeafModule, decl, index: int) -> Wire:
     """Create a constant stub wire for an unconnected port index.
 
     For an input port the absent *source* side (data, enable) is held at
@@ -271,16 +286,17 @@ def _make_stub(store, wid: int, leaf: LeafModule, decl, index: int) -> Wire:
     For an output port the absent *destination* side (ack) is held at
     the declaration's default; the module drives data/enable normally.
     """
+    endpoint = Endpoint(leaf, decl.name, index)
+    set_const = design.store.set_const
     if decl.direction == INPUT:
-        wire = Wire(wid, None, Endpoint(leaf, decl.name, index),
-                    wtype=decl.wtype, store=store)
-        wire.const_data = decl.default_data
-        wire.const_value = decl.default_value
-        wire.const_enable = decl.default_enable
+        wire = _claim_slot(design, None, endpoint, decl.wtype)
+        set_const(wire.wid, 0, decl.default_data)
+        set_const(wire.wid, 1, decl.default_value)
+        set_const(wire.wid, 2, decl.default_enable)
     else:
-        wire = Wire(wid, Endpoint(leaf, decl.name, index), None,
-                    wtype=decl.wtype, store=store)
-        wire.const_ack = decl.default_ack
+        wire = _claim_slot(design, endpoint, None, decl.wtype)
+        set_const(wire.wid, 3, decl.default_ack)
+    design.stub_wires.append(wire)
     return wire
 
 
@@ -300,7 +316,8 @@ def build_simulator(spec: LSS, engine: Optional[str] = None, *,
         generated Python stepper) or ``'batched'`` (lockstep execution
         of structurally identical designs).  ``None`` selects the
         default engine: the ``REPRO_ENGINE`` environment variable when
-        set, else ``'worklist'``.
+        set, else :data:`~repro.core.backends.DEFAULT_ENGINE`
+        (``'levelized'``).
     opt:
         Optimizer level 0–2 (:mod:`repro.core.opt`): 0 skips the
         optimizer, 1 runs the observation-equivalent passes (none

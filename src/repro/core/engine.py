@@ -191,7 +191,7 @@ class SimulatorBase:
         """
         probe = WireProbe(label or repr(wire), limit=limit)
         self._probes.setdefault(wire.wid, []).append(probe)
-        wire.watched = True
+        self._store.watched[wire.wid] = True
         return probe
 
     def probe_between(self, src_path: str, src_port: str,
@@ -308,7 +308,7 @@ class SimulatorBase:
           set.
 
         Nothing here touches the design — in particular no engine
-        mutates ``wire.control``.
+        mutates the store's ``control`` table.
         """
         self.opt_level = block.get("level", 1)
         if block.get("dead_wires"):
@@ -517,7 +517,7 @@ class SimulatorBase:
     def _unresolved_report(self, limit: int = 12) -> str:
         lines = []
         for wire in self._wires:
-            missing = wire.unresolved()
+            missing = self._store.unresolved(wire.wid)
             if missing:
                 lines.append(f"  {wire!r}: {', '.join(missing)} unresolved")
                 if len(lines) >= limit:

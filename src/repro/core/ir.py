@@ -256,8 +256,9 @@ def _metadata_tables(design: Design) -> Tuple[Dict[str, str], Dict[str, str]]:
                                 wire_key)
     deps = {path: _deps_signature(leaf)
             for path, leaf in sorted(design.leaves.items())}
-    controls = {"|".join(map(str, wire_key(w))): _control_identity(w.control)
-                for w in design.wires if w.control is not None}
+    control = design.store.control
+    controls = {"|".join(map(str, wire_key(w))): _control_identity(control[w.wid])
+                for w in design.wires if control[w.wid] is not None}
     return deps, controls
 
 

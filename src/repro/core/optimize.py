@@ -16,7 +16,7 @@ dependency graph over signal groups (:func:`build_signal_graph`) and
 its strongly connected components with :mod:`networkx` and walks the
 condensation with an **instance-affine Kahn's algorithm**:
 
-* constant (stub-driven) groups are resolved by ``begin_step``, so what
+* constant (stub-driven) groups are resolved by the step's reset, so what
   they feed is released before the walk starts;
 * ready components sit in one bucket per driving instance; a run of the
   current instance is extended while its bucket is non-empty, and the
@@ -58,7 +58,7 @@ from .signals import SIG_ACK, SIG_DATA, SIG_ENABLE, Wire
 Group = Tuple[str, int]
 
 
-def _by_wire(group: Group) -> Tuple[int, str]:
+def _wire_order(group: Group) -> Tuple[int, str]:
     """Sort key placing a wire's groups together, in wire-id order."""
     return group[1], group[0]
 
@@ -158,7 +158,7 @@ def combinational_clusters(graph: nx.DiGraph) -> List[List[Group]]:
     out: List[List[Group]] = []
     for scc in nx.strongly_connected_components(graph):
         if len(scc) > 1 or any(graph.has_edge(g, g) for g in scc):
-            out.append(sorted(scc, key=_by_wire))
+            out.append(sorted(scc, key=_wire_order))
     return out
 
 
@@ -186,8 +186,9 @@ def cluster_report(graph: nx.DiGraph,
     return sorted(paths), groups
 
 
-def _group_unresolved(kind: str, wire: Wire) -> bool:
-    missing = wire.unresolved()
+def _group_unresolved(store, group: Group) -> bool:
+    kind, wid = group
+    missing = store.unresolved(wid)
     if kind == "fwd":
         return SIG_DATA in missing or SIG_ENABLE in missing
     return SIG_ACK in missing
@@ -206,8 +207,7 @@ def unresolved_cycle_report(design: Design) -> Tuple[List[str], List[str]]:
     members: List[str] = []
     groups: List[str] = []
     for cluster in combinational_clusters(graph):
-        stuck = [g for g in cluster
-                 if _group_unresolved(g[0], graph.nodes[g]["wire"])]
+        stuck = [g for g in cluster if _group_unresolved(design.store, g)]
         if not stuck:
             continue
         paths, _ = cluster_report(graph, cluster)
@@ -263,13 +263,13 @@ def build_schedule(design: Design,
 
     def arrive(scc: int) -> None:
         """Every predecessor of ``scc`` is scheduled."""
-        groups = sorted(members[scc], key=_by_wire)
+        groups = sorted(members[scc], key=_wire_order)
         # Distinct drivers in group order (by identity, order-preserving).
         drivers = list({id(d): d for d in map(driver_of.get, groups)}
                        .values())
         if drivers[0] is None:
             # A constant group (always a singleton: nothing feeds it)
-            # is resolved by begin_step, so its consumers are released
+            # is resolved by the step's reset, so its consumers are released
             # before the walk starts rather than when it would be popped.
             release(scc)
             return
@@ -279,7 +279,7 @@ def build_schedule(design: Design,
             heappush(fullest, (-len(bucket) - 1, path))
         else:
             bucket = clusters
-        heappush(bucket, (_by_wire(groups[0]), scc, drivers, groups))
+        heappush(bucket, (_wire_order(groups[0]), scc, drivers, groups))
 
     def release(scc: int) -> None:
         for succ in successors[scc]:
@@ -385,7 +385,7 @@ class LevelizedSimulator(SimulatorBase):
                     wires = self._wires
                     groups = [describe_wire_group(kind, wires[wid])
                               for kind, wid in entry.groups
-                              if _group_unresolved(kind, wires[wid])]
+                              if _group_unresolved(store, (kind, wid))]
                     raise CombinationalCycleError(
                         f"timestep {self.now}: combinational cluster "
                         f"{entry!r} did not converge:\n"

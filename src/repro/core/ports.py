@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from .errors import ContractViolationError, WiringError
-from .signals import CtrlStatus, DataStatus, SignalStore, Wire
+from .signals import CtrlStatus, DataStatus, SignalStore
 from .typesys import ANY, WireType
 
 INPUT = "input"
@@ -105,10 +105,6 @@ _C_UNKNOWN = CtrlStatus.UNKNOWN
 _C_DEASSERTED = CtrlStatus.DEASSERTED
 _C_ASSERTED = CtrlStatus.ASSERTED
 
-#: What a zero-width view binds, so an index error stays an index error.
-_NO_STORE = SignalStore()
-
-
 class _ViewBase:
     """Common machinery of the two port views.
 
@@ -119,13 +115,12 @@ class _ViewBase:
     ``IndexError`` of that one lookup.
     """
 
-    __slots__ = ("decl", "wires", "_store", "_slots")
+    __slots__ = ("decl", "_store", "_slots")
 
-    def __init__(self, decl: PortDecl, wires: List[Wire]):
+    def __init__(self, decl: PortDecl, store: SignalStore, slots: List[int]):
         self.decl = decl
-        self.wires = wires
-        self._slots = [w.wid for w in wires]
-        self._store = wires[0].store if wires else _NO_STORE
+        self._store = store
+        self._slots = slots
 
     @property
     def name(self) -> str:
@@ -143,12 +138,6 @@ class _ViewBase:
         return ContractViolationError(
             f"port {self.decl.name!r}: index {i} out of range "
             f"(width {len(self._slots)})")
-
-    def _wire(self, i: int) -> Wire:
-        try:
-            return self.wires[i]
-        except IndexError:
-            raise self._bad_index(i) from None
 
 
 class InView(_ViewBase):

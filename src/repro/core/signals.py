@@ -1,12 +1,14 @@
 """The three-signal component communication contract (paper §2.1).
 
-Every LSE connection is a :class:`Wire` carrying three signals:
+Every LSE connection is a :class:`Wire` — an identity: id, endpoints,
+type — whose three signals live in its slot (the wire id) of the
+design's :class:`SignalStore`, the one signal interface:
 
 ``data``
     Flows forward (source to destination).  Its per-timestep status is
     one of ``UNKNOWN``, ``NOTHING`` (the source affirmatively sends no
     datum this cycle) or ``SOMETHING`` (a value is offered, stored in
-    ``data_value``).
+    the ``dv`` plane).
 
 ``enable``
     Flows forward.  The source asserts it to commit the transmission.
@@ -32,10 +34,10 @@ transform.  The wire thus holds a single consistent post-control
 reality; the *raw* drives are retained so each endpoint's ``took()``
 is judged against what that endpoint itself did:
 
-* **source-side transfer** (:meth:`Wire.took_src`): the source offered
-  a committed datum and the (transformed) ack it observes is asserted
-  — "my datum was taken, I may advance";
-* **destination-side transfer** (:meth:`Wire.took_dst`): the
+* **source-side transfer** (:meth:`SignalStore.took_src`): the source
+  offered a committed datum and the (transformed) ack it observes is
+  asserted — "my datum was taken, I may advance";
+* **destination-side transfer** (:meth:`SignalStore.took_dst`): the
   (transformed) forward signals deliver a datum and the destination's
   own raw ack accepted it — "I consumed a datum".
 
@@ -51,11 +53,10 @@ from __future__ import annotations
 
 import copy
 import enum
-import operator
 import weakref
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from .errors import MonotonicityError, WiringError
+from .errors import MonotonicityError
 
 
 class DataStatus(enum.IntEnum):
@@ -182,8 +183,15 @@ _NO_CONSTS = (None, None, None, None)
 class SignalStore:
     """The signal state of every wire of one design, in slot-indexed planes.
 
-    A slot is a wire id: plane ``p`` holds wire ``w``'s signal at
-    ``p[w.wid]``.  Eight planes carry the per-timestep signals — the
+    The store is the one signal interface: every read and write of a
+    wire's signals — port views, engines, tracers, probes, monitors —
+    goes through it by slot.  A slot is a wire id: plane ``p`` holds
+    wire ``w``'s signal at ``p[w.wid]``.  Wiring claims a slot by
+    appending its ``ends`` and ``control`` entries (and its stub
+    constants through :meth:`set_const`), then sizes every plane with
+    one :meth:`allocate`.
+
+    Eight planes carry the per-timestep signals — the
     committed (post-control) ``ds``/``dv``/``en``/``ak`` and the
     endpoints' raw (pre-control) drives ``rds``/``rdv``/``ren``/``rak``
     — and hold the :class:`DataStatus`/:class:`CtrlStatus` members
@@ -334,14 +342,6 @@ class SignalStore:
         self.ak[:] = self.rak[:] = self.t_ak
         self.unknown = unknown
 
-    def reset_slot(self, slot: int) -> int:
-        """:meth:`reset` for one slot; returns its UNKNOWN signals (0-3)."""
-        ds = self.ds[slot] = self.rds[slot] = self.t_ds[slot]
-        self.dv[slot] = self.rdv[slot] = self.t_dv[slot]
-        en = self.en[slot] = self.ren[slot] = self.t_en[slot]
-        ak = self.ak[slot] = self.rak[slot] = self.t_ak[slot]
-        return (ds is _D_UNKNOWN) + (en is _C_UNKNOWN) + (ak is _C_UNKNOWN)
-
     def first_unresolved(self, slot: int) -> Optional[str]:
         """The first still-UNKNOWN committed signal, or ``None`` — in the
         data → enable → ack order the relax policy forces in."""
@@ -485,131 +485,26 @@ class SignalStore:
                 and self.rak[slot] is _C_ASSERTED)
 
 
-def _plane(name: str, doc: str) -> property:
-    """A :class:`Wire` attribute living at the wire's slot of plane ``name``."""
-    plane = operator.attrgetter(name)
-
-    def get(self):
-        return plane(self.store)[self.wid]
-
-    def set(self, value) -> None:
-        plane(self.store)[self.wid] = value
-
-    return property(get, set, doc=doc)
-
-
-def _const(field: int, doc: str) -> property:
-    """A :class:`Wire` stub constant (``None`` when the signal is driven)."""
-    def get(self):
-        return self.store.consts.get(self.wid, _NO_CONSTS)[field]
-
-    def set(self, value) -> None:
-        self.store.set_const(self.wid, field, value)
-
-    return property(get, set, doc=doc)
-
-
 class Wire:
     """A runtime connection between one source and one destination port.
 
-    A wire is an identity (``wid``, endpoints, type) plus a view over
-    its slot of a :class:`SignalStore`: every signal attribute below
-    reads and writes ``store.<plane>[wid]``.  All wires of a design
-    share the design's store (passed as ``store``; whoever passes one
-    calls its ``allocate()`` when wiring is done); a wire built on its
-    own owns a private one.  Module code only touches wires through the
-    :class:`~repro.core.ports.InView` / :class:`~repro.core.ports.OutView`
-    port views, which enforce direction rules and index the same planes
-    directly.
-
-    The committed (post-control) signal values are ``data_status`` /
-    ``data_value`` / ``enable`` / ``ack``; the endpoints' raw drives
-    (pre-control) are the ``raw_*`` attributes.  Without a control
-    function raw and committed are identical.
+    A wire is an identity record: its id ``wid`` (which is also its slot
+    of the design's :class:`SignalStore`), its endpoints and its type.
+    It carries no signal state — every read and write of its signals
+    goes through the store by slot, and module code reaches them only
+    through the :class:`~repro.core.ports.InView` /
+    :class:`~repro.core.ports.OutView` port views, which enforce
+    direction rules and index the store's planes directly.
     """
 
-    __slots__ = ("wid", "src", "dst", "wtype", "store", "__weakref__")
+    __slots__ = ("wid", "src", "dst", "wtype")
 
     def __init__(self, wid: int, src: Optional[Endpoint],
-                 dst: Optional[Endpoint], wtype=None, control=None,
-                 store: Optional[SignalStore] = None):
-        own = store is None
-        if own:
-            # A wire built on its own owns a private store (its slot is
-            # still its wid; the slots below it stay unused).
-            store = SignalStore()
-            store.ends.extend([(None, None)] * wid)
-            store.control.extend([None] * wid)
-        ends = store.ends
-        if len(ends) != wid:
-            raise WiringError(
-                f"wire id {wid} is not the next slot of its store "
-                f"({len(ends)})")
-        # Only the structural tables grow here; ``allocate`` sizes the
-        # signal planes for every claimed slot in one shot.
-        ends.append((src, dst))
-        store.control.append(control)
-        if own:
-            store.allocate()
+                 dst: Optional[Endpoint], wtype=None):
         self.wid = wid
         self.src = src
         self.dst = dst
         self.wtype = wtype
-        self.store = store
-
-    control = _plane("control", "The connection's control function, or None.")
-    data_status = _plane("ds", "Committed data status.")
-    data_value = _plane("dv", "Committed datum (None unless SOMETHING).")
-    enable = _plane("en", "Committed enable.")
-    ack = _plane("ak", "Committed ack.")
-    raw_data_status = _plane("rds", "The source's raw data drive.")
-    raw_data_value = _plane("rdv", "The source's raw datum.")
-    raw_enable = _plane("ren", "The source's raw enable drive.")
-    raw_ack = _plane("rak", "The destination's raw ack drive.")
-    transfers = _plane("transfers", "Transfers observed so far.")
-    watched = _plane("watched", "Whether a probe is attached.")
-    # Constant pre-resolution for stub wires on unconnected ports.
-    const_data = _const(0, "Stub constant of the data status.")
-    const_value = _const(1, "Stub constant of the datum.")
-    const_enable = _const(2, "Stub constant of enable.")
-    const_ack = _const(3, "Stub constant of ack.")
-
-    def begin_step(self) -> int:
-        """Reset this wire's signals for a new timestep.
-
-        Stub constants re-resolve immediately.  Returns the number of
-        signals left UNKNOWN (0-3).
-        """
-        return self.store.reset_slot(self.wid)
-
-    def unresolved(self) -> list:
-        """Names of committed signals still UNKNOWN (diagnostics)."""
-        return self.store.unresolved(self.wid)
-
-    def fully_resolved(self) -> bool:
-        return self.store.first_unresolved(self.wid) is None
-
-    def drive_data(self, status: DataStatus, value: Any = None) -> None:
-        self.store.drive_data(self.wid, status, value)
-
-    def drive_enable(self, asserted: bool) -> None:
-        self.store.drive_enable(self.wid, asserted)
-
-    def drive_ack(self, asserted: bool) -> None:
-        self.store.drive_ack(self.wid, asserted)
-
-    def force_default(self, signal: str) -> None:
-        self.store.force_default(self.wid, signal)
-
-    def took_src(self) -> bool:
-        return self.store.took_src(self.wid)
-
-    def took_dst(self) -> bool:
-        return self.store.took_dst(self.wid)
-
-    def transfer_happened(self) -> bool:
-        """Delivery actually observed at the destination (engine view)."""
-        return self.store.took_dst(self.wid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.store.describe(self.wid)
+        return f"Wire#{self.wid}({self.src!r}->{self.dst!r})"

@@ -111,25 +111,29 @@ class VCDTracer:
             return
         w = self.stream.write
         wrote_time = False
+        store = sim.design.store
         for wire in self.wires:
-            if wire.data_status is DataStatus.SOMETHING:
-                data = repr(wire.data_value)
-            elif wire.data_status is DataStatus.NOTHING:
+            slot = wire.wid
+            status = store.ds[slot]
+            if status is DataStatus.SOMETHING:
+                data = repr(store.dv[slot])
+            elif status is DataStatus.NOTHING:
                 data = "-"
             else:
                 data = "x"
-            snapshot = (data, self._bit(wire.enable), self._bit(wire.ack))
-            if self._last.get(wire.wid) == snapshot:
+            snapshot = (data, self._bit(store.en[slot]),
+                        self._bit(store.ak[slot]))
+            if self._last.get(slot) == snapshot:
                 continue
             if not wrote_time:
                 w(f"#{sim.now}\n")
                 wrote_time = True
-            ids = self._ids[wire.wid]
+            ids = self._ids[slot]
             token = data.replace(" ", "_") or "-"
             w(f"s{token} {ids[0]}\n")
             w(f"{snapshot[1]}{ids[1]}\n")
             w(f"{snapshot[2]}{ids[2]}\n")
-            self._last[wire.wid] = snapshot
+            self._last[slot] = snapshot
 
     def close(self) -> None:
         """Flush and (if this tracer opened the file) close it."""

@@ -740,6 +740,7 @@ def _analyze(designs: Sequence, schedule: Sequence,
     cluster_paths = _cluster_paths(schedule)
     keys = [wire_key(w) for w in design0.wires]
     parked = {pos for pos, key in enumerate(keys) if key in parked_keys}
+    controls = design0.store.control
 
     candidates: Dict[str, type] = {}
     rejected: set = set()
@@ -768,12 +769,12 @@ def _analyze(designs: Sequence, schedule: Sequence,
         wire = design0.wires[pos]
         if wire.src is None or wire.dst is None:
             return "unconnected"
-        if wire.control is not None:
+        if controls[pos] is not None:
             return "control"
         if wire.src.instance.path not in vec_paths \
                 or wire.dst.instance.path not in vec_paths:
             return "endpoint-not-vectorized"
-        if check_watched and any(d.wires[pos].watched for d in designs):
+        if check_watched and any(d.store.watched[pos] for d in designs):
             return "watched"
         return None
 
@@ -825,10 +826,10 @@ def _materialize(lanes: Sequence, schedule: Sequence, vec_paths: set,
         ports: Dict[str, List[VecPortIndex]] = {}
         for port_name, view0 in inst0.ports.items():
             indices: List[VecPortIndex] = []
-            for wire0 in view0.wires:
-                row = row_of.get(wire0.wid)
+            for slot in view0._slots:
+                row = row_of.get(slot)
                 indices.append(VecPortIndex(
-                    vw, row, None if row is not None else wire0.wid))
+                    vw, row, None if row is not None else slot))
             ports[port_name] = indices
         ctx = VecModuleContext(path, insts, ports, stats)
         impl_by_path[path] = candidates[path](ctx)
@@ -959,7 +960,7 @@ def adopt_vec_plan(lanes: Sequence, schedule: Sequence,
         pos = key_to_pos.get(tuple(key))
         if pos is None:
             raise VecPlanMismatch(f"planned wire {key!r} not in design")
-        if any(lane.design.wires[pos].watched for lane in lanes):
+        if any(lane.design.store.watched[pos] for lane in lanes):
             raise VecPlanMismatch(f"planned wire {key!r} is probed")
         positions.append(pos)
 

@@ -94,13 +94,14 @@ def hierarchy_report(spec: LSS) -> str:
 
 def activity_report(sim, top: int = 20) -> str:
     """Wires ranked by transfer count after a run (hot-path view)."""
+    transfers = sim.design.store.transfers
     ranked = sorted((w for w in sim.design.wires
                      if w.src is not None and w.dst is not None),
-                    key=lambda w: -w.transfers)[:top]
+                    key=lambda w: -transfers[w.wid])[:top]
     lines = [f"activity after {sim.now} cycles "
              f"({sim.transfers_total} transfers total):"]
     for wire in ranked:
-        lines.append(f"  {wire.transfers:8d}  "
+        lines.append(f"  {transfers[wire.wid]:8d}  "
                      f"{wire.src.instance.path}.{wire.src.port} -> "
                      f"{wire.dst.instance.path}.{wire.dst.port}")
     return "\n".join(lines)

@@ -110,8 +110,8 @@ def add_fabric_parsers(subparsers) -> None:
     submit.add_argument("--name", default=None,
                         help="job name (default: spec file stem)")
     submit.add_argument("--cycles", type=int, default=1000)
-    from ..core.backends import engine_names
-    submit.add_argument("--engine", default="levelized",
+    from ..core.backends import DEFAULT_ENGINE, engine_names
+    submit.add_argument("--engine", default=DEFAULT_ENGINE,
                         choices=engine_names())
     from ..core.opt import opt_level_argument
     submit.add_argument("--opt", type=opt_level_argument, default=None,

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..campaign.aggregate import CampaignResult, RunRow
 from ..campaign.sweep import Sweep
+from ..core.backends import DEFAULT_ENGINE
 from .protocol import Channel, FabricError
 from .shards import JobSpec
 
@@ -31,7 +32,7 @@ from .shards import JobSpec
 def job_from_sweep(name: str, sweep: Sweep, *, kind: str = "spec",
                    target: Optional[str] = None,
                    lss_text: Optional[str] = None,
-                   engine: str = "levelized", opt: Optional[int] = None,
+                   engine: str = DEFAULT_ENGINE, opt: Optional[int] = None,
                    cycles: int = 1000,
                    seed_key: Optional[str] = "seed", batch_max: int = 16,
                    retries: int = 2,

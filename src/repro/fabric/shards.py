@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..campaign.campaign import fingerprint_groups
 from ..campaign.executor import RunTask, execute_task
+from ..core.backends import DEFAULT_ENGINE
 from .protocol import FabricError
 
 #: A point in wire form: {"run_id", "index", "params", "seed"}.
@@ -48,7 +49,7 @@ class JobSpec:
     points: List[Point]
     target: Optional[str] = None
     lss_text: Optional[str] = None
-    engine: str = "levelized"
+    engine: str = DEFAULT_ENGINE
     opt: Optional[int] = None
     cycles: int = 1000
     seed_key: Optional[str] = "seed"
@@ -107,7 +108,7 @@ class JobSpec:
                 points=list(payload["points"]),
                 target=payload.get("target"),
                 lss_text=payload.get("lss_text"),
-                engine=payload.get("engine", "levelized"),
+                engine=payload.get("engine", DEFAULT_ENGINE),
                 opt=(None if payload.get("opt") is None
                      else int(payload["opt"])),
                 cycles=int(payload.get("cycles", 1000)),

@@ -309,9 +309,10 @@ class Profiler:
         """
         if self.sim is None:
             return []
+        transfers = self.sim.design.store.transfers
         wires = sorted(self.sim.design.real_wires,
-                       key=lambda w: -w.transfers)
-        pairs = [(w, w.transfers) for w in wires if w.transfers]
+                       key=lambda w: -transfers[w.wid])
+        pairs = [(w, transfers[w.wid]) for w in wires if transfers[w.wid]]
         return pairs if top is None else pairs[:top]
 
     def relaxed_wires(self) -> Dict[int, int]:

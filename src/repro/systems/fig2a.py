@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..ccl.topology import Mesh
+from ..core.backends import DEFAULT_ENGINE
 from ..core.lss import LSS
 from ..mpl.smp import build_directory_cmp
 from ..upl.assembler import assemble
@@ -100,7 +101,7 @@ def read_results(sim, mesh: Mesh) -> Tuple[List[int], List[int]]:
 
 
 def run_fig2a(width: int = 2, height: int = 2, *, seg_words: int = 8,
-              engine: str = "levelized", max_cycles: int = 60_000) -> dict:
+              engine: str = DEFAULT_ENGINE, max_cycles: int = 60_000) -> dict:
     """Build, run to completion, verify, and summarize the CMP."""
     from ..core.constructor import build_simulator
     spec, info = build_fig2a_cmp(width, height, seg_words=seg_words)

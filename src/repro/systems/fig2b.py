@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..ccl.wireless import WirelessMedium
+from ..core.backends import DEFAULT_ENGINE
 from ..core.lss import LSS
 from ..nil.firmware import sensor_aggregate
 from ..nil.formats import EthernetFrame
@@ -89,7 +90,7 @@ def build_fig2b_sensors(n_nodes: int = 2, *, readings_per_node: int = 8,
 
 
 def run_fig2b(n_nodes: int = 2, *, readings_per_node: int = 8,
-              aggregate_every: int = 4, engine: str = "levelized",
+              aggregate_every: int = 4, engine: str = DEFAULT_ENGINE,
               max_cycles: int = 20_000, loss: float = 0.0) -> dict:
     """Build, run until all DSP cores halt, and summarize."""
     from ..core.constructor import build_simulator

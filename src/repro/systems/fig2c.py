@@ -24,6 +24,7 @@ from ..ccl.bus import Bus
 from ..ccl.packet import BusTransaction
 from ..core import (HierBody, HierTemplate, LeafModule, Parameter, PortDecl,
                     INPUT, OUTPUT)
+from ..core.backends import DEFAULT_ENGINE
 from ..core.lss import LSS
 from ..mpl.dma import DMAController
 from ..nil.firmware import HOST_WINDOW
@@ -293,7 +294,7 @@ def build_fig2c_grid(n_nodes: int = 8, *, k_words: int = 8,
 
 
 def run_fig2c(n_nodes: int = 8, *, k_words: int = 8,
-              engine: str = "levelized", max_cycles: int = 100_000) -> dict:
+              engine: str = DEFAULT_ENGINE, max_cycles: int = 100_000) -> dict:
     """Build, run until the last node halts, verify the reduction."""
     from ..core.constructor import build_simulator
     spec, info = build_fig2c_grid(n_nodes, k_words=k_words)

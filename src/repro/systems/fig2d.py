@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from ..core.backends import DEFAULT_ENGINE
 from ..core.lss import LSS
 from ..ccl.wireless import WirelessMedium
 from ..nil.firmware import receive_forward, sensor_aggregate
@@ -155,7 +156,7 @@ def build_fig2d(n_sensors: int = 2, *, readings_per_node: int = 8,
 def run_fig2d(n_sensors: int = 2, *, backend: str = "statistical",
               field: str = "detailed",
               readings_per_node: int = 8, aggregate_every: int = 4,
-              engine: str = "levelized", max_cycles: int = 20_000) -> dict:
+              engine: str = DEFAULT_ENGINE, max_cycles: int = 20_000) -> dict:
     """Build, run until field cores halt (plus drain time), summarize."""
     from ..core.constructor import build_simulator
     spec, info = build_fig2d(n_sensors, readings_per_node=readings_per_node,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from ..core.backends import DEFAULT_ENGINE
 from ..core.lss import LSS
 from ..pcl.memory import MemoryArray
 from ..pcl.queue import PipelineReg
@@ -160,7 +161,7 @@ def build_stage(stage: int, *, program: Optional[Program] = None
     return spec, info
 
 
-def run_stage(stage: int, *, engine: str = "levelized",
+def run_stage(stage: int, *, engine: str = DEFAULT_ENGINE,
               max_cycles: int = 5_000) -> dict:
     """Build and run one refinement stage to completion."""
     from ..core.constructor import build_simulator

@@ -20,8 +20,9 @@ pass execute, so wrong-path operations never reach memory.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core import (HierBody, HierTemplate, LeafModule, Parameter, PortDecl,
                     INPUT, OUTPUT, ack, fwd)
@@ -39,7 +40,16 @@ class PipelineShared:
     ``epoch`` is the current fetch generation (bumped by redirects);
     ``halted`` is set by writeback upon retiring ``halt``; ``syscall``
     handles ``ecall`` (same signature as the emulator hook).
+
+    The object reaches the stages as the ``shared`` parameter, which
+    engine checkpoints otherwise leave alone; ``state_dict`` and
+    ``load_state_dict`` make its run state (everything but the
+    ``syscall`` configuration) checkpointed state, restored in place so
+    every stage and the caller's handle see the restored run.
     """
+
+    #: The run state a checkpoint carries.
+    _STATE = ("epoch", "halted", "halted_at", "retired", "squash_log")
 
     def __init__(self, syscall: Optional[Callable] = None):
         self.epoch = 0
@@ -51,6 +61,14 @@ class PipelineShared:
         #: register file consumes this log to release scoreboard claims
         #: made by squashed (younger-than-the-branch) instructions.
         self.squash_log: list = []
+
+    def state_dict(self) -> Dict[str, Any]:
+        return copy.deepcopy({name: getattr(self, name)
+                              for name in self._STATE})
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        for name in self._STATE:
+            setattr(self, name, copy.deepcopy(state[name]))
 
 
 class Uop(object):

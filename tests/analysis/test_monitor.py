@@ -231,6 +231,24 @@ class TestOtherRules:
         rules = {d.rule for d in mon.violations}
         assert "contract-monitor.premature-took" in rules
 
+    def test_took_on_a_bad_index_is_a_contract_violation(self):
+        class OffByOne(LeafModule):
+            PORTS = (PortDecl("in", INPUT, min_width=1),)
+            DEPS = None
+
+            def react(self):
+                self.port("in").took(1)  # width 1: index 1 does not exist
+
+        from repro import LSS
+        spec = LSS("off_by_one")
+        bad = spec.instance("bad", OffByOne)
+        src = spec.instance("src", Source, pattern="counter")
+        spec.connect(src.port("out"), bad.port("in"))
+        sim = build_simulator(spec, engine="worklist")
+        ContractMonitor(sim, mode="record")
+        with pytest.raises(ContractViolationError, match="out of range"):
+            sim.run(1)
+
 
 class TestLifecycle:
     def test_detach_restores_views_and_react(self, engine):

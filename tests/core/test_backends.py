@@ -4,8 +4,9 @@ import pytest
 
 from repro import SpecificationError, build_simulator
 from repro.core import backends
-from repro.core.backends import (default_engine, engine_names, get_backend,
-                                 register_backend, resolve_engine)
+from repro.core.backends import (DEFAULT_ENGINE, default_engine,
+                                 engine_names, get_backend, register_backend,
+                                 resolve_engine)
 from repro.core.codegen import CodegenSimulator
 from repro.core.engine import Simulator
 from repro.core.optimize import LevelizedSimulator
@@ -61,18 +62,19 @@ class TestRegistry:
 
 
 class TestDefaultEngine:
-    def test_default_is_worklist(self, monkeypatch):
+    def test_default_is_levelized(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine() == "worklist"
+        assert DEFAULT_ENGINE == "levelized"
+        assert default_engine() == DEFAULT_ENGINE
         sim = build_simulator(simple_pipe_spec())
-        assert type(sim) is Simulator
+        assert type(sim) is LevelizedSimulator
         sim.close()
 
     def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "levelized")
-        assert default_engine() == "levelized"
+        monkeypatch.setenv("REPRO_ENGINE", "worklist")
+        assert default_engine() == "worklist"
         sim = build_simulator(simple_pipe_spec())
-        assert isinstance(sim, LevelizedSimulator)
+        assert type(sim) is Simulator
         sim.close()
 
     def test_explicit_engine_beats_env(self, monkeypatch):

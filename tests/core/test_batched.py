@@ -29,7 +29,7 @@ def _observe(sim):
             "relaxations": sim.relaxations_total,
             "fallback": sim.fallback_steps,
             "report": sim.stats.report(),
-            "wires": [w.transfers for w in sim.design.wires]}
+            "wires": list(sim.design.store.transfers)}
 
 
 def _solo_run(design, seed, cycles):

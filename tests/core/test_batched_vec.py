@@ -104,7 +104,7 @@ def _observe(sim):
             "relaxations": sim.relaxations_total,
             "fallback": sim.fallback_steps,
             "report": sim.stats.report(),
-            "wires": [w.transfers for w in sim.design.wires]}
+            "wires": list(sim.design.store.transfers)}
 
 
 def _profile_view(prof):
@@ -442,8 +442,9 @@ class TestScalarFallbackPaths:
         probe = batch.lane(0).probe_between("q", "out", "snk", "in")
         batch.run(100)
         assert batch.vec_plan is not None
-        assert probe.count == batch.lane(0).design.wire_between(
-            "q", "out", "snk", "in").transfers
+        design = batch.lane(0).design
+        wire = design.wire_between("q", "out", "snk", "in")
+        assert probe.count == design.store.transfers[wire.wid]
         batch.close()
 
     def test_profiler_keeps_vec_plan(self):
@@ -462,18 +463,6 @@ class TestScalarFallbackPaths:
                 assert rec.calls == 80 and rec.sampled_calls == 40
                 assert rec.ns > 0
         batch.close()
-
-    def test_repro_vec_env_disables_vectorization(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC", "0")
-        designs = [build_design(_vec_pipe_spec(rate=r)) for r in (0.2, 0.9)]
-        batch = VectorizedBatchedSimulator(designs, seeds=[1, 2])
-        batch.run(60)
-        assert batch.vec_plan is None
-        lanes = [_observe(batch.lane(i)) for i in range(2)]
-        batch.close()
-        for i, rate in enumerate((0.2, 0.9)):
-            assert lanes[i] == _solo_run(
-                build_design(_vec_pipe_spec(rate=rate)), 1 + i, 60)
 
     def test_unsupported_bindings_stay_scalar(self):
         # Callable payloads cannot vectorize: the whole source demotes,

@@ -101,8 +101,8 @@ class TestStateDictRoundTrip:
         state = sim.state_dict()
         fresh = build_simulator(simple_pipe_spec(), engine=engine)
         fresh.load_state_dict(state)
-        assert ([w.transfers for w in fresh.design.wires]
-                == [w.transfers for w in sim.design.wires])
+        assert (list(fresh.design.store.transfers)
+                == list(sim.design.store.transfers))
 
     def test_rejects_mismatched_design(self, engine):
         sim = build_simulator(simple_pipe_spec(), engine=engine)

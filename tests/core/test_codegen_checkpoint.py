@@ -79,5 +79,5 @@ class TestCodegenRoundTrip:
         state = sim.state_dict()
         fresh = build_simulator(simple_pipe_spec(), engine="codegen")
         fresh.load_state_dict(state)
-        assert ([w.transfers for w in fresh.design.wires]
-                == [w.transfers for w in sim.design.wires])
+        assert (list(fresh.design.store.transfers)
+                == list(sim.design.store.transfers))

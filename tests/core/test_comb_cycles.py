@@ -133,11 +133,11 @@ def _clustered_spec(dead_ring: bool):
 
 def _observed(sim, cycles=25):
     sim.run(cycles)
+    store = sim.design.store
     return {"stats": sim.stats.summary_dict(),
             "transfers": sim.transfers_total,
-            "wires": [w.transfers for w in sim.design.wires],
-            "signals": [(w.data_status, w.data_value, w.enable, w.ack)
-                        for w in sim.design.wires]}
+            "wires": list(store.transfers),
+            "signals": list(zip(store.ds, store.dv, store.en, store.ak))}
 
 
 class TestClusterDifferential:

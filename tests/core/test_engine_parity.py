@@ -36,7 +36,7 @@ def _wire_transfer_map(sim):
         dst = f"{wire.dst.instance.path}.{wire.dst.port}" if wire.dst else "-"
         key = f"{src}->{dst}"
         n = counts.setdefault(key, [])
-        n.append(wire.transfers)
+        n.append(sim.design.store.transfers[wire.wid])
     return {k: sorted(v) for k, v in counts.items()}
 
 

@@ -48,8 +48,10 @@ class TestCompileModel:
         assert len(design.store.consts) == len(bound.model.const_keys)
         assert len(bound.partition.transfer) == len(bound.model.transfer_keys)
         assert len(design.store) == len(design.wires)
+        store = design.store
+        store.reset(0)
         assert bound.partition.begin_unknown == sum(
-            w.begin_step() for w in design.wires)
+            len(store.unresolved(slot)) for slot in range(len(store)))
 
     def test_metadata_tables_cover_design(self):
         model = compile_model(_design()).model

@@ -133,7 +133,7 @@ class TestScheduler:
         for group, idx in pos.items():
             for dep in graph.predecessors(group):
                 if node[dep]["const"]:
-                    continue  # resolved by begin_step
+                    continue  # resolved by the step's reset
                 assert pos[dep] <= idx, f"{group} before its input {dep}"
                 if pos[dep] == idx:
                     # Only a cluster's fixed point (or one instance
@@ -338,7 +338,7 @@ def _observe(sim):
     return {"now": sim.now, "transfers": sim.transfers_total,
             "relaxations": sim.relaxations_total,
             "report": sim.stats.report(),
-            "wires": [w.transfers for w in sim.design.wires]}
+            "wires": list(sim.design.store.transfers)}
 
 
 class TestCrossEngineDifferential:
@@ -400,12 +400,12 @@ class TestCrossEngineDifferential:
             spec = TestFailedBuildRestore._spec({"explode": False})
             sim = build_simulator(spec, engine=engine, seed=1, opt=2)
             design = (sim.lane(0) if hasattr(sim, "lane") else sim).design
-            controls = [w.control for w in design.wires]
+            controls = list(design.store.control)
             assert sum(c is not None for c in controls) == 1
             sim.run(10)
-            assert [w.control for w in design.wires] == controls, engine
+            assert list(design.store.control) == controls, engine
             sim.close()
-            assert [w.control for w in design.wires] == controls, engine
+            assert list(design.store.control) == controls, engine
 
 
 class TestFailedBuildRestore:
@@ -464,14 +464,14 @@ class TestFailedBuildRestore:
 
         flag["explode"] = True
         design = build_design(self._spec(flag))
-        before_controls = [w.control for w in design.wires]
+        before_controls = list(design.store.control)
         assert any(c is not None for c in before_controls)
         with pytest.raises(RuntimeError, match="boom"):
             LevelizedSimulator(design, seed=3, opt=2)
         # The failed build abandoned cleanly: no ownership, controls
         # untouched, plain reacts back, no dangling engine backrefs.
         assert design._owned is False
-        assert [w.control for w in design.wires] == before_controls
+        assert list(design.store.control) == before_controls
         assert design.store.hook is None
         assert all(inst.sim is None for inst in design.leaves.values())
         assert all(inst.react.__func__ is type(inst).react
@@ -525,14 +525,14 @@ class TestStateDictRoundtrip:
         snapshot = sim.state_dict()
         sim.run(40)
         final = (sim.now, sim.stats.report(),
-                 [w.transfers for w in sim.design.wires])
+                 list(sim.design.store.transfers))
         sim.close()
 
         sim2 = build_simulator(pipe(), engine=engine, seed=5, opt=2)
         sim2.load_state_dict(snapshot)
         sim2.run(40)
         assert (sim2.now, sim2.stats.report(),
-                [w.transfers for w in sim2.design.wires]) == final
+                list(sim2.design.store.transfers)) == final
         sim2.close()
 
     def test_cross_level_roundtrip(self):

@@ -4,8 +4,9 @@ import pytest
 
 from repro import LSS, build_design
 from repro.core.errors import ContractViolationError, WiringError
-from repro.core.ports import INPUT, OUTPUT, PortDecl, in_port, out_port
-from repro.core.signals import CtrlStatus, DataStatus
+from repro.core.ports import (INPUT, OUTPUT, InView, OutView, PortDecl,
+                              in_port, out_port)
+from repro.core.signals import CtrlStatus, DataStatus, SignalStore
 from repro.pcl import Queue, Sink, Source
 
 
@@ -99,3 +100,40 @@ class TestViews:
         src = design.leaves["src"]
         src.port("out").send(0, 1)
         assert design.leaves["q"].port("in").indices_present() == [0]
+
+
+def _store(n_slots):
+    """A store with ``n_slots`` unconnected slots, planes allocated."""
+    store = SignalStore()
+    store.ends.extend([(None, None)] * n_slots)
+    store.control.extend([None] * n_slots)
+    store.allocate()
+    return store
+
+
+class TestStoreBoundViews:
+    """Views bind ``(decl, store, slots)``: they index the store's planes
+    by slot and hold no wire objects."""
+
+    def test_views_over_shared_slots_see_each_other(self):
+        store = _store(3)
+        out = OutView(out_port("out"), store, [2, 0])
+        inp = InView(in_port("in"), store, [0, 2])
+        out.send(0, "x")           # slot 2
+        out.send_nothing(1)        # slot 0
+        assert store.dv[2] == "x" and store.ds[0] is DataStatus.NOTHING
+        assert inp.present(1) and inp.value(1) == "x"
+        assert inp.absent(0)
+        inp.set_ack(1, True)
+        assert out.accepted(0) and out.took(0) and inp.took(1)
+        assert store.ak[1] is CtrlStatus.UNKNOWN  # untouched slot
+
+    def test_bad_index_is_a_contract_violation(self):
+        store = _store(1)
+        inp = InView(in_port("in"), store, [0])
+        with pytest.raises(ContractViolationError, match="width 1"):
+            inp.status(1)
+        empty = OutView(out_port("out"), store, [])
+        assert empty.width == 0
+        with pytest.raises(ContractViolationError, match="width 0"):
+            empty.send(0, 1)

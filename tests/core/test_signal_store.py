@@ -16,11 +16,13 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.constructor import _claim_slot
 from repro.core.control import compose, map_data, never_ack, squash_when
-from repro.core.errors import MonotonicityError
+from repro.core.errors import MonotonicityError, WiringError
+from repro.core.netlist import Design
 from repro.core.ports import InView, OutView, in_port, out_port
 from repro.core.signals import (SIG_ACK, SIG_DATA, SIG_ENABLE, CtrlStatus,
-                                DataStatus, Endpoint, SignalStore, Wire)
+                                DataStatus, Endpoint, SignalStore)
 
 U, N, S = DataStatus.UNKNOWN, DataStatus.NOTHING, DataStatus.SOMETHING
 CU, D, A = CtrlStatus.UNKNOWN, CtrlStatus.DEASSERTED, CtrlStatus.ASSERTED
@@ -146,19 +148,18 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.a, self.b = _Inst("a"), _Inst("b")
-        self.store = SignalStore()
-        self.wires = []
+        self.store = store = SignalStore()
         for slot, (control, _, _, consts) in enumerate(SLOTS):
-            wire = Wire(slot, Endpoint(self.a, "out", slot),
-                        Endpoint(self.b, "in", slot),
-                        control=control, store=self.store)
-            # Constants are assigned after construction, as wiring does.
-            (wire.const_data, wire.const_value,
-             wire.const_enable, wire.const_ack) = consts
-            self.wires.append(wire)
-        self.store.allocate()
-        self.out = OutView(out_port("out"), self.wires)
-        self.inp = InView(in_port("in"), self.wires)
+            # Claim the slot, then set its constants, as wiring does.
+            store.ends.append((Endpoint(self.a, "out", slot),
+                               Endpoint(self.b, "in", slot)))
+            store.control.append(control)
+            for field, value in enumerate(consts):
+                store.set_const(slot, field, value)
+        store.allocate()
+        slots = list(range(len(SLOTS)))
+        self.out = OutView(out_port("out"), store, slots)
+        self.inp = InView(in_port("in"), store, slots)
         self.hooked = set()
         self.store.hook = lambda slot, is_ack: self.hooked.add((slot, is_ack))
         self.model = [RefSlot(fwd, bwd, consts)
@@ -222,7 +223,7 @@ class StoreMachine(RuleBasedStateMachine):
           signal=st.sampled_from([SIG_DATA, SIG_ENABLE, SIG_ACK]))
     def force_default(self, slot, signal):
         self._apply(slot, [lambda m: m.force(signal)],
-                    lambda: self.wires[slot].force_default(signal))
+                    lambda: self.store.force_default(slot, signal))
 
     @invariant()
     def planes_match_the_model(self):
@@ -238,8 +239,8 @@ class StoreMachine(RuleBasedStateMachine):
             took_dst = model.ds is S and model.en is A and model.rak is A
             assert self.out.took(slot) is took_src
             assert self.inp.took(slot) is took_dst
-            assert self.wires[slot].took_src() is took_src
-            assert self.wires[slot].transfer_happened() is took_dst
+            assert store.took_src(slot) is took_src
+            assert store.took_dst(slot) is took_dst
         assert store.unknown == sum(
             signal in (U, CU)
             for model in self.model for signal in model.committed())
@@ -252,23 +253,27 @@ TestSignalStoreContract.settings = settings(
 
 class TestStoreShape:
     def test_wire_ids_are_slots(self):
-        store = SignalStore()
-        Wire(0, None, None, store=store)
-        with pytest.raises(Exception, match="next slot"):
-            Wire(5, None, None, store=store)
+        design = Design("d")
+        assert _claim_slot(design, None, None, None).wid == 0
+        design.store.ends.append((None, None))  # a slot no wire claimed
+        with pytest.raises(WiringError, match="next slot"):
+            _claim_slot(design, None, None, None)
 
     def test_park_survives_reset_and_unpark_restores_constants(self):
         store = SignalStore()
-        plain = Wire(0, None, None, store=store)
-        stub = Wire(1, None, None, store=store)
-        stub.const_ack = A
+        plain, stub = 0, 1
+        store.ends.extend([(None, None)] * 2)
+        store.control.extend([None] * 2)
+        store.set_const(stub, 3, A)
         store.allocate()
-        store.park([0, 1])
+        store.park([plain, stub])
         store.reset(0)
-        assert (plain.data_status, plain.enable, plain.ack) == (N, D, D)
-        assert stub.ack is D
+        assert (store.ds[plain], store.en[plain], store.ak[plain]) \
+            == (N, D, D)
+        assert store.ak[stub] is D
         assert store.begin_unknown() == 5      # structural, not parked
-        store.unpark([0, 1])
+        store.unpark([plain, stub])
         store.reset(store.begin_unknown())
-        assert (plain.data_status, plain.enable, plain.ack) == (U, CU, CU)
-        assert stub.ack is A and store.unknown == 5
+        assert (store.ds[plain], store.en[plain], store.ak[plain]) \
+            == (U, CU, CU)
+        assert store.ak[stub] is A and store.unknown == 5

@@ -43,7 +43,7 @@ def _observe(sim):
     """Engine-independent observables (no scheduler-internal counters)."""
     return {"now": sim.now, "transfers": sim.transfers_total,
             "report": sim.stats.report(),
-            "wires": [w.transfers for w in sim.design.wires]}
+            "wires": list(sim.design.store.transfers)}
 
 
 def _vec_pipe_spec(rate=0.5, depth=4):

@@ -39,7 +39,7 @@ def _observe(sim):
             "relaxations": sim.relaxations_total,
             "fallback": sim.fallback_steps,
             "report": sim.stats.report(),
-            "wires": [w.transfers for w in sim.design.wires]}
+            "wires": list(sim.design.store.transfers)}
 
 
 def _solo_run(design, seed, cycles):
@@ -397,7 +397,7 @@ class TestFig2dStatisticalField:
                 "now": sim.now, "transfers": sim.transfers_total,
                 "relaxations": sim.relaxations_total,
                 "report": sim.stats.report(),
-                "wires": [w.transfers for w in sim.design.wires]}
+                "wires": list(sim.design.store.transfers)}
             sim.close()
         for cls, name in ((BatchedSimulator, "batched"),
                           (VectorizedBatchedSimulator, "batched-vec")):
@@ -408,7 +408,7 @@ class TestFig2dStatisticalField:
                 "now": lane.now, "transfers": lane.transfers_total,
                 "relaxations": lane.relaxations_total,
                 "report": lane.stats.report(),
-                "wires": [w.transfers for w in lane.design.wires]}
+                "wires": list(lane.design.store.transfers)}
             batch.close()
         reference = results["levelized"]
         for name, obs in results.items():

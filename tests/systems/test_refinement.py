@@ -1,7 +1,10 @@
 """Tests of the §2.2 iterative-refinement progression."""
 
+import pickle
+
 import pytest
 
+from repro import build_simulator
 from repro.systems import build_stage, run_stage
 from repro.systems.refinement import (LOOP_SUM_A0, MEM_SUM_A0,
                                       STRAIGHT_LINE_A0)
@@ -53,3 +56,37 @@ class TestRefinementStory:
             build_stage(0)
         with pytest.raises(ValueError):
             build_stage(6)
+
+
+def _stage_sim(stage, engine):
+    spec, info = build_stage(stage)
+    return build_simulator(spec, engine=engine), info["shared"]
+
+
+def _to_halt(sim, shared):
+    while not shared.halted:
+        assert sim.now < 5_000, "pipeline never halted"
+        sim.step()
+    return {"now": sim.now, "transfers": sim.transfers_total,
+            "stats": sim.stats.summary_dict(), "halted_at": shared.halted_at,
+            "retired": shared.retired, "a0": sim.instance("rf").read_reg(10)}
+
+
+class TestCheckpoint:
+    """The stages share one :class:`PipelineShared` through a parameter;
+    a restore must rewind it with the stages, or the resumed run sees
+    the epoch, halt flag and retire count of whatever ran after the
+    snapshot."""
+
+    @pytest.mark.parametrize("engine", ["worklist", "levelized", "codegen"])
+    @pytest.mark.parametrize("stage", [4, 5])
+    def test_restore_after_running_on_continues_identically(self, stage,
+                                                             engine):
+        reference = _to_halt(*_stage_sim(stage, engine))
+        sim, shared = _stage_sim(stage, engine)
+        sim.run(40)
+        state = pickle.loads(pickle.dumps(sim.state_dict()))
+        sim.run(60)
+        sim.load_state_dict(state)
+        assert sim.now == 40 and not shared.halted
+        assert _to_halt(sim, shared) == reference
