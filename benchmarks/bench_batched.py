@@ -15,14 +15,14 @@ A second benchmark measures raw lockstep overhead without the campaign
 machinery: one 8-lane BatchedSimulator stepping against 8 standalone
 LevelizedSimulator runs, in-process.
 
-The remaining benchmarks gate the ``batched-vec`` backend (PR 7): the
-structure-of-arrays fast path must beat scalar lockstep by >= 3x on the
-fully-vectorizable sweep pipeline at batch 256, its win over per-run
-execution must *grow* with batch size (64/256/1024 — the whole point of
-SoA state is that lane cost stops being O(lanes) Python work), and on
-fig2d — where custom generators and the Mealy NIC machinery leave
-nothing to vectorize, so the plan gracefully degrades to scalar
-lockstep — it must stay bit-identical with no meaningful slowdown.
+The remaining benchmarks gate the lockstep engine's vec plan: the
+structure-of-arrays fast path must beat the plan-less path (N solo
+static steppers) by >= 3x on the fully-vectorizable sweep pipeline at
+batch 256, its win over per-run execution must *grow* with batch size
+(64/256/1024 — the whole point of SoA state is that lane cost stops
+being O(lanes) Python work), and on fig2d — where custom generators
+and the Mealy NIC machinery leave little to vectorize — it must stay
+bit-identical with no meaningful slowdown.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import time
 
 from repro import BatchedSimulator, LSS, build_design
 from repro.campaign import Campaign, GridSweep
-from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 
 #: CI smoke mode: tiny workloads validate wiring and determinism only;
@@ -138,7 +137,7 @@ def test_lockstep_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# batched-vec: the vectorized SoA fast path
+# The vec plan: the vectorized SoA fast path
 # ----------------------------------------------------------------------
 def _vec_designs(n_lanes: int):
     """``n_lanes`` parameter variants of the benchmark pipe."""
@@ -147,42 +146,46 @@ def _vec_designs(n_lanes: int):
             for i in range(n_lanes)]
 
 
-def _lane_observations(sim) -> list:
-    return [(lane.transfers_total, lane.relaxations_total,
-             lane.stats.report()) for lane in sim.lanes]
-
-
-def _timed_batch_run(cls, n_lanes: int, cycles: int,
-                     designs=None) -> tuple:
-    """(observations, wall seconds) for one batched run of ``cls``."""
-    sim = cls(designs if designs is not None else _vec_designs(n_lanes),
-              seeds=list(range(n_lanes)))
-    sim.run(1)  # build the plan / warm caches outside the timed region
+def _timed_run(n_lanes: int, cycles: int, designs=None, *,
+               solo: bool = False) -> tuple:
+    """(per-lane observations, wall seconds) for one lockstep batch, or
+    with ``solo=True`` for the plan-less path: N solo static steppers."""
+    if designs is None:
+        designs = _vec_designs(n_lanes)
+    if solo:
+        sims = [LevelizedSimulator(d, seed=i) for i, d in enumerate(designs)]
+    else:
+        sims = [BatchedSimulator(designs, seeds=list(range(n_lanes)))]
+    for sim in sims:
+        sim.run(1)  # build the plan / stepper outside the timed region
     t0 = time.perf_counter()
-    sim.run(cycles)
+    for sim in sims:
+        sim.run(cycles)
     elapsed = time.perf_counter() - t0
-    observed = _lane_observations(sim)
-    sim.close()
+    observed = [(lane.transfers_total, lane.relaxations_total,
+                 lane.stats.report())
+                for sim in sims for lane in getattr(sim, "lanes", (sim,))]
+    for sim in sims:
+        sim.close()
     return observed, elapsed
 
 
 def test_vectorized_vs_scalar_batched(benchmark):
-    """batched-vec must be >= 3x batched steps/sec at batch 256.
+    """The vec plan must be >= 3x the plan-less path at batch 256.
 
     The sweep pipeline vectorizes end to end (uniform bernoulli
-    patterns, no probes), so this measures the SoA fast path directly:
-    same schedule walk, per-wire array ops instead of per-lane Python.
-    Results must stay bit-identical lane for lane.
+    patterns, no probes), so this measures the SoA fast path directly
+    against what a batch without a plan runs: every lane on its own
+    generated static stepper.  Results must stay bit-identical lane for
+    lane.
     """
     n_lanes = 32 if QUICK else 256
     cycles = CYCLES
 
-    scalar_obs, scalar_s = _timed_batch_run(BatchedSimulator,
-                                            n_lanes, cycles)
+    scalar_obs, scalar_s = _timed_run(n_lanes, cycles, solo=True)
 
     def vec_run():
-        return _timed_batch_run(VectorizedBatchedSimulator,
-                                n_lanes, cycles)
+        return _timed_run(n_lanes, cycles)
 
     vec_obs, vec_s = benchmark.pedantic(vec_run, rounds=1, iterations=1)
     assert vec_obs == scalar_obs, "vectorized lanes diverged from scalar"
@@ -192,7 +195,7 @@ def test_vectorized_vs_scalar_batched(benchmark):
     benchmark.extra_info["scalar_steps_per_s"] = round(cycles / scalar_s, 1)
     benchmark.extra_info["vec_steps_per_s"] = round(cycles / vec_s, 1)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    print(f"\n[BATCHED-VEC] {n_lanes} lanes x {cycles} cycles: scalar "
+    print(f"\n[BATCHED-VEC] {n_lanes} lanes x {cycles} cycles: plan-less "
           f"{cycles / scalar_s:.1f} steps/s, vec {cycles / vec_s:.1f} "
           f"steps/s -> {speedup:.2f}x")
 
@@ -227,9 +230,8 @@ def test_vectorized_batch_scaling(benchmark):
             sim.close()
         per_run_s = time.perf_counter() - t0
 
-        vec_obs, vec_s = _timed_batch_run(
-            VectorizedBatchedSimulator, n_lanes, cycles,
-            designs=_vec_designs(n_lanes))
+        vec_obs, vec_s = _timed_run(n_lanes, cycles,
+                                    designs=_vec_designs(n_lanes))
         assert vec_obs == solo_obs, f"{n_lanes}-lane batch diverged"
         speedups.append(per_run_s / vec_s)
         benchmark.extra_info[f"speedup_{n_lanes}"] = round(speedups[-1], 2)
@@ -250,11 +252,11 @@ def test_fig2d_vectorized_parity(benchmark):
 
     The Figure-2d system of systems is dominated by custom-generator
     sources and the Mealy NIC/firmware machinery, none of which has a
-    vectorized implementation — feature detection leaves the whole
-    batch on the scalar lockstep path (Amdahl caps any vectorized win
-    near zero here, far below the 3x the sweep pipeline shows).  The
-    gate is therefore *parity*: bit-identical lanes and no meaningful
-    slowdown from having tried.
+    vectorized implementation — feature detection leaves nearly the
+    whole batch on the per-lane scalar path (Amdahl caps any vectorized
+    win near zero here, far below the 3x the sweep pipeline shows).  The
+    gate is therefore *parity* with the plan-less path: bit-identical
+    lanes and no meaningful slowdown from having tried.
     """
     from repro.systems.fig2d import build_fig2d
     n_lanes = 4 if QUICK else 16
@@ -265,21 +267,20 @@ def test_fig2d_vectorized_parity(benchmark):
             n_sensors=2, backend="detailed",
             aggregate_every=(2, 4, 8)[i % 3])[0]) for i in range(n_lanes)]
 
-    scalar_obs, scalar_s = _timed_batch_run(BatchedSimulator, n_lanes,
-                                            cycles, designs=designs())
+    scalar_obs, scalar_s = _timed_run(n_lanes, cycles, designs=designs(),
+                                      solo=True)
 
     def vec_run():
-        return _timed_batch_run(VectorizedBatchedSimulator, n_lanes,
-                                cycles, designs=designs())
+        return _timed_run(n_lanes, cycles, designs=designs())
 
     vec_obs, vec_s = benchmark.pedantic(vec_run, rounds=1, iterations=1)
-    assert vec_obs == scalar_obs, "fig2d lanes diverged under batched-vec"
+    assert vec_obs == scalar_obs, "fig2d lanes diverged under the vec plan"
 
     ratio = scalar_s / vec_s
     benchmark.extra_info["lanes"] = n_lanes
     benchmark.extra_info["speedup"] = round(ratio, 2)
-    print(f"\n[FIG2D-VEC] {n_lanes} lanes x {cycles} cycles: scalar "
+    print(f"\n[FIG2D-VEC] {n_lanes} lanes x {cycles} cycles: plan-less "
           f"{scalar_s:.3f}s, vec {vec_s:.3f}s -> {ratio:.2f}x")
     if not QUICK:
         assert ratio > 0.5, \
-            f"scalar fallback pathologically slow on fig2d: {ratio:.2f}x"
+            f"vec plan pathologically slow on fig2d: {ratio:.2f}x"

@@ -2,9 +2,10 @@
 
 "By carefully selecting the model of computation it is possible to
 analyze the LSS for optimization."  The ablation: the same model run
-by the dynamic worklist engine, the statically-scheduled engine, and
-the generated-code engine.  Semantics are identical (asserted); the
-static engines shed scheduling overhead.
+by the dynamic worklist engine, the static engine (a generated stepper
+over the static schedule), and the lockstep engine animating a batch of
+one.  Semantics are identical (asserted); the static engines shed
+scheduling overhead.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.core.backends import engine_names
 from repro.ccl import Mesh, attach_traffic, build_mesh_network
 from repro.pcl import Monitor, Queue, Sink, Source
 
-ENGINES = tuple(n for n in engine_names() if n != "batched")
+ENGINES = engine_names()
 
 
 def _chain_spec(n_stages=12):

@@ -18,7 +18,7 @@ Two claims, both asserted here (see DESIGN.md "Observability"):
   near-empty reacts would price the wrapper call itself, not the
   profiler design.
 * **profiler on the vec path** stays under the same 15%: 64
-  ``batched-vec`` lanes of fig2d-statistical (every wire vectorizes),
+  ``batched`` lanes of fig2d-statistical (every wire vectorizes),
   each with its own ``Profiler(sample_every=4)``, keep the vectorized
   plan — the batch times each array op on sampled steps and credits
   every profiled lane its share.
@@ -42,7 +42,7 @@ import pytest
 
 from repro import LSS, build_design, build_simulator
 from repro.ccl import Mesh, attach_traffic, build_mesh_network
-from repro.core.batched_vec import VectorizedBatchedSimulator
+from repro.core.batched import BatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 from repro.core.signals import CtrlStatus, DataStatus
 from repro.obs import Profiler
@@ -190,8 +190,7 @@ def _fig2d_statistical_batch(profiled):
             aggregate_every=(2, 3, 4, 6)[i % 4],
             backend_rate=round(0.10 + 0.05 * (i % 16), 2), seed=i % 2)[0])
             for i in range(VEC_LANES)]
-        sim = VectorizedBatchedSimulator(designs,
-                                         seeds=list(range(VEC_LANES)))
+        sim = BatchedSimulator(designs, seeds=list(range(VEC_LANES)))
         if profiled:
             for i in range(VEC_LANES):
                 Profiler(sim.lane(i), sample_every=4)
@@ -202,7 +201,7 @@ def _fig2d_statistical_batch(profiled):
 
 
 def test_profiler_on_budget_batched_vec(benchmark):
-    """A profiler per lane of a 64-lane batched-vec batch: < 15% vs bare."""
+    """A profiler per lane of a 64-lane planned batch: < 15% vs bare."""
     best = _min_of_rounds({"plain_a": _fig2d_statistical_batch(False),
                            "plain_b": _fig2d_statistical_batch(False),
                            "attached": _fig2d_statistical_batch(True)},
@@ -214,7 +213,7 @@ def test_profiler_on_budget_batched_vec(benchmark):
           f"{VEC_ROUNDS}: plain {base * 1e3:.1f}ms (noise {noise:.1%}), "
           f"attached {best['attached'] * 1e3:.1f}ms "
           f"({(best['attached'] - base) / base:+.1%})")
-    _assert_within("batched-vec profiler-on", best["attached"], base,
+    _assert_within("batched profiler-on", best["attached"], base,
                    ON_BUDGET, noise)
 
 

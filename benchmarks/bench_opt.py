@@ -6,7 +6,8 @@ is no longer "itself, unfused" but the worklist reference.  These
 benchmarks pin both sides of the bargain on the Figure 2(d) system of
 systems:
 
-* codegen at ``--opt 2`` must step at least **1.3x** faster than the
+* the static engine (its generated stepper) at ``--opt 2`` must step
+  at least **1.3x** faster than the
   worklist reference (measured ~1.5x), and its schedule walk must stay
   under the pinned react-calls/step ceiling with no fallback step —
   the count a future scheduler edit may lower but not raise;
@@ -23,7 +24,6 @@ import time
 import pytest
 
 from repro.core import compile_cache as cc
-from repro.core.codegen import CodegenSimulator
 from repro.core.constructor import build_design
 from repro.core.engine import Simulator
 from repro.core.opt import pipeline as opt_pipeline
@@ -39,7 +39,8 @@ RUN_CYCLES = 60 if QUICK else 200
 #: Timing rounds (min-of-N).
 ROUNDS = 5
 
-#: The acceptance floor for codegen/opt 2 over the worklist reference.
+#: The acceptance floor for the static engine at opt 2 over the worklist
+#: reference.
 MIN_SPEEDUP = 1.3
 #: react() calls per schedule walk at opt 2: 15 per sensor node + 15 for
 #: the gateway and backend tiers (45 / 75 / 135 at 2 / 4 / 8 sensors).
@@ -76,10 +77,10 @@ def _best_sps(engine, design, opt) -> float:
 
 @pytest.mark.parametrize("opt", [0, 2], ids=["opt0", "opt2"])
 def test_codegen_throughput(cache, opt, benchmark):
-    """Stepping rate of a warm-constructed codegen engine per opt level."""
+    """Stepping rate of a warm-constructed static engine per opt level."""
     design = _fig2d_design()
-    CodegenSimulator(design.copy(), opt=opt).close()
-    sim = CodegenSimulator(design.copy(), seed=7, opt=opt)
+    LevelizedSimulator(design.copy(), opt=opt).close()
+    sim = LevelizedSimulator(design.copy(), seed=7, opt=opt)
     assert sim.opt_level == opt
     benchmark.pedantic(sim.run, args=(RUN_CYCLES,), rounds=ROUNDS)
     benchmark.extra_info["steps_per_second"] = (
@@ -88,23 +89,24 @@ def test_codegen_throughput(cache, opt, benchmark):
 
 
 def test_opt2_speedup_at_least_1_3x(cache):
-    """The acceptance criterion: codegen/opt 2 >= 1.3x the worklist
-    reference, inside the react-calls/step ceiling."""
+    """The acceptance criterion: the static engine at opt 2 >= 1.3x the
+    worklist reference, inside the react-calls/step ceiling."""
     design = _fig2d_design()
     reference = _best_sps(Simulator, design, 0)
-    optimized = _best_sps(CodegenSimulator, design, 2)
+    optimized = _best_sps(LevelizedSimulator, design, 2)
     ratio = optimized / reference
-    sim = CodegenSimulator(design.copy(), seed=7, opt=2)
+    sim = LevelizedSimulator(design.copy(), seed=7, opt=2)
     sim.run(RUN_CYCLES)
     reacts = opt_pipeline.react_calls(sim.schedule)
     fallbacks = sim.fallback_steps
     sim.close()
     print(f"\n[OPT] fig2d({N_SENSORS} sensors): worklist/opt0="
-          f"{reference:.0f} steps/s, codegen/opt2={optimized:.0f} steps/s "
+          f"{reference:.0f} steps/s, levelized/opt2={optimized:.0f} steps/s "
           f"({ratio:.2f}x), {reacts} react calls/step")
     assert ratio >= MIN_SPEEDUP, (
-        f"codegen/opt 2 only {ratio:.2f}x over the worklist reference "
-        f"(worklist={reference:.0f} steps/s, codegen={optimized:.0f} steps/s)")
+        f"levelized/opt 2 only {ratio:.2f}x over the worklist reference "
+        f"(worklist={reference:.0f} steps/s, "
+        f"levelized={optimized:.0f} steps/s)")
     assert fallbacks == 0, "the static schedule left signals unresolved"
     assert reacts <= MAX_REACTS_PER_STEP, (
         f"{reacts} react calls/step exceeds the pinned "
@@ -130,7 +132,7 @@ def test_warm_construction_skips_pipeline(cache, benchmark):
 def test_optimized_cache_hit_bit_identical(cache):
     """Cached optimized IR replays the exact cold-build behaviour."""
     def run():
-        sim = CodegenSimulator(_fig2d_design().copy(), seed=7, opt=2)
+        sim = LevelizedSimulator(_fig2d_design().copy(), seed=7, opt=2)
         from_cache = sim.compiled_from_cache
         sim.run(RUN_CYCLES)
         out = (sim.now, sim.transfers_total, sim.relaxations_total,

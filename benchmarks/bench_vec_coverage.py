@@ -1,6 +1,6 @@
 """Vectorization coverage of the parts catalog, gated on fig2d.
 
-PR 9 extends the ``batched-vec`` backend beyond the Moore templates:
+The lockstep engine's vec plan reaches beyond the Moore templates:
 PipelineReg, Delay, Tee, Mux, Demux and the Arbiter (fixed-priority and
 round-robin policies) all gained lane implementations, and numeric
 parameters broadcast per lane instead of demoting the group.  These
@@ -12,8 +12,9 @@ benchmarks pin the consequences on the paper's flagship composition:
   machinery and now batch;
 * the fully statistical variant (``field='statistical'`` — every field
   instance a PCL template) must vectorize **completely** (every wire on
-  the SoA path, no scalar stragglers, zero fallback steps) and beat
-  scalar lockstep by >= 2x at batch 256, bit-identical per lane.
+  the SoA path, no scalar stragglers, zero fallback steps) and beat the
+  plan-less batch (every lane on its own static stepper) by >= 2x at
+  batch 256, bit-identical per lane.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import time
 
 from repro import build_design
 from repro.core.batched import BatchedSimulator
-from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.systems.fig2d import build_fig2d
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
@@ -47,7 +47,7 @@ def test_fig2d_vec_wire_fraction(benchmark):
     fractions = {}
     for field in ("detailed", "statistical"):
         designs = [_design(i, field) for i in range(4)]
-        sim = VectorizedBatchedSimulator(designs, seeds=list(range(4)))
+        sim = BatchedSimulator(designs, seeds=list(range(4)))
         sim.run(CYCLES if field == "detailed" else CYCLES * 2)
         plan = sim.vec_plan
         n_total = len(designs[0].wires)
@@ -78,8 +78,8 @@ def test_fig2d_vec_wire_fraction(benchmark):
 
 
 def test_fig2d_statistical_field_speedup(benchmark):
-    """batched-vec >= 2x scalar batched on the statistical field tier
-    at batch 256 (32 in quick mode), bit-identical lane for lane.
+    """The vec plan >= 2x the plan-less batch on the statistical field
+    tier at batch 256 (32 in quick mode), bit-identical lane for lane.
 
     The field tier is all Mealy-or-Moore PCL templates — sources with
     lane-divergent backend rates, pipeline registers, delays, audit
@@ -92,23 +92,28 @@ def test_fig2d_statistical_field_speedup(benchmark):
     def _designs():
         return [_design(i, "statistical") for i in range(n_lanes)]
 
-    def _timed(cls):
-        sim = cls(_designs(), seeds=list(range(n_lanes)))
-        sim.run(1)  # plan build / cache warm outside the timed region
+    def _timed(planned):
+        sim = BatchedSimulator(_designs(), seeds=list(range(n_lanes)))
+        if not planned:
+            # A step observer keeps the batch off the plan.
+            sim.lane(0).add_observer(lambda lane: None)
+        sim.run(1)  # plan / stepper build outside the timed region
         t0 = time.perf_counter()
         sim.run(cycles)
         elapsed = time.perf_counter() - t0
         observed = _lane_observations(sim)
-        if isinstance(sim, VectorizedBatchedSimulator):
+        if planned:
             assert sim.vec_plan is not None
             assert sim.vec_plan.n_wires == len(sim.lanes[0].design.wires)
+        else:
+            assert sim.vec_plan is None
         sim.close()
         return observed, elapsed
 
-    scalar_obs, scalar_s = _timed(BatchedSimulator)
+    scalar_obs, scalar_s = _timed(False)
 
     def vec_run():
-        return _timed(VectorizedBatchedSimulator)
+        return _timed(True)
 
     vec_obs, vec_s = benchmark.pedantic(vec_run, rounds=1, iterations=1)
     assert vec_obs == scalar_obs, "vectorized lanes diverged from scalar"
@@ -118,7 +123,7 @@ def test_fig2d_statistical_field_speedup(benchmark):
     benchmark.extra_info["scalar_s"] = round(scalar_s, 4)
     benchmark.extra_info["vec_s"] = round(vec_s, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    print(f"\n[VEC-FIG2D] {n_lanes} lanes x {cycles} cycles: scalar "
+    print(f"\n[VEC-FIG2D] {n_lanes} lanes x {cycles} cycles: plan-less "
           f"{scalar_s:.2f}s, vec {vec_s:.2f}s -> {speedup:.2f}x")
 
     if QUICK:

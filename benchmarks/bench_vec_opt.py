@@ -10,7 +10,7 @@ here, both on the paper's flagship Figure 2(d) composition:
   vectorized wire count is >= the opt-0 plan's on every fig2d config.
 * **The stages compose.**  On the stock fig2d (detailed field tier,
   statistical backend — mostly scalar lanes) ``--opt 2`` under the
-  ``batched-vec`` backend is bit-identical to the opt-0 vec run lane
+  ``batched`` engine's vec plan is bit-identical to the opt-0 vec run lane
   for lane and not slower: both walk the same fused schedule (the
   react-call reduction that used to separate them now happens in
   ``build_schedule``, for every level), opt 2 adds only react folding
@@ -23,7 +23,7 @@ import os
 import time
 
 from repro import build_design
-from repro.core.batched_vec import VectorizedBatchedSimulator
+from repro.core.batched import BatchedSimulator
 from repro.core.ir import CompileOptions, compile_model
 from repro.systems.fig2d import build_fig2d
 
@@ -74,7 +74,7 @@ def test_opt_aware_plan_coverage(benchmark):
 
 
 def test_fig2d_opt2_vec_speedup(benchmark):
-    """--opt 2 batched-vec is not slower than opt-0 vec on the stock
+    """--opt 2 vec is not slower than opt-0 vec on the stock
     fig2d at batch 256 (32 in quick mode), bit-identical lane for lane.
     Both levels walk the same fused schedule; opt 2 only folds reacts
     and parks dead wires, so the two are expected level."""
@@ -82,7 +82,7 @@ def test_fig2d_opt2_vec_speedup(benchmark):
     cycles = CYCLES
 
     def _timed(opt):
-        sim = VectorizedBatchedSimulator(
+        sim = BatchedSimulator(
             [_design(i, "detailed") for i in range(n_lanes)],
             seeds=list(range(n_lanes)), opt=opt)
         sim.run(1)  # plan/cache warm outside the timed region

@@ -62,7 +62,7 @@ import os
 import sys
 
 from . import __version__, build_simulator, library_env, parse_lss
-from .core.backends import DEFAULT_ENGINE, engine_names
+from .core.backends import DEFAULT_ENGINE, engine_choices
 from .core.errors import LibertyError
 from .core.opt import opt_level_argument
 from .core.visualize import activity_report, design_to_dot
@@ -70,7 +70,7 @@ from .core.visualize import activity_report, design_to_dot
 _SUBCOMMANDS = ("run", "campaign", "profile", "check", "opt", "bench",
                 "serve", "submit", "status", "results", "work")
 
-_ENGINES = engine_names()
+_ENGINES = engine_choices()
 
 
 def _add_run_parser(subparsers) -> None:

@@ -8,9 +8,9 @@ engine the way the profiler does — swapping each instance's pre-bound
 view for a checking proxy — and is completely free when detached: the
 engines test only ``sim.contract_monitor is not None``-style structure,
 and detaching restores the original views and dispatch by assignment,
-never changing dict shapes.  A ``batched-vec`` batch with a monitor on
-any lane runs scalar lockstep until it is detached: a vectorized
-instance never calls its template's ``react``.
+never changing dict shapes.  A ``batched`` batch with a monitor on
+any lane runs each lane on its own static stepper until it is detached:
+a vectorized instance never calls its template's ``react``.
 
 Checked rules (pass-attributed, same scheme as the static passes):
 

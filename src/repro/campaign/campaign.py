@@ -24,8 +24,7 @@ from .sweep import Sweep, SweepPoint
 
 
 def fingerprint_groups(kind: str, target, lss_text: Optional[str],
-                       points: Sequence[Any], opt_level: int = 0,
-                       vec: bool = False):
+                       points: Sequence[Any], options=None):
     """Group sweep points by the structural fingerprint of their design.
 
     The shared shard-planning primitive: ``Campaign(batch=True)`` uses
@@ -38,8 +37,9 @@ def fingerprint_groups(kind: str, target, lss_text: Optional[str],
 
     ``points`` may be :class:`~repro.campaign.sweep.SweepPoint` objects
     or plain mappings with ``"run_id"``/``"params"`` keys (the fabric's
-    wire form).  ``vec=True`` additionally warms the compile-time vec
-    plan (the lockstep batch executors then adopt it instead of
+    wire form).  ``options`` (a :class:`~repro.core.ir.CompileOptions`)
+    names what to warm; with ``vec=True`` the compile-time vec plan is
+    warmed too (the lockstep batch executors then adopt it instead of
     replanning per process/shard).  Returns ``(groups, failures)``:
     ``groups`` maps each fingerprint to its points in first-seen order;
     ``failures`` lists the points whose spec failed to build (left for
@@ -60,7 +60,7 @@ def fingerprint_groups(kind: str, target, lss_text: Optional[str],
         try:
             spec = build_point_spec(kind, target, lss_text, params, run_id)
             design = build_design(spec)
-            fingerprint = (warm_design(design, opt_level=opt_level, vec=vec)
+            fingerprint = (warm_design(design, options)
                            if warm else design_fingerprint(design))
         except Exception:
             failures.append(point)
@@ -205,11 +205,10 @@ class Campaign:
         ordinary per-point tasks (the worker then reports the build
         failure with full context).
         """
-        from ..core.backends import compile_options_for, default_batch_engine
-        options = compile_options_for(default_batch_engine(), opt=self.opt)
+        from ..core.backends import compile_options_for
         groups, singles = fingerprint_groups(
             self.kind, self.target, self.lss_text, todo,
-            opt_level=options.opt_level, vec=options.vec)
+            compile_options_for("batched", opt=self.opt))
         tasks = []
         for fingerprint, members in groups.items():
             for k in range(0, len(members), self.batch_max):
@@ -234,10 +233,14 @@ class Campaign:
         """Compile each distinct topology once before workers fan out.
 
         Simulator campaigns (``kind`` in ``spec``/``lss``) pay schedule
-        construction per worker process otherwise.  Warming the compile
-        cache in the parent means forked workers find every schedule in
-        the inherited in-memory layer (and, with the disk layer on, in
-        ``.repro-cache/`` even under spawn).  Strictly best-effort: any
+        construction — and, on the static engine, the stepper compile —
+        per worker process otherwise.  Warming the compile cache in the
+        parent with what :attr:`engine` executes
+        (:func:`~repro.core.backends.compile_options_for`) means forked
+        workers find every schedule and stepper code object in the
+        inherited in-memory layer (and, with the disk layer on, the
+        schedule and stepper source in ``.repro-cache/`` even under
+        spawn).  Strictly best-effort: any
         failure here is left for the worker to report with full context.
         Returns the number of distinct fingerprints warmed.
         """
@@ -245,11 +248,11 @@ class Campaign:
                 or self.kind not in ("spec", "lss")
                 or self.engine == "worklist"):
             return 0  # batch grouping warms the cache itself
+        from ..core.backends import compile_options_for
         from ..core.compile_cache import get_cache, warm_spec
-        from ..core.opt import resolve_opt_level
         if not get_cache().enabled:
             return 0
-        opt_level = resolve_opt_level(self.opt)
+        options = compile_options_for(self.engine, opt=self.opt)
         fingerprints: set = set()
         try:
             build = (resolve_target(self.target) if self.kind == "spec"
@@ -267,7 +270,7 @@ class Campaign:
                         inst_name, _, param = dotted.partition(".")
                         if param:
                             spec.get_instance(inst_name).bindings[param] = value
-                fingerprints.add(warm_spec(spec, opt_level=opt_level))
+                fingerprints.add(warm_spec(spec, options))
             except Exception:
                 continue
         return len(fingerprints)

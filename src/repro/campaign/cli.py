@@ -50,9 +50,9 @@ def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
                              "For .lss specs NAME is 'instance.parameter'")
     parser.add_argument("--cycles", type=int, default=1000,
                         help="timesteps per run (default 1000)")
-    from ..core.backends import DEFAULT_ENGINE, engine_names
+    from ..core.backends import DEFAULT_ENGINE, engine_choices
     parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=engine_names())
+                        choices=engine_choices())
     from ..core.opt import opt_level_argument
     parser.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",

@@ -198,22 +198,17 @@ def _simulate_batch(task: RunTask) -> Dict[str, Any]:
     :func:`_simulate` payload, so the campaign can journal and
     aggregate the lanes as ordinary per-point runs.
     """
-    from ..core.backends import resolve_engine
+    from ..core.batched import BatchedSimulator
     from ..core.constructor import build_design
     if not task.points:
         raise CampaignError(f"batch task {task.run_id} has no points")
     designs = [build_design(build_point_spec(
         task.batch_kind, task.target, task.lss_text,
         point["params"], point["run_id"])) for point in task.points]
-    # Lockstep groups default to the vectorized backend (bit-identical
-    # to "batched", which is bit-identical to solo levelized runs);
-    # REPRO_BATCH_ENGINE selects any registered batch-capable engine.
-    from ..core.backends import default_batch_engine
-    engine = default_batch_engine()
     engine_kw: Dict[str, Any] = {}
     if task.opt is not None:
         engine_kw["opt"] = task.opt
-    sim = resolve_engine(engine)(
+    sim = BatchedSimulator(
         designs, seeds=[point["seed"] for point in task.points], **engine_kw)
     try:
         profilers: Dict[str, Any] = {}

@@ -25,7 +25,7 @@ class Link(Delay):
     Parameters: ``latency`` (cycles), ``drop`` — see ``Delay`` — plus
     ``length_mm`` recorded for the power model's per-length capacitance.
 
-    Under the ``batched-vec`` backend the link runs as
+    Under the ``batched`` engine's vec plan the link runs as
     :class:`repro.pcl.vec.VecLink`; ``react`` is inherited unchanged
     from ``Delay``.
     """

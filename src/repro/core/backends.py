@@ -2,14 +2,19 @@
 
 The paper's construction-time argument (§2.3) separates *what* a
 specification means from *how* the system chooses to animate it.  This
-module is that seam: each engine registers here under a short name
-("worklist", "levelized", "codegen", "batched", "batched-vec"), and
-every consumer — :func:`repro.core.constructor.build_simulator`, the
+module is that seam: each engine registers here under a short name, one
+per genuinely different strategy — ``"worklist"`` (the dynamic
+reference interpreter), ``"levelized"`` (the static engine: a generated
+stepper over the static schedule) and ``"batched"`` (the lockstep
+engine: N structurally identical designs under one vectorized plan).
+Every consumer — :func:`repro.core.constructor.build_simulator`, the
 CLI ``--engine`` flags, the campaign layer, the benchmarks, the test
 matrix — resolves names through the registry instead of hard-coding
 the list.  :data:`DEFAULT_ENGINE` (``"levelized"``) is the one default
 every API signature and CLI flag shares; the worklist interpreter stays
-the reference semantics the others are checked against.
+the reference semantics the others are checked against.  The former
+names ``"codegen"`` and ``"batched-vec"`` still resolve, to the static
+and lockstep engines, but are not listed (see :data:`ALIASES`).
 
 Registration is **lazy**: a backend records a ``"module:attr"`` target
 string and the class is imported only when first resolved, so merely
@@ -23,9 +28,7 @@ without touching call sites (CLI flags default to the constant and
 ignore it).  ``REPRO_OPT`` plays the same role for the optimizer level
 (:mod:`repro.core.opt`): engines that receive no explicit ``opt=``
 argument resolve it from the environment, so ``REPRO_OPT=2 pytest``
-runs everything over optimized IR.  ``REPRO_BATCH_ENGINE`` names the
-engine lockstep batch tasks use (``batched`` selects scalar lockstep
-instead of the vectorized default).
+runs everything over optimized IR.
 """
 
 from __future__ import annotations
@@ -43,8 +46,9 @@ DEFAULT_ENGINE = "levelized"
 #: Environment variable naming the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
-#: Environment variable naming the engine lockstep batch tasks use.
-BATCH_ENGINE_ENV_VAR = "REPRO_BATCH_ENGINE"
+#: Former engine names that still resolve, unlisted, while the
+#: benchmark harness in ``perf/`` names them.
+ALIASES = {"codegen": "levelized", "batched-vec": "batched"}
 
 
 class Backend:
@@ -106,15 +110,22 @@ def engine_names() -> Tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def engine_choices() -> Tuple[str, ...]:
+    """Every name an ``--engine`` flag accepts: the registered engines,
+    then the :data:`ALIASES`."""
+    return engine_names() + tuple(ALIASES)
+
+
 def get_backend(name: str) -> Backend:
-    """The :class:`Backend` registered under ``name``.
+    """The :class:`Backend` registered under ``name`` (or the one an
+    alias names).
 
     Raises :class:`~repro.core.errors.SpecificationError` listing the
     registered names when ``name`` is unknown — the one error message
     every CLI and campaign typo funnels through.
     """
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[ALIASES.get(name, name)]
     except KeyError:
         known = ", ".join(repr(n) for n in _REGISTRY)
         raise SpecificationError(
@@ -152,20 +163,6 @@ def default_opt_level() -> int:
     return resolve_opt_level(None)
 
 
-def default_batch_engine() -> str:
-    """The engine lockstep batch tasks run under.
-
-    Honours ``REPRO_BATCH_ENGINE`` (validated against the registry)
-    and falls back to ``"batched-vec"`` — bit-identical to
-    ``"batched"``, which is bit-identical to solo levelized runs.
-    """
-    name = os.environ.get(BATCH_ENGINE_ENV_VAR, "").strip()
-    if not name:
-        return "batched-vec"
-    get_backend(name)  # validate, with the helpful listing on a typo
-    return name
-
-
 def compile_options_for(name: str, *, opt: Optional[int] = None):
     """The ``CompileOptions`` that warm the cache for engine ``name``.
 
@@ -189,16 +186,11 @@ register_backend(
     doc="dynamic worklist interpreter; the reference semantics")
 register_backend(
     "levelized", "repro.core.optimize:LevelizedSimulator",
-    doc="static levelized schedule compiled at construction time")
-register_backend(
-    "codegen", "repro.core.codegen:CodegenSimulator",
-    doc="generated per-design Python stepper over the static schedule",
+    doc="generated per-design stepper over the static schedule",
     consumes=("stepper",))
 register_backend(
     "batched", "repro.core.batched:BatchedSimulator",
-    doc="lockstep execution of N structurally identical designs")
-register_backend(
-    "batched-vec", "repro.core.batched_vec:VectorizedBatchedSimulator",
-    doc="lockstep execution with numpy structure-of-arrays lane state; "
-        "falls back per wire (and wholesale) to the scalar batched path",
+    doc="lockstep execution of N structurally identical designs with "
+        "numpy structure-of-arrays lane state; without a plan each lane "
+        "runs its own static stepper",
     consumes=("vec",))

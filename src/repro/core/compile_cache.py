@@ -62,8 +62,9 @@ from .signals import Wire
 #: DEPS/control tables) instead of bare schedules.  v3: the base
 #: schedule is the fused instance-affine one (see build_schedule).  v4:
 #: the generated stepper reads the signal store's ``unknown`` counter
-#: and hands clusters their slot lists.
-CACHE_VERSION = 4
+#: and hands clusters their slot lists.  v5: the stepper unpacks its
+#: hoisted reacts from one ``reacts`` argument.
+CACHE_VERSION = 5
 
 _DEFAULT_DIR = ".repro-cache"
 _DEFAULT_MEMORY_LIMIT = 64
@@ -422,32 +423,29 @@ def configure(**kwargs) -> CompileCache:
     return _default_cache
 
 
-def warm_design(design: Design, opt_level: int = 0, vec: bool = False) -> str:
+def warm_design(design: Design, options=None) -> str:
     """Ensure ``design``'s compiled model is cached; returns the fingerprint.
 
-    Used by the campaign orchestrator to compile each distinct topology
-    once in the parent before worker processes fan out.  With
-    ``opt_level > 0`` the optimized artifact is warmed too (under its
-    composite ``fingerprint@opt{level}.{version}`` key), so workers
-    skip the optimizer pass pipeline as well as compilation.  With
-    ``vec=True`` the vec-planned artifact is also warmed (composite
-    ``fingerprint@opt{level}+vec{class}`` key), so lockstep batch
-    workers adopt the plan instead of rebuilding it per process.
+    Used by the campaign orchestrator and the fabric planner to compile
+    each distinct topology once before worker processes fan out.
+    ``options`` (a :class:`~repro.core.ir.CompileOptions`, default: the
+    base artifact) names what to warm — every stage it selects is
+    cached on the way: the optimized artifact under its composite
+    ``fingerprint@opt{level}.{version}`` key, the vec-planned one under
+    ``fingerprint@opt{level}+vec{class}``, and with ``need_stepper`` the
+    stepper source and its code object (the latter in the in-memory
+    layer, which forked workers inherit).  Workers then skip the pass
+    pipeline, vec planning and the stepper compile as well as
+    compilation.
     """
     fingerprint = design_fingerprint(design)
-    cache = get_cache()
-    if cache.enabled:
-        from .ir import CompileOptions, compile_model
-        compile_model(design)
-        level = opt_level or 0
-        if level > 0:
-            compile_model(design, opt_level=level)
-        if vec:
-            compile_model(design, CompileOptions(opt_level=level, vec=True))
+    if get_cache().enabled:
+        from .ir import compile_model
+        compile_model(design, options)
     return fingerprint
 
 
-def warm_spec(spec, opt_level: int = 0, vec: bool = False) -> str:
+def warm_spec(spec, options=None) -> str:
     """Build ``spec``'s design and warm the cache for it."""
     from .constructor import build_design
-    return warm_design(build_design(spec), opt_level=opt_level, vec=vec)
+    return warm_design(build_design(spec), options)

@@ -18,7 +18,8 @@ Turns a specification into an executable simulator in five phases:
 5. **Engine construction** — :func:`build_simulator` hands the wired
    :class:`~repro.core.netlist.Design` to the selected engine:
    ``'worklist'`` (dynamic reactive scheduler), ``'levelized'`` (static
-   schedule, ref [22]) or ``'codegen'`` (generated-Python stepper).
+   schedule compiled to a generated-Python stepper, ref [22]) or
+   ``'batched'`` (lockstep lanes).
 """
 
 from __future__ import annotations
@@ -312,9 +313,9 @@ def build_simulator(spec: LSS, engine: Optional[str] = None, *,
         A name registered in :mod:`repro.core.backends` —
         ``'worklist'`` (dynamic reactive scheduler, the reference
         semantics), ``'levelized'`` (construction-time static schedule,
-        paper ref [22]), ``'codegen'`` (static schedule compiled to a
-        generated Python stepper) or ``'batched'`` (lockstep execution
-        of structurally identical designs).  ``None`` selects the
+        paper ref [22], compiled to a generated Python stepper) or
+        ``'batched'`` (lockstep execution of structurally identical
+        designs).  ``None`` selects the
         default engine: the ``REPRO_ENGINE`` environment variable when
         set, else :data:`~repro.core.backends.DEFAULT_ENGINE`
         (``'levelized'``).

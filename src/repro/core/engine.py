@@ -22,8 +22,9 @@ implements the reference **worklist** engine:
 * once everything is resolved the engine logs transfers, fires wire
   probes, calls every instance's ``update()`` and advances ``now``.
 
-The statically-scheduled engines in :mod:`repro.core.optimize` and
-:mod:`repro.core.codegen` implement identical semantics with less
+The static engine (:mod:`repro.core.optimize`, running the stepper
+:mod:`repro.core.codegen` generates) and the lockstep engine
+(:mod:`repro.core.batched`) implement identical semantics with less
 runtime scheduling overhead.
 """
 
@@ -291,7 +292,8 @@ class SimulatorBase:
         self.now += 1
 
     def _instrumentation_changed(self) -> None:
-        """Hook for engines that cache bound dispatch (see codegen)."""
+        """Hook for engines that cache bound dispatch (see the static
+        engine's generated stepper)."""
 
     def _apply_opt(self, block: Dict[str, Any]) -> None:
         """Apply a compiled-model ``opt`` block (:mod:`repro.core.opt`).

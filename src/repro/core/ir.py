@@ -3,10 +3,10 @@
 The paper's construction-time argument (§2.3) is that a fixed model of
 computation lets the *system* derive the executable form of a
 specification.  Historically each engine re-derived the pieces it
-needed — the levelized engine built the signal graph and schedule, the
-codegen engine additionally generated its stepper, the analysis passes
-rebuilt the graph again.  This module centralizes all of it in one
-**immutable compiled artifact**, the :class:`CompiledModel`:
+needed — the static engine built the signal graph and schedule, then
+generated its stepper, the analysis passes rebuilt the graph again.
+This module centralizes all of it in one **immutable compiled
+artifact**, the :class:`CompiledModel`:
 
 * the levelized schedule (portable, path/endpoint-keyed),
 * the signal-group dependency graph (portable edge list),
@@ -21,7 +21,7 @@ compile cache (:mod:`repro.core.compile_cache`, whose entries *are*
 :class:`BoundModel` — the artifact rebound onto one concrete design's
 live instances and wires.  Every backend in
 :mod:`repro.core.backends` that uses static scheduling (levelized,
-codegen, batched) executes over this binding, and the analysis layer
+batched) executes over this binding, and the analysis layer
 (:class:`repro.analysis.passes.AnalysisContext`) materializes its
 signal graph from the same artifact instead of rebuilding it.
 
@@ -76,8 +76,9 @@ class CompiledModel:
     Fields are set once at compile time and never mutated afterwards,
     with one documented exception: the stepper pair
     (``stepper_source``/``code``) is attached lazily the first time a
-    codegen construction needs it (``code`` lives in the in-memory
-    cache layer only — it is never serialized).
+    static engine steps, or a warm-up asks for it (:func:`attach_stepper`;
+    ``code`` lives in the in-memory cache layer only — it is never
+    serialized).
 
     ``schedule`` is the portable schedule; ``graph_edges`` the portable
     signal-graph edge list (``None`` for entries predating it, e.g.
@@ -262,13 +263,23 @@ def _metadata_tables(design: Design) -> Tuple[Dict[str, str], Dict[str, str]]:
     return deps, controls
 
 
-def _attach_stepper(model: CompiledModel, schedule: List[Any]) -> None:
-    """Generate and compile the stepper for ``model`` (lazy, idempotent)."""
-    from .codegen import generate_stepper_source
-    source = generate_stepper_source(schedule, model.design_name)
-    model.stepper_source = source
-    model.code = compile(
-        source, f"<generated stepper {model.design_name!r}>", "exec")
+def attach_stepper(model: CompiledModel, schedule: List[Any]):
+    """``model``'s stepper code object, generated and compiled on first
+    use (idempotent).
+
+    The source is a function of the schedule shape alone, so it rides
+    the artifact (and its disk entry, when the artifact is stored after
+    this); the code object is shared through the in-memory layer only.
+    """
+    if model.code is None:
+        from .codegen import generate_stepper_source
+        if model.stepper_source is None:
+            model.stepper_source = generate_stepper_source(
+                schedule, model.design_name)
+        model.code = compile(model.stepper_source,
+                             f"<generated stepper {model.design_name!r}>",
+                             "exec")
+    return model.code
 
 
 def compile_model(design: Design,
@@ -307,7 +318,7 @@ def compile_model(design: Design,
        (optimized) schedule and opt block, stored as the artifact's
        portable ``vec`` payload and cached under the composite
        ``fingerprint@opt{level}+vec{class}.{OPT_VERSION}/{VEC_VERSION}``
-       key, so warm batched-vec builds — and fabric workers receiving
+       key, so warm lockstep builds — and fabric workers receiving
        the artifact — skip both the pass pipeline *and* planning.
     """
     if options is None:
@@ -340,15 +351,17 @@ def compile_model(design: Design,
                     cache.evict(key)
                     cache.stats["misses"] += 1
                 else:
-                    if need_stepper and entry.stepper_source is None:
-                        _attach_stepper(entry, bound.schedule)
-                        cache.store(entry)  # persist the stepper to disk too
+                    if need_stepper:
+                        fresh = entry.stepper_source is None
+                        attach_stepper(entry, bound.schedule)
+                        if fresh:  # persist the source to disk too
+                            cache.store(entry)
                     return bound
         model, schedule, partition = build(
             design, key, options,
             lambda inner_stepper: stage(depth - 1, inner_stepper))
-        if need_stepper and model.stepper_source is None:
-            _attach_stepper(model, schedule)
+        if need_stepper:
+            attach_stepper(model, schedule)
         if cache.enabled:
             cache.store(model)
         return BoundModel(model, design, schedule,
@@ -383,13 +396,18 @@ def _build_base(design: Design, key: str, options: CompileOptions, inner):
     from .optimize import build_schedule, build_signal_graph
     graph = build_signal_graph(design)
     schedule = build_schedule(design, graph=graph)
+    edges = _portable_graph(graph, design)
+    # networkx caches its edge/degree views on the graph, and each view
+    # points back at it: left alone, the graph (whose nodes hold the
+    # live wires and instances) would wait for a gc pass.
+    graph.clear()
     partition = partition_wires(design)
     deps, controls = _metadata_tables(design)
     wires = design.wires
     model = CompiledModel(
         key, portable_schedule(schedule, design),
         design_name=design.name,
-        graph_edges=_portable_graph(graph, design),
+        graph_edges=edges,
         const_keys=[list(wire_key(wires[s]))
                     for s in sorted(design.store.consts)],
         transfer_keys=[list(wire_key(wires[s])) for s in partition.transfer],
@@ -404,9 +422,11 @@ def _build_opt(design: Design, key: str, options: CompileOptions, inner):
     pipeline itself runs fresh."""
     from .opt.pipeline import optimize_model
     base = inner(False)
-    result = optimize_model(design, level=options.opt_level,
-                            graph=base.model.signal_graph(design),
+    graph = base.model.signal_graph(design)
+    result = optimize_model(design, level=options.opt_level, graph=graph,
                             schedule=base.schedule)
+    if graph is not None:
+        graph.clear()  # see _build_base
     model = _derived_model(key, base, result.schedule, opt=result.block)
     return model, result.schedule, base.partition
 

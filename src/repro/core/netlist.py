@@ -129,7 +129,7 @@ class Design:
         dup._owned = False
         dup.store.transfers[:] = [0] * len(dup.wires)
         dup.store.watched[:] = [False] * len(dup.wires)
-        # A batched-vec plan parks the slots it vectorizes in the reset
+        # A batched vec plan parks the slots it vectorizes in the reset
         # templates; the copy's engine starts from the plain ones.
         dup.store.unpark(range(len(dup.wires)))
         for leaf in dup.leaves.values():

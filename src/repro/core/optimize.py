@@ -36,16 +36,16 @@ order reacts 172 times per step (n = 4) where this walk needs 76.
 The resulting schedule replaces the dynamic worklist with a fixed
 sequence of ``react()`` calls.  Semantics are identical to the worklist
 engine, which stays the reference every engine is checked against; only
-scheduling overhead is removed.  The :mod:`repro.core.codegen` engine
-further compiles the schedule into generated Python, and the optimizer
-(:mod:`repro.core.opt`) decides what an engine binds to it — it never
-reorders it.
+scheduling overhead is removed.  The static engine,
+:class:`LevelizedSimulator`, runs the schedule as generated Python
+(:mod:`repro.core.codegen`), and the optimizer (:mod:`repro.core.opt`)
+decides what an engine binds to it — it never reorders it.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -321,7 +321,16 @@ def build_schedule(design: Design,
 
 
 class LevelizedSimulator(SimulatorBase):
-    """Statically scheduled engine; see module docstring.
+    """The static engine: a generated stepper over the static schedule.
+
+    Semantics are identical to the worklist
+    :class:`~repro.core.engine.Simulator`; only the per-timestep
+    dispatch differs.  Each step runs the stepper
+    :func:`repro.core.codegen.generate_stepper_source` emits for the
+    schedule, built on the first step and dropped whenever the
+    instrumentation changes (its hoisted ``react`` bindings would be
+    stale), so the next step rebuilds it.  A simulator that never steps
+    solo — a lane of a planned lockstep batch — never builds one.
 
     Attributes
     ----------
@@ -333,10 +342,6 @@ class LevelizedSimulator(SimulatorBase):
         declaration) and the engine fell back to worklist-style
         iteration.  0 for correct declarations.
     """
-
-    #: Subclasses that execute a generated stepper set this so
-    #: :func:`repro.core.ir.compile_model` attaches one up front.
-    NEEDS_STEPPER = False
 
     def __init__(self, design: Design, *, opt: Optional[int] = None, **kw):
         # Construction-time compilation is content-addressed: the IR
@@ -350,20 +355,54 @@ class LevelizedSimulator(SimulatorBase):
         from .ir import CompileOptions, compile_model
         from .opt import resolve_opt_level
         level = resolve_opt_level(opt)
-        bound = compile_model(design, CompileOptions(
-            opt_level=level, need_stepper=type(self).NEEDS_STEPPER))
+        bound = compile_model(design, CompileOptions(opt_level=level))
         super().__init__(design, _partition=bound.partition,
                          _opt=bound.model.opt, **kw)
         self.compiled = bound.model
         self.compile_fingerprint: str = bound.model.fingerprint
         self.compiled_from_cache = bound.from_cache
         #: The resolved optimization level this simulator compiled at;
-        #: the vectorized batched backend keys its plan fetch off it.
+        #: the lockstep engine keys its vec plan fetch off it.
         self.compile_opt_level = level
         self.schedule = bound.schedule
         self.fallback_steps = 0
         # Per-entry slot lists the cluster fixed-point iteration checks.
         self._cluster_slots: List[List[int]] = bound.cluster_slots
+        self._stepper: Optional[Callable[[], None]] = None
+
+    @property
+    def generated_source(self) -> str:
+        """Source text of this design's generated stepper."""
+        from .ir import attach_stepper
+        attach_stepper(self.compiled, self.schedule)
+        return self.compiled.stepper_source
+
+    def _build_stepper(self) -> Callable[[], None]:
+        # The code object rides the CompiledModel, so every simulator
+        # of one structure shares one compile (through the in-memory
+        # cache layer); only the closure over this design is built here.
+        from .codegen import stepper_instances
+        from .ir import attach_stepper
+        namespace: dict = {}
+        exec(attach_stepper(self.compiled, self.schedule), namespace)
+        reacts = [inst.react for inst in stepper_instances(self.schedule)]
+        self._stepper = namespace["make_stepper"](
+            self, reacts, self.schedule, self._cluster_slots)
+        return self._stepper
+
+    def _instrumentation_changed(self) -> None:
+        """Drop the stepper: it closes over the bound ``react`` methods a
+        profiler or monitor just swapped, so the next step rebuilds it."""
+        self._stepper = None
+
+    def _step(self) -> None:
+        (self._stepper or self._build_stepper())()
+
+    def close(self) -> None:
+        super().close()
+        # The stepper closes over this simulator's bound methods: with
+        # it gone a closed simulator is freed by reference counting.
+        self._stepper = None
 
     def _run_cluster(self, entry: ScheduleEntry, slots: List[int]) -> None:
         """Iterate a combinational cluster to a fixed point."""
@@ -397,17 +436,6 @@ class LevelizedSimulator(SimulatorBase):
                     if signal is not None:
                         self._force(s, signal)
                         break
-
-    def _step(self) -> None:
-        self._begin_step()
-        for entry, slots in zip(self.schedule, self._cluster_slots):
-            if entry.cluster:
-                self._run_cluster(entry, slots)
-            else:
-                entry.instances[0].react()
-        if self._store.unknown > 0:
-            self._fallback()
-        self._end_step()
 
     def _fallback(self) -> None:
         """Worklist-style safety net for mis-declared dependencies."""

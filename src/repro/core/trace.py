@@ -47,7 +47,7 @@ class VCDTracer:
     Parameters
     ----------
     sim:
-        Any engine instance (worklist/levelized/codegen).
+        Any engine instance (worklist/levelized).
     path:
         Output file path; alternatively pass an open text ``stream``.
     wires:

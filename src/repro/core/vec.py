@@ -29,7 +29,7 @@ turns that into numpy array operations:
 * the vec-implementation registry (:func:`register_vec_impl`) and the
   compile-time feature detection (:func:`build_vec_plan`) that decides,
   per instance and per wire, what runs vectorized and what stays on the
-  scalar lockstep path.
+  per-lane scalar path.
 
 A wire is vectorizable iff both endpoints are vectorized instances, it
 carries no control function, and no lane watches it with a probe.  An
@@ -42,10 +42,10 @@ timestep; Mealy templates need an implementation declaring
 ``MEALY = True``, whose react is *re-entrant*: it runs at every
 schedule occurrence of the instance, resolving incrementally exactly
 like the scalar react body it shadows (monotone, partial drives
-through the ``*_where`` port ops).  Everything else — and every lane,
-whenever a step observer or contract monitor is attached — runs the
-existing scalar path; a profiler keeps the plan (see
-:mod:`repro.core.batched_vec`).
+through the ``*_where`` port ops).  Everything else runs the per-lane
+scalar path, and whenever a step observer or contract monitor is
+attached every lane runs its own static stepper; a profiler keeps the
+plan (see :mod:`repro.core.batched`).
 """
 
 from __future__ import annotations

@@ -110,9 +110,9 @@ def add_fabric_parsers(subparsers) -> None:
     submit.add_argument("--name", default=None,
                         help="job name (default: spec file stem)")
     submit.add_argument("--cycles", type=int, default=1000)
-    from ..core.backends import DEFAULT_ENGINE, engine_names
+    from ..core.backends import DEFAULT_ENGINE, engine_choices
     submit.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=engine_names())
+                        choices=engine_choices())
     from ..core.opt import opt_level_argument
     submit.add_argument("--opt", type=opt_level_argument, default=None,
                         metavar="LEVEL",

@@ -6,10 +6,9 @@ text), and the execution envelope.  The coordinator *plans* a job into
 *shards*: groups of structurally identical points (same design
 fingerprint, the ``Campaign(batch=True)`` grouping, shared via
 :func:`repro.campaign.fingerprint_groups`) that one worker executes as
-a single lockstep batched-simulator task — by default the vectorized
-``batched-vec`` backend, overridable via ``REPRO_BATCH_ENGINE`` (the
-routing lives in the campaign executor's batch task path, so fabric
-shards and local ``Campaign(batch=True)`` runs always agree).
+a single task on the lockstep ``batched`` engine (the routing lives in
+the campaign executor's batch task path, so fabric shards and local
+``Campaign(batch=True)`` runs always agree).
 Points whose spec fails to build in the planner become singleton
 *serial* shards, so a poisoned point never sinks its group and the
 worker reports the build failure with full context.
@@ -206,18 +205,18 @@ def plan_shards(job: JobSpec, job_id: str,
             add("serial", todo[k:k + job.batch_max])
         return plan
 
-    from ..core.opt import resolve_opt_level
+    from ..core.backends import compile_options_for
     from .artifacts import composite_artifact_keys
-    opt_level = resolve_opt_level(job.opt)
+    options = compile_options_for("batched", opt=job.opt)
     groups, failures = fingerprint_groups(
-        job.kind, job.target, job.lss_text, todo,
-        opt_level=opt_level, vec=True)
+        job.kind, job.target, job.lss_text, todo, options)
     for fingerprint, members in groups.items():
         # Base + optimized + vec-planned artifacts: the planner just
         # warmed all three, and the coordinator exports the full set so
         # workers adopt the shipped vec plan instead of replanning.
         plan.fingerprints.extend(
-            composite_artifact_keys(fingerprint, opt_level, vec=True))
+            composite_artifact_keys(fingerprint, options.opt_level,
+                                    vec=True))
         for k in range(0, len(members), job.batch_max):
             add("batch", members[k:k + job.batch_max], fingerprint)
     for point in failures:

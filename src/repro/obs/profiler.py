@@ -4,9 +4,8 @@ Mahmood's thesis on verification of component-based simulators argues
 the right place to instrument is the *composition seams* — the
 handshake and scheduling layer the framework owns — not the component
 internals.  That is exactly what this profiler does: it attaches to any
-:class:`~repro.core.engine.SimulatorBase` (worklist, levelized or
-codegen engine alike, or one lane of a ``batched``/``batched-vec``
-batch) and observes
+:class:`~repro.core.engine.SimulatorBase` (worklist or static engine
+alike, or one lane of a ``batched`` batch) and observes
 
 * **per-instance cost** — every ``react()`` dispatch is wrapped, so
   invoke counts are exact and wall time is measured on *sampled*
@@ -27,10 +26,10 @@ shared-key instance dicts split and the engine byte-for-byte back on
 its unprofiled path (the only residue is one ``is not None`` test per
 timestep).
 
-On a ``batched-vec`` lane the batch keeps its vectorized plan: an
+On a ``batched`` lane the batch keeps its vectorized plan: an
 instance the plan vectorizes never calls its own ``react``, so the
 batch reports for it instead (see
-:mod:`repro.core.batched_vec`).  Its ``calls`` (steps × schedule
+:mod:`repro.core.batched`).  Its ``calls`` (steps × schedule
 occurrences, what a scalar lane counts), ``sampled_calls`` and ``ns``
 are credited in bulk at the end of each run, and ``ns`` is the lane's
 share of the array op that served the whole batch — the op's sampled

@@ -1,7 +1,7 @@
 """Vectorized implementations of the stock PCL modules.
 
 Each class here shadows one template from the parts catalog inside the
-``batched-vec`` backend: it re-expresses the template's ``react`` /
+``batched`` engine's vec plan: it re-expresses the template's ``react`` /
 ``update`` bodies as ``(lanes,)``-wide array operations over
 :class:`~repro.core.vec.VecPortIndex` adapters, while keeping the
 module instances themselves the source of truth between runs
@@ -17,7 +17,7 @@ masked :class:`~repro.core.vec.LaneRng`; where it draws unconditionally
 ``supports`` rejects any parameter binding whose behaviour the array
 form cannot reproduce exactly (callable payloads/policies, custom
 generators, value recording) — those instances simply stay on the
-scalar lockstep path.
+per-lane scalar path.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class VecBuffer:
     no custom ``emit``, a single output head and no ``upd`` port.
     Algorithmic bindings (out-of-order windows, reorder buffers,
     squash handlers) call arbitrary Python per entry and stay on the
-    scalar lockstep path.
+    per-lane scalar path.
 
     The pool is a left-justified ``(lanes, max_depth)`` object array of
     the instances' *live* :class:`~repro.pcl.buffer.BufferEntry`

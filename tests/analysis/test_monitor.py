@@ -73,7 +73,7 @@ class TestInheritedReactEscapesContract:
         return spec
 
     @pytest.mark.parametrize("opt", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["worklist", "levelized", "codegen"])
+    @pytest.mark.parametrize("name", ["worklist", "levelized", "batched"])
     def test_undeclared_read_found_at_every_opt_level(self, name, opt):
         sim = build_simulator(self._spec(), engine=name, opt=opt)
         raw = {path: dict(inst._views)
@@ -109,51 +109,55 @@ class _CountingMonitor(ContractMonitor):
 
 class TestBatchEngines:
     """A vectorized instance never runs its template's ``react`` or
-    reads through its views, so a monitored ``batched-vec`` lane keeps
-    the whole batch on the scalar path — monitored reacts and findings
-    match ``batched`` — and the plan comes back on detach."""
+    reads through its views, so a monitored lane keeps the whole batch
+    off the vec plan — each lane runs its own static stepper, and
+    monitored reacts and findings match solo runs — and the plan comes
+    back on detach."""
+
+    @staticmethod
+    def _monitored(sim, cycles):
+        mon = _CountingMonitor(sim, mode="record")
+        sim.run(cycles)
+        return (dict(mon.reacts),
+                [(d.rule, d.path, d.data["count"]) for d in mon.violations])
 
     @pytest.mark.parametrize("monitored", [(0, 1), (1,)],
                              ids=("every-lane", "lane-1"))
     @pytest.mark.parametrize("make", [
         pipe_spec, TestInheritedReactEscapesContract._spec],
         ids=("pipe", "inherited-react"))
-    def test_same_reacts_and_violations_on_both_batch_engines(
-            self, make, monitored):
+    def test_same_reacts_and_violations_as_solo_runs(self, make, monitored):
         from repro.core.batched import BatchedSimulator
-        from repro.core.batched_vec import VectorizedBatchedSimulator
+        from repro.core.optimize import LevelizedSimulator
 
-        seen = {}
-        for engine in (BatchedSimulator, VectorizedBatchedSimulator):
-            batch = engine([build_design(make()) for _ in range(2)],
-                           seeds=[1, 2])
-            monitors = [_CountingMonitor(batch.lane(i), mode="record")
-                        for i in monitored]
-            batch.run(50)
-            if engine is VectorizedBatchedSimulator:
-                assert batch.vec_plan is None
-            seen[engine] = (
-                [dict(mon.reacts) for mon in monitors],
-                [[(d.rule, d.path, d.data["count"]) for d in mon.violations]
-                 for mon in monitors])
-            for mon in monitors:
-                mon.detach()
-            batch.run(5)
-            if engine is VectorizedBatchedSimulator and make is pipe_spec:
-                assert batch.vec_plan is not None
-            batch.close()
-        assert seen[BatchedSimulator] == seen[VectorizedBatchedSimulator]
-        reacts, violations = seen[VectorizedBatchedSimulator]
-        for lane in reacts:
-            assert lane and all(n >= 50 for n in lane.values())
+        batch = BatchedSimulator([build_design(make()) for _ in range(2)],
+                                 seeds=[1, 2])
+        monitors = [_CountingMonitor(batch.lane(i), mode="record")
+                    for i in monitored]
+        batch.run(50)
+        assert batch.vec_plan is None
+        seen = [(dict(mon.reacts),
+                 [(d.rule, d.path, d.data["count"]) for d in mon.violations])
+                for mon in monitors]
+        for mon in monitors:
+            mon.detach()
+        batch.run(5)
+        if make is pipe_spec:
+            assert batch.vec_plan is not None
+        batch.close()
+        for i, (reacts, violations) in zip(monitored, seen):
+            solo = LevelizedSimulator(build_design(make()), seed=1 + i)
+            assert (reacts, violations) == self._monitored(solo, 50)
+            solo.close()
+            assert reacts and all(n >= 50 for n in reacts.values())
         expected = [] if make is pipe_spec \
             else [("contract-monitor.undeclared-read", "reg")]
-        assert [[(rule, path) for rule, path, _ in lane]
-                for lane in violations] == [expected] * len(monitored)
+        assert [[(rule, path) for rule, path, _ in violations]
+                for _, violations in seen] == [expected] * len(monitored)
 
     def test_monitor_on_the_batch_itself(self):
-        from repro.core.batched_vec import VectorizedBatchedSimulator
-        batch = VectorizedBatchedSimulator(build_design(pipe_spec()))
+        from repro.core.batched import BatchedSimulator
+        batch = BatchedSimulator(build_design(pipe_spec()))
         mon = _CountingMonitor(batch, mode="record")
         batch.run(10)
         assert batch.vec_plan is None

@@ -90,14 +90,12 @@ class TestValidation:
 
 
 class TestBatchedProfiling:
-    def test_per_lane_profile_in_results(self, tmp_path, monkeypatch):
-        # The default batch engine (batched-vec) keeps its vec plan under
-        # the profilers; per-lane invoke counts equal the scalar batched
-        # backend's exactly.
+    def test_per_lane_profile_in_results(self, tmp_path):
+        # The lockstep engine keeps its vec plan under the profilers;
+        # per-lane invoke counts equal an un-batched campaign's exactly.
         result = _campaign(tmp_path, "prof", batch=True, workers=0,
                            profile=True).run()
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "batched")
-        scalar = _campaign(tmp_path, "prof-scalar", batch=True, workers=0,
+        scalar = _campaign(tmp_path, "prof-solo", workers=0,
                            profile=True).run()
         assert len(result.done) == 8
         for row, ref in zip(result.done, scalar.done):

@@ -222,6 +222,22 @@ class TestCompileCachePrewarm:
         result = campaign.run()
         assert len(result.done) == 8 and not result.failed
 
+    @pytest.mark.parametrize("opt", [0, 2])
+    def test_prewarm_compiles_the_static_stepper(self, tmp_path,
+                                                 private_cache, opt):
+        # Forked workers inherit the memory layer: the stepper's code
+        # object must already be there, or every worker compiles it.
+        from repro import build_design
+        from repro.core.compile_cache import design_fingerprint
+        from repro.core.opt import opt_cache_key
+        campaign = _pipe_campaign(tmp_path, name="stepper", opt=opt)
+        points = campaign.sweep.points()
+        assert campaign._prewarm(points) == 1
+        fingerprint = design_fingerprint(
+            build_design(_targets.build_pipe(**points[0].params)))
+        key = opt_cache_key(fingerprint, opt) if opt else fingerprint
+        assert private_cache._memory[key].code is not None
+
     def test_prewarm_skipped_when_pointless(self, tmp_path):
         points = _pipe_campaign(tmp_path).sweep.points()
         assert _pipe_campaign(tmp_path, workers=0)._prewarm(points) == 0

@@ -2,20 +2,39 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import pytest
 
 from repro import LSS, engine_names
 from repro.pcl import Queue, Sink, Source
 
-#: The single-design engines, resolved from the backend registry (the
-#: batched backend is exercised by its dedicated differential tests and
-#: the REPRO_ENGINE=batched CI leg rather than by every fixture user).
-ENGINES = tuple(n for n in engine_names() if n != "batched")
+def pytest_sessionstart(session):
+    """Give the session a private, empty on-disk compile cache.
+
+    The suite then neither reads nor writes ``./.repro-cache/``, so a
+    warm local cache cannot hide a bug on the cold compile path.
+    Subprocesses the tests start inherit the directory.
+    """
+    from repro.core import compile_cache
+    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-cache-")
+    compile_cache.configure()
+
+
+def pytest_sessionfinish(session):
+    shutil.rmtree(os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
+
+
+#: Every registered engine, resolved from the backend registry (the
+#: lockstep engine animates a batch of one).
+ENGINES = engine_names()
 
 
 @pytest.fixture(params=ENGINES)
 def engine(request):
-    """Parametrize a test over every single-design engine."""
+    """Parametrize a test over every engine."""
     return request.param
 
 

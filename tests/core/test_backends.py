@@ -4,10 +4,10 @@ import pytest
 
 from repro import SpecificationError, build_simulator
 from repro.core import backends
-from repro.core.backends import (DEFAULT_ENGINE, default_engine,
-                                 engine_names, get_backend, register_backend,
-                                 resolve_engine)
-from repro.core.codegen import CodegenSimulator
+from repro.core.backends import (ALIASES, DEFAULT_ENGINE, default_engine,
+                                 engine_choices, engine_names, get_backend,
+                                 register_backend, resolve_engine)
+from repro.core.batched import BatchedSimulator
 from repro.core.engine import Simulator
 from repro.core.optimize import LevelizedSimulator
 
@@ -16,8 +16,17 @@ from ..conftest import simple_pipe_spec
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert engine_names() == ("worklist", "levelized", "codegen",
-                                  "batched", "batched-vec")
+        assert engine_names() == ("worklist", "levelized", "batched")
+
+    def test_former_names_resolve_unlisted(self, monkeypatch):
+        assert resolve_engine("codegen") is LevelizedSimulator
+        assert resolve_engine("batched-vec") is BatchedSimulator
+        assert engine_choices() == engine_names() + tuple(ALIASES)
+        monkeypatch.setenv("REPRO_ENGINE", "codegen")
+        assert default_engine() == "codegen"
+        sim = build_simulator(simple_pipe_spec())
+        assert type(sim) is LevelizedSimulator
+        sim.close()
 
     def test_resolution_is_lazy_then_cached(self):
         backend = get_backend("levelized")
@@ -26,7 +35,8 @@ class TestRegistry:
 
     def test_resolve_engine_classes(self):
         assert resolve_engine("worklist") is Simulator
-        assert resolve_engine("codegen") is CodegenSimulator
+        assert resolve_engine("levelized") is LevelizedSimulator
+        assert resolve_engine("batched") is BatchedSimulator
 
     def test_typo_error_lists_registered_names(self):
         with pytest.raises(SpecificationError) as err:

@@ -1,11 +1,11 @@
-"""Differential tests for the vectorized batched backend.
+"""Differential tests for the lockstep engine's vec plan.
 
-Same acceptance bar as the scalar batched backend, one notch harder:
-per-lane results from :class:`VectorizedBatchedSimulator` must be
+Per-lane results from a planned :class:`BatchedSimulator` must be
 **bit-identical** to standalone :class:`LevelizedSimulator` runs of the
 same designs and seeds — whether a signal resolved through the numpy
 structure-of-arrays fast path or through the per-wire scalar fallback
-(probed wires, unsupported parameter bindings, mixed patterns).
+(probed wires, unsupported parameter bindings, mixed patterns) — and
+to the plan-less batch, whose lanes each run their own static stepper.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro import LSS, build_design, build_simulator
 from repro.core import INPUT, LeafModule, PortDecl
 from repro.core.backends import resolve_engine
 from repro.core.batched import BatchedSimulator
-from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 from repro.core.vec import LaneRng
 from repro.obs import Profiler
@@ -124,6 +123,14 @@ def _solo_run(design, seed, cycles):
     return observed
 
 
+def _planless(designs, seeds):
+    """A batch an observer on lane 0 keeps off the vec plan: every lane
+    runs its own static stepper."""
+    batch = BatchedSimulator(designs, seeds=seeds)
+    batch.lane(0).add_observer(lambda sim: None)
+    return batch
+
+
 class TestLaneBitIdentity:
     """Vectorized lanes reproduce standalone levelized runs bit for bit."""
 
@@ -131,7 +138,7 @@ class TestLaneBitIdentity:
                       expect_vec=None):
         designs = [make_design(v) for v in variants]
         seeds = [base_seed + i for i in range(len(variants))]
-        batch = VectorizedBatchedSimulator(designs, seeds=seeds)
+        batch = BatchedSimulator(designs, seeds=seeds)
         batch.run(cycles)
         if expect_vec is not None:
             active = batch.vec_plan is not None
@@ -190,26 +197,13 @@ class TestLaneBitIdentity:
 
     def test_batch_of_one_is_drop_in(self):
         design = build_design(_vec_pipe_spec())
-        batch = VectorizedBatchedSimulator(design, seed=9)
+        batch = BatchedSimulator(design, seed=9)
         batch.run(100)
         assert batch.batch_size == 1
         solo = _solo_run(build_design(_vec_pipe_spec()), 9, 100)
         assert _observe(batch) == solo
         assert batch.stats.counter("snk", "consumed") > 0
         batch.close()
-
-    def test_matches_scalar_batched_backend(self):
-        designs = [build_design(_vec_pipe_spec(rate=r)) for r in (0.3, 0.7)]
-        vec = VectorizedBatchedSimulator(designs, seeds=[1, 2])
-        vec.run(120)
-        vec_lanes = [_observe(vec.lane(i)) for i in range(2)]
-        vec.close()
-        scalar = BatchedSimulator(
-            [build_design(_vec_pipe_spec(rate=r)) for r in (0.3, 0.7)],
-            seeds=[1, 2])
-        scalar.run(120)
-        assert [_observe(scalar.lane(i)) for i in range(2)] == vec_lanes
-        scalar.close()
 
 
 class TestVecBuffer:
@@ -232,7 +226,7 @@ class TestVecBuffer:
     def test_fifo_buffer_lanes_match_solo_runs(self):
         variants = [(0.3, 2), (0.6, 4), (0.9, 3)]
         designs = [self._buffer_design(r, d) for r, d in variants]
-        batch = VectorizedBatchedSimulator(designs, seeds=[1, 2, 3])
+        batch = BatchedSimulator(designs, seeds=[1, 2, 3])
         batch.run(150)
         assert batch.vec_plan is not None
         assert "buf" in batch.vec_plan.vec_paths
@@ -244,21 +238,6 @@ class TestVecBuffer:
             # The residency histogram survives the array round trip.
             assert "residency" in solo["report"]
 
-    def test_matches_scalar_batched_backend(self):
-        variants = [(0.4, 2), (0.8, 3)]
-
-        def designs():
-            return [self._buffer_design(r, d) for r, d in variants]
-
-        vec = VectorizedBatchedSimulator(designs(), seeds=[5, 6])
-        vec.run(120)
-        vec_lanes = [_observe(vec.lane(i)) for i in range(2)]
-        vec.close()
-        scalar = BatchedSimulator(designs(), seeds=[5, 6])
-        scalar.run(120)
-        assert [_observe(scalar.lane(i)) for i in range(2)] == vec_lanes
-        scalar.close()
-
     def test_algorithmic_policy_stays_scalar(self):
         # An out-of-order window runs arbitrary Python per entry — the
         # buffer must demote to the scalar path and stay bit-identical.
@@ -266,7 +245,7 @@ class TestVecBuffer:
         policy = ready_policy(lambda entry: entry.value is not None)
         designs = [self._buffer_design(0.5, 4, policy=policy)
                    for _ in range(2)]
-        batch = VectorizedBatchedSimulator(designs, seeds=[1, 2])
+        batch = BatchedSimulator(designs, seeds=[1, 2])
         batch.run(100)
         plan = batch.vec_plan
         assert plan is None or "buf" not in plan.vec_paths
@@ -281,25 +260,26 @@ class TestVecBuffer:
         def designs():
             return [self._buffer_design(r, 3) for r in (0.3, 0.7)]
 
-        vec = VectorizedBatchedSimulator(designs(), seeds=[4, 5])
+        vec = BatchedSimulator(designs(), seeds=[4, 5])
         vec.run(60)
         snapshot = vec.state_dict()
         vec.run(60)
         final = [_observe(vec.lane(i)) for i in range(2)]
         vec.close()
-        scalar = BatchedSimulator(designs(), seeds=[4, 5])
-        scalar.load_state_dict(snapshot)
-        scalar.run(60)
-        assert [_observe(scalar.lane(i)) for i in range(2)] == final
-        scalar.close()
+        planless = _planless(designs(), seeds=[4, 5])
+        planless.load_state_dict(snapshot)
+        planless.run(60)
+        assert planless.vec_plan is None
+        assert [_observe(planless.lane(i)) for i in range(2)] == final
+        planless.close()
 
 
 class TestScalarFallbackPaths:
-    """Per-wire and wholesale demotion to the scalar lockstep path."""
+    """Per-wire demotion to the scalar path."""
 
     def test_probe_attached_mid_run_demotes_wire(self):
         variants = (0.3, 0.7)
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in variants],
             seeds=[1, 2])
         batch.run(40)
@@ -341,7 +321,7 @@ class TestScalarFallbackPaths:
 
         ends = ("reg1", "out", "tap1", "in")
         seeds = list(range(11, 11 + n_lanes))
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [make(i) for i in range(n_lanes)], seeds=seeds)
         batch.run(30)
         plan = batch.vec_plan
@@ -382,7 +362,7 @@ class TestScalarFallbackPaths:
         planes: every step ends in ``_vec_end``'s scatter -> lane
         fallback -> absorb round trip through the lanes' store slots."""
         rates = (0.2, 0.5, 0.9)
-        batch = VectorizedBatchedSimulator([_late_design(r) for r in rates],
+        batch = BatchedSimulator([_late_design(r) for r in rates],
                                            seeds=[4, 5, 6])
         batch.run(60)
         plan = batch.vec_plan
@@ -400,7 +380,7 @@ class TestScalarFallbackPaths:
         # must not strand additional instances, and both probes record
         # the same transfer log as a solo run with two probes.
         variants = (0.3, 0.7)
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in variants],
             seeds=[1, 2])
         batch.run(40)
@@ -436,7 +416,7 @@ class TestScalarFallbackPaths:
             sim.close()
 
     def test_probe_before_first_run(self):
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in (0.3, 0.7)],
             seeds=[4, 5])
         probe = batch.lane(0).probe_between("q", "out", "snk", "in")
@@ -448,7 +428,7 @@ class TestScalarFallbackPaths:
         batch.close()
 
     def test_profiler_keeps_vec_plan(self):
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in (0.5, 0.5)],
             seeds=[2, 3])
         profilers = [Profiler(batch.lane(i), sample_every=2)
@@ -477,7 +457,7 @@ class TestScalarFallbackPaths:
             spec.connect(src.port("out"), q.port("in"))
             spec.connect(q.port("out"), snk.port("in"))
             return build_design(spec)
-        batch = VectorizedBatchedSimulator([make(), make()], seeds=[1, 2])
+        batch = BatchedSimulator([make(), make()], seeds=[1, 2])
         batch.run(90)
         plan = batch.vec_plan
         assert plan is not None and "src" not in plan.vec_paths
@@ -492,14 +472,15 @@ _PROFILED_DESIGNS = {"fig2d-statistical": _fig2d_statistical,
                      "fallback": lambda i: _late_design((0.2, 0.5, 0.9)[i % 3])}
 
 
-def _profiled_run(engine, make, n_lanes, profiled, sample_every, cycles,
-                  trace=False):
-    batch = engine([make(i) for i in range(n_lanes)],
-                   seeds=[7 + i for i in range(n_lanes)])
+def _profiled_run(make, n_lanes, profiled, sample_every, cycles,
+                  trace=False, planned=True):
+    batch = (BatchedSimulator if planned else _planless)(
+        [make(i) for i in range(n_lanes)],
+        seeds=[7 + i for i in range(n_lanes)])
     profilers = {i: Profiler(batch.lane(i), sample_every=sample_every,
                              trace=trace) for i in profiled}
     batch.run(cycles)
-    plan = getattr(batch, "vec_plan", None)
+    plan = batch.vec_plan
     views = {i: _profile_view(prof) for i, prof in profilers.items()}
     lanes = [_observe(batch.lane(i)) for i in range(n_lanes)]
     batch.close()
@@ -508,23 +489,22 @@ def _profiled_run(engine, make, n_lanes, profiled, sample_every, cycles,
 
 class TestProfiledVecPlan:
     """A profiler keeps the vec plan and reports what a scalar lane
-    would: every summary figure except wall time equals a ``batched``
-    run's, lane by lane."""
+    would: every summary figure except wall time equals a plan-less
+    batch's, lane by lane."""
 
     @pytest.mark.parametrize("sample_every", (1, 4))
     @pytest.mark.parametrize("n_lanes,profiled", [
         (1, (0,)), (3, (0, 2)), (64, tuple(range(64)))],
         ids=("lanes1", "lanes3", "lanes64"))
     @pytest.mark.parametrize("design", sorted(_PROFILED_DESIGNS))
-    def test_profile_matches_scalar_batched(self, design, n_lanes, profiled,
+    def test_profile_matches_planless_batch(self, design, n_lanes, profiled,
                                             sample_every):
         make = _PROFILED_DESIGNS[design]
         cycles = 16
         scalar, scalar_lanes, _, _ = _profiled_run(
-            BatchedSimulator, make, n_lanes, profiled, sample_every, cycles)
+            make, n_lanes, profiled, sample_every, cycles, planned=False)
         vec, vec_lanes, plan, _ = _profiled_run(
-            VectorizedBatchedSimulator, make, n_lanes, profiled,
-            sample_every, cycles)
+            make, n_lanes, profiled, sample_every, cycles)
         assert plan is not None
         assert vec_lanes == scalar_lanes
         assert set(vec) == set(profiled)
@@ -542,7 +522,7 @@ class TestProfiledVecPlan:
         def designs():
             return [_fig2d_statistical(i) for i in range(n_lanes)]
 
-        plain = VectorizedBatchedSimulator(designs(), seeds=seeds)
+        plain = BatchedSimulator(designs(), seeds=seeds)
         plain.run(90)
         expected = [_observe(plain.lane(i)) for i in range(n_lanes)]
         plain.close()
@@ -550,7 +530,7 @@ class TestProfiledVecPlan:
         def closure(batch):
             return [cell.cell_contents for cell in batch._stepper.__closure__]
 
-        batch = VectorizedBatchedSimulator(designs(), seeds=seeds)
+        batch = BatchedSimulator(designs(), seeds=seeds)
         batch.run(30)
         assert batch.vec_plan is not None
         profilers = [Profiler(batch.lane(i), sample_every=4)
@@ -579,8 +559,7 @@ class TestProfiledVecPlan:
 
     def test_trace_slices_reach_every_sampling_lane(self):
         _, _, plan, profilers = _profiled_run(
-            VectorizedBatchedSimulator, _fig2d_statistical, 3, (0, 2), 2,
-            8, trace=True)
+            _fig2d_statistical, 3, (0, 2), 2, 8, trace=True)
         assert plan is not None
         first, last = profilers[0], profilers[2]
         assert first._react_events and len(first._step_events) == 4
@@ -590,53 +569,80 @@ class TestProfiledVecPlan:
 
 
 class TestLazyDispatch:
-    """Instrumentation marks the batch dispatch dirty; ``run()``
-    rebuilds it once, however many lanes changed."""
+    """Instrumentation marks the batch's plan dirty; ``run()`` rebuilds
+    it once, however many lanes changed."""
 
     def test_many_attaches_rebuild_once(self, monkeypatch):
         builds = []
-        original = BatchedSimulator._rebuild_dispatch
+        original = BatchedSimulator._rebuild_plan
 
         def counting(self):
             builds.append(type(self))
             original(self)
 
-        monkeypatch.setattr(BatchedSimulator, "_rebuild_dispatch", counting)
+        monkeypatch.setattr(BatchedSimulator, "_rebuild_plan", counting)
         rates = (0.2, 0.4, 0.6, 0.8, 0.3, 0.7)
-        outcomes = []
-        for engine in (BatchedSimulator, VectorizedBatchedSimulator):
-            builds.clear()
-            batch = engine([build_design(_vec_pipe_spec(rate=r))
-                            for r in rates], seeds=list(range(len(rates))))
-            batch.run(10)
-            assert len(builds) == 1
-            profilers = [Profiler(batch.lane(i), sample_every=2)
-                         for i in range(len(rates))]
-            probe = batch.lane(1).probe_between("q", "out", "snk", "in")
-            assert len(builds) == 1
-            batch.run(20)
-            batch.run(20)
-            assert len(builds) == 2
-            outcomes.append(([_observe(batch.lane(i))
-                              for i in range(len(rates))],
-                             [_profile_view(p) for p in profilers],
-                             probe.log))
-            batch.close()                # detaches every profiler
-            assert len(builds) == 2
-        assert outcomes[0] == outcomes[1]
+        batch = BatchedSimulator([build_design(_vec_pipe_spec(rate=r))
+                                  for r in rates],
+                                 seeds=list(range(len(rates))))
+        batch.run(10)
+        assert len(builds) == 1
+        for i in range(len(rates)):
+            Profiler(batch.lane(i), sample_every=2)
+        batch.lane(1).probe_between("q", "out", "snk", "in")
+        assert len(builds) == 1
+        batch.run(20)
+        batch.run(20)
+        assert len(builds) == 2
+        batch.close()                # detaches every profiler
+        assert len(builds) == 2
+
+
+class TestStaticSteppers:
+    """A lane steps on its own static stepper only when the batch has
+    no plan; a planned batch never builds one."""
+
+    def test_planned_lanes_never_build_a_stepper(self, monkeypatch):
+        def refuse(model, schedule):
+            raise AssertionError("a stepper was built")
+        monkeypatch.setattr("repro.core.ir.attach_stepper", refuse)
+        batch = BatchedSimulator([_fig2d_statistical(i) for i in range(3)],
+                                 seeds=[1, 2, 3])
+        profilers = [Profiler(lane) for lane in batch.lanes]
+        batch.run(20)
+        assert batch.vec_plan is not None
+        assert all(lane._stepper is None for lane in batch.lanes)
+        for prof in profilers:
+            prof.detach()
+        batch.close()
+
+    def test_observed_batch_equals_solo_runs(self):
+        seen = []
+        batch = BatchedSimulator([_fig2d_mixed(i) for i in range(3)],
+                                 seeds=[4, 5, 6])
+        batch.lane(1).add_observer(lambda sim: seen.append(sim.now))
+        batch.run(40)
+        assert batch.vec_plan is None
+        assert seen == list(range(40))
+        lanes = [_observe(lane) for lane in batch.lanes]
+        assert all(lane._stepper is not None for lane in batch.lanes)
+        batch.close()
+        for i in range(3):
+            assert lanes[i] == _solo_run(_fig2d_mixed(i), 4 + i, 40), \
+                f"lane {i} diverged"
 
 
 class TestStatePreservation:
-    def test_state_dict_roundtrip_across_backends(self):
-        # vec -> scalar and scalar -> vec: a checkpoint taken on one
-        # batched backend restores onto the other and continues to the
-        # same final state, bit for bit.
+    def test_state_dict_roundtrip_across_paths(self):
+        # vec -> plan-less and plan-less -> vec: a checkpoint taken on
+        # one path restores onto the other and continues to the same
+        # final state, bit for bit.
         rates = (0.3, 0.7)
 
         def designs():
             return [build_design(_vec_pipe_spec(rate=r)) for r in rates]
 
-        vec = VectorizedBatchedSimulator(designs(), seeds=[4, 5])
+        vec = BatchedSimulator(designs(), seeds=[4, 5])
         vec.run(60)
         snapshot = vec.state_dict()
         assert snapshot["batched"] and len(snapshot["lanes"]) == 2
@@ -644,18 +650,19 @@ class TestStatePreservation:
         final = [_observe(vec.lane(i)) for i in range(2)]
         vec.close()
 
-        scalar = BatchedSimulator(designs(), seeds=[4, 5])
+        scalar = _planless(designs(), seeds=[4, 5])
         scalar.load_state_dict(snapshot)
         scalar.run(60)
+        assert scalar.vec_plan is None
         assert [_observe(scalar.lane(i)) for i in range(2)] == final
         snapshot2 = scalar.state_dict()
         scalar.close()
 
-        vec2 = VectorizedBatchedSimulator(designs(), seeds=[4, 5])
+        vec2 = BatchedSimulator(designs(), seeds=[4, 5])
         vec2.load_state_dict(snapshot2)
         assert [_observe(vec2.lane(i)) for i in range(2)] == final
         vec2.run(30)
-        reference = BatchedSimulator(designs(), seeds=[4, 5])
+        reference = _planless(designs(), seeds=[4, 5])
         reference.load_state_dict(snapshot2)
         reference.run(30)
         assert ([_observe(vec2.lane(i)) for i in range(2)]
@@ -664,7 +671,7 @@ class TestStatePreservation:
         reference.close()
 
     def test_generated_vec_source_is_inspectable(self):
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             [build_design(_vec_pipe_spec(rate=r)) for r in (0.2, 0.8)],
             seeds=[1, 2])
         batch.run(5)
@@ -675,14 +682,14 @@ class TestStatePreservation:
 
     def test_run_after_close_raises(self):
         from repro import SimulationError
-        batch = VectorizedBatchedSimulator([_pipe_design()])
+        batch = BatchedSimulator([_pipe_design()])
         batch.close()
         with pytest.raises(SimulationError, match="closed"):
             batch.run(1)
 
     def test_close_releases_designs(self):
         design = build_design(_vec_pipe_spec())
-        with VectorizedBatchedSimulator(design) as batch:
+        with BatchedSimulator(design) as batch:
             batch.run(5)
         assert design._owned is False
 
@@ -697,12 +704,6 @@ class TestDelegationErrors:
         message = str(err.value)
         assert "'batched'" in message and "no_such_attribute" in message
         assert ".lane(i)" in message
-        batch.close()
-
-    def test_vec_backend_error_names_batched_vec(self):
-        batch = VectorizedBatchedSimulator([_pipe_design()])
-        with pytest.raises(AttributeError, match="batched-vec"):
-            batch.no_such_attribute
         batch.close()
 
     def test_private_names_never_delegate(self):
@@ -756,35 +757,35 @@ class TestLaneRng:
 
 class TestBackendRegistration:
     def test_registered_and_resolvable(self):
-        assert resolve_engine("batched-vec") is VectorizedBatchedSimulator
+        assert resolve_engine("batched") is BatchedSimulator
+        assert resolve_engine("batched-vec") is BatchedSimulator
 
     def test_build_simulator_routes_batch_of_one(self):
-        sim = build_simulator(_vec_pipe_spec(), engine="batched-vec")
+        sim = build_simulator(_vec_pipe_spec(), engine="batched")
         try:
             sim.run(50)
-            assert isinstance(sim, VectorizedBatchedSimulator)
+            assert isinstance(sim, BatchedSimulator)
             assert sim.batch_size == 1
             assert sim.stats.counter("snk", "consumed") > 0
         finally:
             sim.close()
 
-    def test_campaign_batch_engine_override(self, tmp_path, monkeypatch):
-        # The campaign executor's batch path defaults to batched-vec;
-        # REPRO_BATCH_ENGINE pins it back to the scalar batched backend
-        # — both must journal bit-identical per-lane results.
+    def test_campaign_batch_engine_override(self, tmp_path):
+        # The campaign executor's batch path runs the lockstep engine,
+        # whatever engine the campaign names for its per-point runs; it
+        # must journal the same results as an un-batched campaign.
         from repro.campaign import Campaign, GridSweep
         from tests.campaign import _targets
 
-        def run(name):
+        def run(name, batch):
             return Campaign(
                 name, GridSweep({"depth": [2, 4], "rate": [0.4, 0.9]},
                                 base_seed=5),
                 target=_targets.build_pipe, kind="spec", cycles=60,
-                engine="levelized", workers=0, batch=True,
+                engine="levelized", workers=0, batch=batch,
                 ledger_path=str(tmp_path / f"{name}.jsonl")).run()
 
-        vec_rows = run("vec").rows
-        monkeypatch.setenv("REPRO_BATCH_ENGINE", "batched")
-        scalar_rows = run("scalar").rows
+        vec_rows = run("vec", True).rows
+        scalar_rows = run("solo", False).rows
         assert [(r.run_id, r.result) for r in vec_rows] \
             == [(r.run_id, r.result) for r in scalar_rows]

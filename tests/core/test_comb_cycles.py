@@ -61,7 +61,7 @@ class TestTrueCycle:
             sim.run(1)
 
     def test_codegen_handles_cluster(self):
-        sim = build_simulator(_ring_spec(3), engine="codegen",
+        sim = build_simulator(_ring_spec(3), engine="levelized",
                               cycle_policy="relax")
         sim.run(5)
         assert sim.now == 5
@@ -145,7 +145,7 @@ class TestClusterDifferential:
     ``_run_cluster``, the relax cursor and the cycle policy run over the
     signal store on every engine, against the worklist oracle."""
 
-    ENGINES = ("worklist", "levelized", "codegen", "batched", "batched-vec")
+    ENGINES = ("worklist", "levelized", "batched")
 
     @pytest.mark.parametrize("opt", (0, 2))
     @pytest.mark.parametrize("name", ENGINES)

@@ -10,6 +10,7 @@ from repro.core import INPUT, OUTPUT, LeafModule, PortDecl, ack, fwd
 from repro.core import compile_cache as cc
 from repro.core.constructor import build_design
 from repro.core.control import squash_when
+from repro.core.ir import CompileOptions
 from repro.pcl import Queue, Sink, Source
 
 
@@ -138,12 +139,19 @@ class TestCacheLayers:
         assert sim.compiled_from_cache
         assert fresh.stats["disk_hits"] >= 1
 
-    def test_codegen_stepper_shared_through_disk(self, private_cache):
-        cold = build_simulator(pipe_spec(), engine="codegen")
+    def test_stepper_source_shared_through_disk(self, private_cache):
+        cc.warm_spec(pipe_spec(), CompileOptions(need_stepper=True))
+        cold = build_simulator(pipe_spec(), engine="levelized", opt=0)
+        source = cold.compiled.stepper_source
+        assert source is not None
         cc.configure(disk_dir=private_cache.disk_dir)
-        warm = build_simulator(pipe_spec(), engine="codegen")
+        warm = build_simulator(pipe_spec(), engine="levelized", opt=0)
         assert warm.compiled_from_cache
-        assert warm.generated_source == cold.generated_source
+        assert warm.compiled.stepper_source == source
+        assert warm.compiled.code is None      # compiled on first run
+        warm.run(3)
+        assert warm.compiled.code is not None
+        assert warm.generated_source == source
 
     def test_memory_layer_is_bounded(self):
         cache = cc.CompileCache(disk_enabled=False, memory_limit=2)
@@ -224,6 +232,16 @@ class TestDiskRobustness:
         sim.run(5)  # construction and simulation both unaffected
 
 
+class TestCacheDirectory:
+    def test_suite_runs_on_a_private_directory(self):
+        assert os.environ["REPRO_CACHE_DIR"] != cc._DEFAULT_DIR
+        assert cc.CompileCache().disk_dir == os.environ["REPRO_CACHE_DIR"]
+
+    def test_default_directory(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR")
+        assert cc.CompileCache().disk_dir == ".repro-cache"
+
+
 class TestWarming:
     def test_warm_spec_precompiles(self, private_cache):
         fingerprint = cc.warm_spec(pipe_spec())
@@ -233,7 +251,7 @@ class TestWarming:
 
     def test_warm_spec_precompiles_optimized(self, private_cache):
         from repro.core.opt import opt_cache_key
-        fingerprint = cc.warm_spec(pipe_spec(), opt_level=2)
+        fingerprint = cc.warm_spec(pipe_spec(), CompileOptions(opt_level=2))
         assert private_cache.lookup(fingerprint) is not None
         assert private_cache.lookup(opt_cache_key(fingerprint, 2)) is not None
         sim = build_simulator(pipe_spec(), engine="levelized", opt=2)

@@ -57,9 +57,9 @@ class TestIndependence:
         assert all(leaf.sim is None for leaf in dup.leaves.values())
 
     def test_copy_unparks_a_vec_plans_slots(self):
-        # A batched-vec plan parks its slots in the reset templates
-        # while it runs; a copy taken then must reset like a fresh build.
-        sim = build_simulator(simple_pipe_spec(), engine="batched-vec")
+        # A vec plan parks its slots in the reset templates while it
+        # runs; a copy taken then must reset like a fresh build.
+        sim = build_simulator(simple_pipe_spec(), engine="batched")
         sim.run(8)
         assert sim.vec_plan is not None
         dup = sim.design.copy()

@@ -200,7 +200,7 @@ class TestDeterminism:
 
     def test_engines_agree_exactly(self):
         results = []
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized", "batched"):
             sim = build_simulator(simple_pipe_spec(rate=0.5, seed=3),
                                   engine=engine)
             sim.run(200)

@@ -3,7 +3,7 @@
 Every registered engine implements the same reactive semantics; they
 may only differ in *scheduling*.  These tests run identical designs —
 the canonical pipe and the paper's four Figure 2 systems — on the
-worklist, levelized, codegen and batched (batch of one) engines and
+worklist, levelized and batched (batch of one) engines and
 assert the observable outcomes are bit-identical: statistics, total
 transfers, per-wire transfer counts and relaxations.  Any divergence
 is a scheduler-sensitivity bug (typically a module collecting
@@ -24,8 +24,8 @@ from ..conftest import ENGINES, simple_pipe_spec
 CYCLES = 120
 
 #: Everything compared against the worklist reference, including the
-#: batched backend animating a batch of one.
-COMPARED = tuple(e for e in ENGINES if e != "worklist") + ("batched",)
+#: lockstep engine animating a batch of one.
+COMPARED = tuple(e for e in ENGINES if e != "worklist")
 
 
 def _wire_transfer_map(sim):
@@ -53,7 +53,7 @@ class ParityCase:
     @pytest.fixture(scope="class")
     def sims(self):
         sims = {}
-        for engine in ENGINES + ("batched",):
+        for engine in ENGINES:
             sim = build_simulator(self.make_spec(), engine=engine,
                                   seed=self.SEED)
             sim.run(self.CYCLES)

@@ -12,7 +12,7 @@ from repro import (HierTemplate, LSS, PortDecl, INPUT, OUTPUT, build_design,
                    build_simulator, engine_names)
 from repro.pcl import Monitor, PipelineReg, Queue, Sink, Source
 
-ENGINES = tuple(n for n in engine_names() if n != "batched")
+ENGINES = engine_names()
 
 _STAGE_KINDS = ("queue", "reg", "monitor")
 

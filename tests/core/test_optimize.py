@@ -107,7 +107,7 @@ class TestLevelizedEquivalence:
             return spec
 
         results = []
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized", "batched"):
             sim = build_simulator(build(), engine=engine)
             sim.run(300)
             results.append((sim.stats.counter("snk", "consumed"),

@@ -16,7 +16,7 @@ from repro import LSS, build_simulator, engine_names
 from repro.pcl import (Arbiter, Monitor, PipelineReg, Queue, Sink, Source,
                        Splitter, Tee)
 
-ENGINES = tuple(n for n in engine_names() if n != "batched")
+ENGINES = engine_names()
 
 
 def _chain_spec(stages, rate, sink_rate, seed):

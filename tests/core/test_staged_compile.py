@@ -17,7 +17,7 @@ from repro import LSS, build_design, build_simulator
 from repro.ccl.link import Link
 from repro.core import compile_cache as cc
 from repro.core import vec as core_vec
-from repro.core.batched_vec import VectorizedBatchedSimulator
+from repro.core.batched import BatchedSimulator
 from repro.core.ir import CompileOptions, compile_model
 from repro.core.opt import pipeline as opt_pipeline
 from repro.core.optimize import LevelizedSimulator
@@ -27,7 +27,7 @@ from repro.systems.fig2d import build_fig2d
 from ..conftest import ooo_spec
 from .test_opt import _fig2a_spec, _fig2b_spec, _fig2c_spec
 
-ENGINES = ("worklist", "levelized", "codegen", "batched", "batched-vec")
+ENGINES = ("worklist", "levelized", "batched")
 LEVELS = (0, 1, 2)
 
 
@@ -137,7 +137,7 @@ class TestVersionBump:
 
     @staticmethod
     def _build():
-        sim = build_simulator(_vec_pipe_spec(), engine="codegen",
+        sim = build_simulator(_vec_pipe_spec(), engine="levelized",
                               seed=3, opt=2)
         sim.run(50)
         observed = _observe(sim)
@@ -218,7 +218,7 @@ class TestWarmBuilds:
     def _build(run_cycles=80):
         designs = [build_design(_vec_pipe_spec(rate=r))
                    for r in (0.3, 0.6, 0.9)]
-        batch = VectorizedBatchedSimulator(designs, seeds=[1, 2, 3], opt=2)
+        batch = BatchedSimulator(designs, seeds=[1, 2, 3], opt=2)
         batch.run(run_cycles)
         lanes = [_observe(batch.lane(i)) for i in range(3)]
         plan = batch.vec_plan
@@ -371,7 +371,7 @@ class TestVecLink:
             return build_design(self._spec(rate, value))
 
         designs = [make(r) for r in rates]
-        batch = VectorizedBatchedSimulator(designs, seeds=[1, 2, 3])
+        batch = BatchedSimulator(designs, seeds=[1, 2, 3])
         batch.run(100)
         assert batch.vec_plan is not None
         assert "link" in batch.vec_plan.vec_paths

@@ -3,10 +3,10 @@
 Every parts-catalog template with a vectorized lane implementation —
 Source, Sink, Queue, Buffer and the PR's additions PipelineReg, Delay,
 Tee, Mux, Demux, Arbiter — must produce **bit-identical** per-lane
-results under :class:`VectorizedBatchedSimulator`: statistics, transfer
+results under a planned :class:`BatchedSimulator`: statistics, transfer
 counts, relaxations and per-wire transfer tallies all equal to a
-standalone :class:`LevelizedSimulator` run (and to the scalar batched
-backend) of the same design and seed.
+standalone :class:`LevelizedSimulator` run (and to a plan-less batch)
+of the same design and seed.
 
 The Mealy templates (PipelineReg, Tee, Mux, Demux, Arbiter) exercise
 the re-entrant vec-react path: their ``("vec", k)`` schedule entry runs
@@ -25,7 +25,6 @@ import pytest
 
 from repro import LSS, build_design, build_simulator
 from repro.core.batched import BatchedSimulator
-from repro.core.batched_vec import VectorizedBatchedSimulator
 from repro.core.optimize import LevelizedSimulator
 from repro.pcl import Queue, Sink, Source
 from repro.pcl.arbiter import Arbiter, fixed_priority, oldest_first, round_robin
@@ -48,6 +47,14 @@ def _solo_run(design, seed, cycles):
     observed = _observe(sim)
     sim.close()
     return observed
+
+
+def _planless(designs, seeds):
+    """A batch an observer on lane 0 keeps off the vec plan: every lane
+    runs its own static stepper."""
+    batch = BatchedSimulator(designs, seeds=seeds)
+    batch.lane(0).add_observer(lambda sim: None)
+    return batch
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +137,7 @@ class TestVecImplBitIdentity:
                       expect_paths=(), full_coverage=False):
         designs = [make_design(v) for v in variants]
         seeds = [base_seed + i for i in range(len(variants))]
-        batch = VectorizedBatchedSimulator(designs, seeds=seeds)
+        batch = BatchedSimulator(designs, seeds=seeds)
         batch.run(cycles)
         plan = batch.vec_plan
         assert plan is not None
@@ -193,7 +200,7 @@ class TestVecImplBitIdentity:
         # arbiter to the scalar path — and stays bit-identical there.
         designs = [build_design(_arb_demux_spec(oldest_first, r))
                    for r in (0.3, 0.7)]
-        batch = VectorizedBatchedSimulator(designs, seeds=[5, 6])
+        batch = BatchedSimulator(designs, seeds=[5, 6])
         batch.run(120)
         plan = batch.vec_plan
         assert plan is not None and "arb" not in plan.vec_paths
@@ -214,7 +221,7 @@ class TestLaneParamBroadcast:
         rng = np.random.default_rng(0)
         rates = [float(r) for r in rng.uniform(0.05, 0.95, size=8)]
         designs = [build_design(_reg_delay_spec(rate=r)) for r in rates]
-        batch = VectorizedBatchedSimulator(
+        batch = BatchedSimulator(
             designs, seeds=list(range(10, 18)))
         batch.run(120)
         plan = batch.vec_plan
@@ -233,7 +240,7 @@ class TestLaneParamBroadcast:
         # in this tiny system, the whole plan collapses to scalar.
         designs = [build_design(_tee_spec(mode, rate=0.6))
                    for mode in ("all", "any")]
-        batch = VectorizedBatchedSimulator(designs, seeds=[3, 4])
+        batch = BatchedSimulator(designs, seeds=[3, 4])
         batch.run(100)
         plan = batch.vec_plan
         assert plan is None or "tee" not in plan.vec_paths
@@ -275,7 +282,7 @@ class TestLaneParamBroadcast:
 
         routes = (None, route_flip)
         designs = [make(r) for r in routes]
-        batch = VectorizedBatchedSimulator(designs, seeds=[8, 9])
+        batch = BatchedSimulator(designs, seeds=[8, 9])
         batch.run(120)
         plan = batch.vec_plan
         assert plan is not None and "dmx" in plan.vec_paths
@@ -284,45 +291,46 @@ class TestLaneParamBroadcast:
         for i, r in enumerate(routes):
             assert lanes[i] == _solo_run(make(r), 8 + i, 120)
 
-    def test_state_dict_roundtrip_across_backends(self):
+    def test_state_dict_roundtrip_across_paths(self):
         # All six new impls live in the fig2d statistical field; a
-        # checkpoint taken mid-run on batched-vec restores onto scalar
-        # batched and back, continuing to the same final state.
+        # checkpoint taken mid-run on the vec plan restores onto a
+        # plan-less batch and back, continuing to the same final state.
         def designs():
             return [_fig2d_statistical_design(i) for i in range(3)]
 
-        vec = VectorizedBatchedSimulator(designs(), seeds=[4, 5, 6])
+        vec = BatchedSimulator(designs(), seeds=[4, 5, 6])
         vec.run(60)
         snapshot = vec.state_dict()
         vec.run(60)
         final = [_observe(vec.lane(i)) for i in range(3)]
         vec.close()
 
-        scalar = BatchedSimulator(designs(), seeds=[4, 5, 6])
+        scalar = _planless(designs(), seeds=[4, 5, 6])
         scalar.load_state_dict(snapshot)
         scalar.run(60)
+        assert scalar.vec_plan is None
         assert [_observe(scalar.lane(i)) for i in range(3)] == final
         snapshot2 = scalar.state_dict()
         scalar.close()
 
-        vec2 = VectorizedBatchedSimulator(designs(), seeds=[4, 5, 6])
+        vec2 = BatchedSimulator(designs(), seeds=[4, 5, 6])
         vec2.load_state_dict(snapshot2)
         assert [_observe(vec2.lane(i)) for i in range(3)] == final
         vec2.close()
 
 
 class TestBatchSizes:
-    """The vec backend agrees with the scalar batched backend at every
-    batch size the acceptance criteria name: 1, 64 and 256."""
+    """The vec plan agrees with the plan-less batch at every batch size
+    the acceptance criteria name: 1, 64 and 256."""
 
     @pytest.mark.parametrize("n_lanes", [1, 64, 256])
-    def test_matches_scalar_batched(self, n_lanes):
+    def test_matches_planless_batch(self, n_lanes):
         rng = np.random.default_rng(7)
         rates = [float(r) for r in rng.uniform(0.1, 0.9, size=n_lanes)]
         seeds = list(range(100, 100 + n_lanes))
         cycles = 60 if n_lanes > 8 else 150
 
-        vec = VectorizedBatchedSimulator(
+        vec = BatchedSimulator(
             [build_design(_reg_delay_spec(rate=r)) for r in rates],
             seeds=seeds)
         vec.run(cycles)
@@ -330,10 +338,11 @@ class TestBatchSizes:
         vec_lanes = [_observe(vec.lane(i)) for i in range(n_lanes)]
         vec.close()
 
-        scalar = BatchedSimulator(
+        scalar = _planless(
             [build_design(_reg_delay_spec(rate=r)) for r in rates],
             seeds=seeds)
         scalar.run(cycles)
+        assert scalar.vec_plan is None
         assert [_observe(scalar.lane(i))
                 for i in range(n_lanes)] == vec_lanes
         scalar.close()
@@ -362,7 +371,7 @@ class TestFig2dStatisticalField:
 
     def test_full_vectorization_no_fallback(self):
         designs = [_fig2d_statistical_design(i) for i in range(4)]
-        batch = VectorizedBatchedSimulator(designs,
+        batch = BatchedSimulator(designs,
                                            seeds=[20 + i for i in range(4)])
         batch.run(200)
         plan = batch.vec_plan
@@ -376,9 +385,9 @@ class TestFig2dStatisticalField:
             assert lanes[i] == _solo_run(_fig2d_statistical_design(i),
                                          20 + i, 200), f"lane {i} diverged"
 
-    def test_five_engine_bit_identity(self):
-        # worklist / levelized / codegen solo runs, plus one lane each
-        # of batched and batched-vec: identical observable results.
+    def test_three_engine_bit_identity(self):
+        # worklist / levelized solo runs, plus one lane each of a
+        # planned and a plan-less batch: identical observable results.
         def design():
             return _fig2d_statistical_design(0)
 
@@ -387,7 +396,7 @@ class TestFig2dStatisticalField:
             return {k: v for k, v in obs.items() if k != "fallback"}
 
         results = {}
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized"):
             spec, _info = build_fig2d(2, field="statistical",
                                       backend="statistical",
                                       backend_rate=0.3, seed=0)
@@ -399,9 +408,9 @@ class TestFig2dStatisticalField:
                 "report": sim.stats.report(),
                 "wires": list(sim.design.store.transfers)}
             sim.close()
-        for cls, name in ((BatchedSimulator, "batched"),
-                          (VectorizedBatchedSimulator, "batched-vec")):
-            batch = cls([design(), design()], seeds=[42, 42])
+        for make, name in ((BatchedSimulator, "batched"),
+                           (_planless, "batched plan-less")):
+            batch = make([design(), design()], seeds=[42, 42])
             batch.run(150)
             lane = batch.lane(0)
             results[name] = {

@@ -15,7 +15,7 @@ class TestFig2aCMP:
 
     def test_every_engine(self):
         cycles = set()
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized", "batched"):
             result = run_fig2a(2, 2, seg_words=4, engine=engine)
             assert result["correct"]
             cycles.add(result["cycles"])
@@ -72,8 +72,7 @@ class TestFig2cGrid:
         raise ``ValueError``: the address no longer fits the low half of
         a ``lui``/``ori`` pair without tripping the sign extension."""
         runs = {name: run_fig2c(n_nodes, engine=name) for name in
-                ("worklist", "levelized", "codegen", "batched",
-                 "batched-vec")}
+                ("worklist", "levelized", "batched")}
         oracle = runs["worklist"]
         assert oracle["halted"] and oracle["correct"]
         assert oracle["total"] == oracle["expected_total"]
@@ -140,10 +139,10 @@ class TestFig2dSystemOfSystems:
         from repro.systems.fig2d import build_fig2d
 
         reports = {}
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized", "batched"):
             spec, _ = build_fig2d(2, backend=backend)
             sim = build_simulator(spec, engine=engine, seed=0)
             sim.run(400)
             reports[engine] = (sim.stats.report(), sim.transfers_total)
         assert reports["worklist"] == reports["levelized"]
-        assert reports["worklist"] == reports["codegen"]
+        assert reports["worklist"] == reports["batched"]

@@ -33,7 +33,9 @@ class TestMain:
         assert "snk:consumed = 49" in out
 
     def test_engine_selection(self, spec_file, capsys):
-        for engine in ("worklist", "levelized", "codegen"):
+        # The former names stay accepted as aliases.
+        for engine in ("worklist", "levelized", "batched", "codegen",
+                       "batched-vec"):
             assert main([spec_file, "--cycles", "10",
                          "--engine", engine]) == 0
             assert "snk:consumed = 9" in capsys.readouterr().out
@@ -211,14 +213,14 @@ class TestProfileCommand:
         assert main(["profile", "--builder",
                      "repro.systems.fig2a:build_fig2a_cmp",
                      "--param", "width=2", "--param", "height=1",
-                     "--cycles", "15", "--engine", "codegen"]) == 0
+                     "--cycles", "15", "--engine", "levelized"]) == 0
         out = capsys.readouterr().out
-        assert "CodegenSimulator" in out
+        assert "LevelizedSimulator" in out
         assert "core_0_0" in out
 
     def test_engine_parity_of_profile_counts(self, spec_file, capsys):
         reports = {}
-        for engine in ("worklist", "levelized", "codegen"):
+        for engine in ("worklist", "levelized", "batched"):
             assert main(["profile", spec_file, "--cycles", "10",
                          "--engine", engine]) == 0
             reports[engine] = capsys.readouterr().out

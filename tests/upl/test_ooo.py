@@ -58,7 +58,7 @@ class TestArchitecturalEquivalence:
         mem = sim.instance("mem")
         assert all(mem.peek(a) == emu.memory.read(a) for a in range(512))
 
-    @pytest.mark.parametrize("engine", ["worklist", "codegen"])
+    @pytest.mark.parametrize("engine", ["worklist", "batched"])
     def test_engine_independent(self, engine):
         program = programs.assemble_named("fibonacci", n=8)
         _, golden = _golden(program)
@@ -171,7 +171,7 @@ class TestCheckpoint:
     parameter; a mid-run ``state_dict``/``load_state_dict`` must restore
     it in place, or the resumed core commits from a fresh register file."""
 
-    @pytest.mark.parametrize("engine", ["worklist", "levelized", "codegen"])
+    @pytest.mark.parametrize("engine", ["worklist", "levelized", "batched"])
     def test_mid_run_round_trip_continues_identically(self, engine):
         import pickle
         reference = _to_halt(*_ooo_sim(engine, seed=1))

@@ -71,7 +71,7 @@ class TestArchitecturalEquivalence:
         mem = sim.instance("mem")
         assert all(mem.peek(a) == emu.memory.read(a) for a in range(512))
 
-    @pytest.mark.parametrize("engine", ["levelized", "codegen"])
+    @pytest.mark.parametrize("engine", ["levelized", "batched"])
     def test_engines_equivalent(self, engine):
         program = programs.assemble_named("sieve", limit=20)
         base, shared0 = _build(program, lambda: BimodalPredictor(64))
