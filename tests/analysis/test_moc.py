@@ -78,7 +78,6 @@ class TestCycleDetection:
 class TestCycleErrorEnrichment:
     """Satellite: CombinationalCycleError lists SCC members and groups."""
 
-    @pytest.mark.parametrize("engine", ["worklist", "levelized", "batched"])
     def test_error_carries_members_and_groups(self, engine):
         sim = build_simulator(monitor_ring_spec(2), engine=engine,
                               cycle_policy="error")

@@ -31,10 +31,30 @@ def pytest_sessionfinish(session):
 #: lockstep engine animates a batch of one).
 ENGINES = engine_names()
 
+#: The lockstep engine with no vec plan: each lane runs its own static
+#: stepper, as it does whenever an observer or monitor is attached or
+#: nothing in the design vectorizes.
+PLANLESS = "batched-planless"
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    """Parametrize a test over every engine."""
+#: Every execution path a design can take: the registered engines plus
+#: the lockstep engine's plan-less path.
+ENGINE_PATHS = ENGINES + (PLANLESS,)
+
+
+def force_planless(monkeypatch) -> None:
+    """Make every lockstep batch find nothing to vectorize."""
+    from repro.core.batched import BatchedSimulator
+    monkeypatch.setattr(BatchedSimulator, "_fetch_or_build_plan",
+                        lambda self, schedule: None)
+
+
+@pytest.fixture(params=ENGINE_PATHS)
+def engine(request, monkeypatch):
+    """Parametrize a test over every execution path; yields the engine
+    name to build with (``"batched"`` for the plan-less path)."""
+    if request.param == PLANLESS:
+        force_planless(monkeypatch)
+        return "batched"
     return request.param
 
 

@@ -26,7 +26,8 @@ from repro.systems.fig2b import build_fig2b_sensors
 from repro.systems.fig2c import build_fig2c_grid
 from repro.systems.fig2d import build_fig2d
 
-from ..conftest import simple_pipe_spec
+from ..conftest import force_planless, simple_pipe_spec
+from .test_comb_cycles import _clustered_spec
 
 
 def _pipe_design(rate=0.5, depth=4):
@@ -629,6 +630,36 @@ class TestStaticSteppers:
         batch.close()
         for i in range(3):
             assert lanes[i] == _solo_run(_fig2d_mixed(i), 4 + i, 40), \
+                f"lane {i} diverged"
+
+    def test_unvectorizable_batch_equals_solo_runs(self):
+        # No module of the converging cluster has a vec impl, so the
+        # batch finds no plan on its own.
+        def design():
+            return build_design(_clustered_spec(False))
+        batch = BatchedSimulator([design(), design()], seeds=[1, 2])
+        batch.run(60)
+        assert batch.vec_plan is None
+        assert all(lane._stepper is not None for lane in batch.lanes)
+        lanes = [_observe(lane) for lane in batch.lanes]
+        batch.close()
+        assert lanes[0]["transfers"] > 20
+        for i in range(2):
+            assert lanes[i] == _solo_run(design(), 1 + i, 60)
+
+    def test_forced_planless_batch_equals_solo_runs(self, monkeypatch):
+        # The engine matrix's plan-less path: a design that would
+        # vectorize runs every lane on its own static stepper.
+        force_planless(monkeypatch)
+        batch = BatchedSimulator([_fig2d_statistical(i) for i in range(3)],
+                                 seeds=[1, 2, 3])
+        batch.run(30)
+        assert batch.vec_plan is None
+        assert all(lane._stepper is not None for lane in batch.lanes)
+        lanes = [_observe(lane) for lane in batch.lanes]
+        batch.close()
+        for i in range(3):
+            assert lanes[i] == _solo_run(_fig2d_statistical(i), 1 + i, 30), \
                 f"lane {i} diverged"
 
 

@@ -122,13 +122,11 @@ class TestNoCyclicGarbage:
         return weakref.ref(sim), weakref.ref(sim.design.store)
 
     @pytest.mark.parametrize("opt", (0, 2))
-    @pytest.mark.parametrize(
-        "name", ("worklist", "levelized", "batched"))
-    def test_closed_simulator_needs_no_gc(self, name, opt):
+    def test_closed_simulator_needs_no_gc(self, engine, opt):
         gc.collect()
         gc.disable()
         try:
-            sim_ref, store_ref = self._closed_refs(simple_pipe_spec, name,
+            sim_ref, store_ref = self._closed_refs(simple_pipe_spec, engine,
                                                    opt)
             assert sim_ref() is None
             assert store_ref() is None

@@ -145,17 +145,15 @@ class TestClusterDifferential:
     ``_run_cluster``, the relax cursor and the cycle policy run over the
     signal store on every engine, against the worklist oracle."""
 
-    ENGINES = ("worklist", "levelized", "batched")
-
     @pytest.mark.parametrize("opt", (0, 2))
-    @pytest.mark.parametrize("name", ENGINES)
     @pytest.mark.parametrize("policy", ("relax", "error"))
-    def test_converging_cluster_matches_worklist(self, name, opt, policy):
+    def test_converging_cluster_matches_worklist(self, engine, opt,
+                                                 policy):
         oracle = build_simulator(_clustered_spec(False), "worklist", opt=0,
                                  cycle_policy=policy)
-        sim = build_simulator(_clustered_spec(False), name, opt=opt,
+        sim = build_simulator(_clustered_spec(False), engine, opt=opt,
                               cycle_policy=policy)
-        if name != "worklist":
+        if engine != "worklist":
             assert any(entry.cluster for entry in sim.schedule)
         want, got = _observed(oracle), _observed(sim)
         assert got == want
@@ -163,11 +161,10 @@ class TestClusterDifferential:
         assert sim.relaxations_total == oracle.relaxations_total == 0
 
     @pytest.mark.parametrize("opt", (0, 2))
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_relaxed_ring_matches_worklist(self, name, opt):
+    def test_relaxed_ring_matches_worklist(self, engine, opt):
         oracle = build_simulator(_clustered_spec(True), "worklist", opt=0,
                                  cycle_policy="relax")
-        sim = build_simulator(_clustered_spec(True), name, opt=opt,
+        sim = build_simulator(_clustered_spec(True), engine, opt=opt,
                               cycle_policy="relax")
         want, got = _observed(oracle), _observed(sim)
         assert got == want
@@ -177,9 +174,8 @@ class TestClusterDifferential:
         assert sim.relaxations_total >= 25
 
     @pytest.mark.parametrize("opt", (0, 2))
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_error_policy_raises_on_the_dead_ring(self, name, opt):
-        sim = build_simulator(_clustered_spec(True), name, opt=opt,
+    def test_error_policy_raises_on_the_dead_ring(self, engine, opt):
+        sim = build_simulator(_clustered_spec(True), engine, opt=opt,
                               cycle_policy="error")
         with pytest.raises(CombinationalCycleError) as err:
             sim.run(1)

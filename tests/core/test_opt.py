@@ -35,7 +35,7 @@ from repro.core.opt.pipeline import (eliminable_instances, explain_report,
 from repro.core.optimize import build_schedule, build_signal_graph
 from repro.pcl import Queue, Sink, Source
 
-from ..conftest import ooo_spec, simple_pipe_spec
+from ..conftest import PLANLESS, ooo_spec, simple_pipe_spec
 from .test_comb_cycles import _ring_spec
 from .test_hierarchy_properties import _STAGE_KINDS, _spec as _nested_spec
 from .test_properties import _chain_spec
@@ -346,7 +346,6 @@ class TestCrossEngineDifferential:
 
     CYCLES = 60
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES)
     @pytest.mark.parametrize("system", sorted(SYSTEMS), ids=sorted(SYSTEMS))
     def test_opt_levels_are_bit_identical(self, engine, system):
         build = SYSTEMS[system]
@@ -375,7 +374,8 @@ class TestCrossEngineDifferential:
         finally:
             sim.close()
 
-    @pytest.mark.parametrize("engine", ("levelized", "batched"))
+    @pytest.mark.parametrize("engine", ("levelized", "batched", PLANLESS),
+                             indirect=True)
     def test_nothing_is_unknown_at_end_of_step_at_opt_2(self, engine):
         # Parking the dead wires must subtract exactly their budget: a
         # schedule that dropped an entry it still needed would leave
@@ -494,7 +494,6 @@ class TestFailedBuildRestore:
 class TestStateDictRoundtrip:
     """Checkpoints taken on optimized models restore everywhere."""
 
-    @pytest.mark.parametrize("engine", ALL_ENGINES[:3])
     def test_same_level_roundtrip_at_opt_2(self, engine):
         # Interrupted-and-resumed at opt 2 must match the uninterrupted
         # opt 2 run (the test_checkpoint contract, on optimized IR).

@@ -25,7 +25,6 @@ class TestEveryStageWorks:
     def test_architectural_results(self, stage, expected):
         assert run_stage(stage)["a0"] == expected
 
-    @pytest.mark.parametrize("engine", ["worklist", "levelized", "batched"])
     def test_stages_engine_independent(self, engine):
         assert run_stage(3, engine=engine)["working"]
 
@@ -78,7 +77,6 @@ class TestCheckpoint:
     the epoch, halt flag and retire count of whatever ran after the
     snapshot."""
 
-    @pytest.mark.parametrize("engine", ["worklist", "levelized", "batched"])
     @pytest.mark.parametrize("stage", [4, 5])
     def test_restore_after_running_on_continues_identically(self, stage,
                                                              engine):

@@ -8,7 +8,7 @@ from repro.core.errors import FirmwareError
 from repro.pcl import Buffer, MemoryArray
 from repro.upl import (FunctionalEmulator, OoOCore, assemble, programs)
 
-from ..conftest import ooo_spec
+from ..conftest import PLANLESS, ooo_spec
 from .test_differential import terminating_program
 
 INIT = {64 + i: 10 + i for i in range(16)}
@@ -58,7 +58,8 @@ class TestArchitecturalEquivalence:
         mem = sim.instance("mem")
         assert all(mem.peek(a) == emu.memory.read(a) for a in range(512))
 
-    @pytest.mark.parametrize("engine", ["worklist", "batched"])
+    @pytest.mark.parametrize("engine", ["worklist", "batched", PLANLESS],
+                             indirect=True)
     def test_engine_independent(self, engine):
         program = programs.assemble_named("fibonacci", n=8)
         _, golden = _golden(program)
@@ -171,7 +172,6 @@ class TestCheckpoint:
     parameter; a mid-run ``state_dict``/``load_state_dict`` must restore
     it in place, or the resumed core commits from a fresh register file."""
 
-    @pytest.mark.parametrize("engine", ["worklist", "levelized", "batched"])
     def test_mid_run_round_trip_continues_identically(self, engine):
         import pickle
         reference = _to_halt(*_ooo_sim(engine, seed=1))

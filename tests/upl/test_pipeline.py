@@ -13,6 +13,8 @@ from repro.upl import (BimodalPredictor, Cache, FunctionalEmulator,
                        ReturnStackPredictor, StaticPredictor, assemble,
                        programs)
 
+from ..conftest import PLANLESS
+
 INIT = {64 + i: 10 + i for i in range(16)}
 
 
@@ -71,7 +73,8 @@ class TestArchitecturalEquivalence:
         mem = sim.instance("mem")
         assert all(mem.peek(a) == emu.memory.read(a) for a in range(512))
 
-    @pytest.mark.parametrize("engine", ["levelized", "batched"])
+    @pytest.mark.parametrize("engine", ["levelized", "batched", PLANLESS],
+                             indirect=True)
     def test_engines_equivalent(self, engine):
         program = programs.assemble_named("sieve", limit=20)
         base, shared0 = _build(program, lambda: BimodalPredictor(64))
