@@ -31,7 +31,7 @@ Fallback ladder, outermost first:
 
 * a step observer or contract monitor on any lane (or a plan-build
   failure, or nothing vectorizable) leaves the batch without a plan:
-  each lane then runs ``cycles`` steps on its own static stepper.  An
+  each step then runs every lane's own static stepper in turn.  An
   observer reads every lane's wires mid-step and a monitor checks each
   port read a template's own ``react`` makes, and a vectorized
   instance never runs that ``react``;
@@ -497,8 +497,12 @@ class BatchedSimulator:
             self._rebuild_plan()
         plan = self._plan
         if plan is None:
-            for lane in self._lanes:
-                lane.run(cycles)
+            # Step by step, so an error (a raising monitor, a cycle
+            # error) leaves every lane within one step of the others.
+            lanes = self._lanes
+            for _ in range(cycles):
+                for lane in lanes:
+                    lane._step()
             return self
         if cycles <= 0:
             return self

@@ -263,19 +263,25 @@ def _metadata_tables(design: Design) -> Tuple[Dict[str, str], Dict[str, str]]:
     return deps, controls
 
 
-def attach_stepper(model: CompiledModel, schedule: List[Any]):
+def attach_stepper(model: CompiledModel, schedule: List[Any], *,
+                   store: bool = True):
     """``model``'s stepper code object, generated and compiled on first
     use (idempotent).
 
     The source is a function of the schedule shape alone, so it rides
-    the artifact (and its disk entry, when the artifact is stored after
-    this); the code object is shared through the in-memory layer only.
+    the artifact: with ``store``, a freshly generated source re-stores a
+    cache entry (``model.fingerprint`` set), so the next process reads
+    it from disk.  The code object is shared through the in-memory
+    layer only.
     """
     if model.code is None:
         from .codegen import generate_stepper_source
         if model.stepper_source is None:
             model.stepper_source = generate_stepper_source(
                 schedule, model.design_name)
+            if store and model.fingerprint:
+                from .compile_cache import get_cache
+                get_cache().store(model)
         model.code = compile(model.stepper_source,
                              f"<generated stepper {model.design_name!r}>",
                              "exec")
@@ -352,16 +358,13 @@ def compile_model(design: Design,
                     cache.stats["misses"] += 1
                 else:
                     if need_stepper:
-                        fresh = entry.stepper_source is None
                         attach_stepper(entry, bound.schedule)
-                        if fresh:  # persist the source to disk too
-                            cache.store(entry)
                     return bound
         model, schedule, partition = build(
             design, key, options,
             lambda inner_stepper: stage(depth - 1, inner_stepper))
         if need_stepper:
-            attach_stepper(model, schedule)
+            attach_stepper(model, schedule, store=False)
         if cache.enabled:
             cache.store(model)
         return BoundModel(model, design, schedule,

@@ -155,6 +155,20 @@ class TestBatchEngines:
         assert [[(rule, path) for rule, path, _ in violations]
                 for _, violations in seen] == [expected] * len(monitored)
 
+    def test_raise_mode_stops_every_lane_at_the_failing_step(self):
+        # The plan-less batch steps its lanes in turn: lanes before the
+        # raising one finished the step, the rest did not start it.
+        from repro.core.batched import BatchedSimulator
+        batch = BatchedSimulator([build_design(liar_spec())
+                                  for _ in range(3)], seeds=[1, 2, 3])
+        batch.run(4)
+        ContractMonitor(batch.lane(1))
+        with pytest.raises(ContractViolationError,
+                           match=r"timestep 4: bad\."):
+            batch.run(10)
+        assert [lane.now for lane in batch.lanes] == [5, 4, 4]
+        batch.close()
+
     def test_monitor_on_the_batch_itself(self):
         from repro.core.batched import BatchedSimulator
         batch = BatchedSimulator(build_design(pipe_spec()))

@@ -48,6 +48,15 @@ def force_planless(monkeypatch) -> None:
                         lambda self, schedule: None)
 
 
+def planless_batch(designs, seeds):
+    """A lockstep batch an observer on lane 0 keeps off the vec plan:
+    every lane runs its own static stepper."""
+    from repro.core.batched import BatchedSimulator
+    batch = BatchedSimulator(designs, seeds=seeds)
+    batch.lane(0).add_observer(lambda sim: None)
+    return batch
+
+
 @pytest.fixture(params=ENGINE_PATHS)
 def engine(request, monkeypatch):
     """Parametrize a test over every execution path; yields the engine

@@ -26,7 +26,7 @@ from repro.systems.fig2b import build_fig2b_sensors
 from repro.systems.fig2c import build_fig2c_grid
 from repro.systems.fig2d import build_fig2d
 
-from ..conftest import force_planless, simple_pipe_spec
+from ..conftest import force_planless, planless_batch, simple_pipe_spec
 from .test_comb_cycles import _clustered_spec
 
 
@@ -122,14 +122,6 @@ def _solo_run(design, seed, cycles):
     observed = _observe(sim)
     sim.close()
     return observed
-
-
-def _planless(designs, seeds):
-    """A batch an observer on lane 0 keeps off the vec plan: every lane
-    runs its own static stepper."""
-    batch = BatchedSimulator(designs, seeds=seeds)
-    batch.lane(0).add_observer(lambda sim: None)
-    return batch
 
 
 class TestLaneBitIdentity:
@@ -267,7 +259,7 @@ class TestVecBuffer:
         vec.run(60)
         final = [_observe(vec.lane(i)) for i in range(2)]
         vec.close()
-        planless = _planless(designs(), seeds=[4, 5])
+        planless = planless_batch(designs(), seeds=[4, 5])
         planless.load_state_dict(snapshot)
         planless.run(60)
         assert planless.vec_plan is None
@@ -475,7 +467,7 @@ _PROFILED_DESIGNS = {"fig2d-statistical": _fig2d_statistical,
 
 def _profiled_run(make, n_lanes, profiled, sample_every, cycles,
                   trace=False, planned=True):
-    batch = (BatchedSimulator if planned else _planless)(
+    batch = (BatchedSimulator if planned else planless_batch)(
         [make(i) for i in range(n_lanes)],
         seeds=[7 + i for i in range(n_lanes)])
     profilers = {i: Profiler(batch.lane(i), sample_every=sample_every,
@@ -583,20 +575,30 @@ class TestLazyDispatch:
 
         monkeypatch.setattr(BatchedSimulator, "_rebuild_plan", counting)
         rates = (0.2, 0.4, 0.6, 0.8, 0.3, 0.7)
-        batch = BatchedSimulator([build_design(_vec_pipe_spec(rate=r))
-                                  for r in rates],
-                                 seeds=list(range(len(rates))))
-        batch.run(10)
-        assert len(builds) == 1
-        for i in range(len(rates)):
-            Profiler(batch.lane(i), sample_every=2)
-        batch.lane(1).probe_between("q", "out", "snk", "in")
-        assert len(builds) == 1
-        batch.run(20)
-        batch.run(20)
-        assert len(builds) == 2
-        batch.close()                # detaches every profiler
-        assert len(builds) == 2
+        outcomes = []
+        # The planned batch keeps its plan through the churn; the
+        # plan-less one runs every lane on its own static stepper.
+        for make in (BatchedSimulator, planless_batch):
+            builds.clear()
+            batch = make([build_design(_vec_pipe_spec(rate=r))
+                          for r in rates], seeds=list(range(len(rates))))
+            batch.run(10)
+            assert len(builds) == 1
+            profilers = [Profiler(batch.lane(i), sample_every=2)
+                         for i in range(len(rates))]
+            probe = batch.lane(1).probe_between("q", "out", "snk", "in")
+            assert len(builds) == 1
+            batch.run(20)
+            batch.run(20)
+            assert len(builds) == 2
+            assert (batch.vec_plan is None) == (make is planless_batch)
+            outcomes.append(([_observe(batch.lane(i))
+                              for i in range(len(rates))],
+                             [_profile_view(p) for p in profilers],
+                             probe.log))
+            batch.close()                # detaches every profiler
+            assert len(builds) == 2
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStaticSteppers:
@@ -681,7 +683,7 @@ class TestStatePreservation:
         final = [_observe(vec.lane(i)) for i in range(2)]
         vec.close()
 
-        scalar = _planless(designs(), seeds=[4, 5])
+        scalar = planless_batch(designs(), seeds=[4, 5])
         scalar.load_state_dict(snapshot)
         scalar.run(60)
         assert scalar.vec_plan is None
@@ -693,7 +695,7 @@ class TestStatePreservation:
         vec2.load_state_dict(snapshot2)
         assert [_observe(vec2.lane(i)) for i in range(2)] == final
         vec2.run(30)
-        reference = _planless(designs(), seeds=[4, 5])
+        reference = planless_batch(designs(), seeds=[4, 5])
         reference.load_state_dict(snapshot2)
         reference.run(30)
         assert ([_observe(vec2.lane(i)) for i in range(2)]

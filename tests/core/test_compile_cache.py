@@ -140,8 +140,11 @@ class TestCacheLayers:
         assert fresh.stats["disk_hits"] >= 1
 
     def test_stepper_source_shared_through_disk(self, private_cache):
-        cc.warm_spec(pipe_spec(), CompileOptions(need_stepper=True))
+        # A plain static-engine build generates its stepper on the first
+        # run and stores the source, so the next process reads it.
         cold = build_simulator(pipe_spec(), engine="levelized", opt=0)
+        assert cold.compiled.stepper_source is None
+        cold.run(3)
         source = cold.compiled.stepper_source
         assert source is not None
         cc.configure(disk_dir=private_cache.disk_dir)

@@ -32,6 +32,8 @@ from repro.pcl.queue import Delay, PipelineReg
 from repro.pcl.routing import Demux, Mux, Tee
 from repro.systems.fig2d import build_fig2d
 
+from ..conftest import planless_batch
+
 
 def _observe(sim):
     return {"now": sim.now, "transfers": sim.transfers_total,
@@ -47,14 +49,6 @@ def _solo_run(design, seed, cycles):
     observed = _observe(sim)
     sim.close()
     return observed
-
-
-def _planless(designs, seeds):
-    """A batch an observer on lane 0 keeps off the vec plan: every lane
-    runs its own static stepper."""
-    batch = BatchedSimulator(designs, seeds=seeds)
-    batch.lane(0).add_observer(lambda sim: None)
-    return batch
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +299,7 @@ class TestLaneParamBroadcast:
         final = [_observe(vec.lane(i)) for i in range(3)]
         vec.close()
 
-        scalar = _planless(designs(), seeds=[4, 5, 6])
+        scalar = planless_batch(designs(), seeds=[4, 5, 6])
         scalar.load_state_dict(snapshot)
         scalar.run(60)
         assert scalar.vec_plan is None
@@ -338,7 +332,7 @@ class TestBatchSizes:
         vec_lanes = [_observe(vec.lane(i)) for i in range(n_lanes)]
         vec.close()
 
-        scalar = _planless(
+        scalar = planless_batch(
             [build_design(_reg_delay_spec(rate=r)) for r in rates],
             seeds=seeds)
         scalar.run(cycles)
@@ -409,7 +403,7 @@ class TestFig2dStatisticalField:
                 "wires": list(sim.design.store.transfers)}
             sim.close()
         for make, name in ((BatchedSimulator, "batched"),
-                           (_planless, "batched plan-less")):
+                           (planless_batch, "batched plan-less")):
             batch = make([design(), design()], seeds=[42, 42])
             batch.run(150)
             lane = batch.lane(0)
