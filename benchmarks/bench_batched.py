@@ -2,8 +2,8 @@
 
 The acceptance experiment for :class:`repro.BatchedSimulator`: a sweep
 whose points all share one structural fingerprint (parameter bindings
-only — rate and seed) is regrouped by ``Campaign(batch=True)`` into a
-single lockstep task.  Per-run execution pays the full worker cost for
+only — rate and seed) is cut by a default ``Campaign`` into a single
+lockstep task, against ``batch_max=1`` (one task per point).  Per-run execution pays the full worker cost for
 every point: fork, import, spec build, design elaboration, compile,
 simulate, teardown.  The batched path pays it once per structure and
 amortizes everything but the simulation itself across the lanes, so on
@@ -67,8 +67,8 @@ def _campaign(name, tmp_path, **kw):
 
 
 def test_fingerprint_grouped_campaign_speedup(benchmark, tmp_path):
-    per_run = _campaign("batched-perrun", tmp_path)
-    grouped = _campaign("batched-grouped", tmp_path, batch=True)
+    per_run = _campaign("batched-perrun", tmp_path, batch_max=1)
+    grouped = _campaign("batched-grouped", tmp_path)
 
     t0 = time.perf_counter()
     per_run_result = per_run.run()

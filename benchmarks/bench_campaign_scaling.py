@@ -1,9 +1,10 @@
 """Campaign scaling: the worker pool vs. the serial baseline.
 
 The acceptance experiment for :mod:`repro.campaign`: an 8-point
-parameter sweep over the quickstart pipeline design, run once through
-the serial in-process executor and once through the multiprocess pool
-with 4 workers.  On a machine with >= 4 usable cores the pool must
+parameter sweep over the quickstart pipeline design, run one task per
+point (``batch_max=1``; grouped, its one topology would be a single
+lockstep task) once through the serial in-process executor and once
+through the multiprocess pool with 4 workers.  On a machine with >= 4 usable cores the pool must
 finish the sweep at least 2x faster; with fewer cores the measured
 speedup is reported and the bar scales down (parallel speedup cannot
 exceed the core count).  Both runs must produce identical per-point
@@ -53,7 +54,7 @@ def _usable_cores() -> int:
 def _campaign(name, tmp_path, workers):
     return Campaign(name, GridSweep(GRID, base_seed=42),
                     target=build_pipeline, kind="spec", engine="levelized",
-                    cycles=CYCLES, workers=workers, retries=0,
+                    cycles=CYCLES, workers=workers, retries=0, batch_max=1,
                     ledger_path=str(tmp_path / f"{name}.jsonl"))
 
 

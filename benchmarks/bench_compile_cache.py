@@ -51,7 +51,7 @@ def _fig2d_design():
     spec, _ = build_fig2d(n_sensors=N_SENSORS, backend="detailed")
     design = build_design(spec)
     # Fingerprint the master once so every per-round copy inherits the
-    # memo — the same flow warm_design()/the campaign prewarm set up.
+    # memo — the same flow warm_design()/campaign grouping sets up.
     cc.design_fingerprint(design)
     return design
 

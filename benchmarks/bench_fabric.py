@@ -1,7 +1,7 @@
 """Fabric throughput: a 2-worker loopback fabric vs. single-process.
 
 The acceptance experiment for :mod:`repro.fabric`: one sweep, run once
-through a local ``Campaign(batch=True)`` (the single-process ceiling)
+through a local ``Campaign`` (the single-process ceiling)
 and once through a loopback coordinator with two forked workers.  With
 at least two usable cores the fabric must finish the same campaign at
 least 1.5x faster — the protocol, lease, and artifact machinery must
@@ -74,11 +74,11 @@ def _norm(value):
 def test_fabric_two_worker_speedup(benchmark, tmp_path):
     sweep = GridSweep(GRID, base_seed=42)
 
-    # Single-process ceiling: the batched local campaign (this also
+    # Single-process ceiling: the local campaign (this also
     # warms the compile cache, so neither timed path pays compiles
     # the other does not).
     solo = Campaign("fabric-solo", sweep, target=TARGET, kind="spec",
-                    cycles=CYCLES, batch=True, batch_max=8, retries=0,
+                    cycles=CYCLES, batch_max=8, retries=0,
                     ledger_path=str(tmp_path / "solo.jsonl"))
     t0 = time.perf_counter()
     solo_result = solo.run()

@@ -31,8 +31,8 @@ Quickstart
 """
 
 from .aggregate import CampaignResult, RunRow                     # noqa: F401
-from .campaign import (Campaign, fingerprint_groups,              # noqa: F401
-                       result_from_ledger)
+from .campaign import (Campaign, cut_sweep,                       # noqa: F401
+                       fingerprint_groups, result_from_ledger)
 from .checkpoint import (load_state, run_with_checkpoints,        # noqa: F401
                          save_state)
 from .errors import CampaignError                                 # noqa: F401
@@ -50,5 +50,5 @@ __all__ = [
     "InlineExecutor", "ProcessExecutor", "RunOutcome", "RunTask",
     "execute_task", "resolve_target",
     "save_state", "load_state", "run_with_checkpoints",
-    "result_from_ledger", "fingerprint_groups",
+    "result_from_ledger", "fingerprint_groups", "cut_sweep",
 ]

@@ -11,46 +11,37 @@ the final table from the journal, not re-run.
 
 from __future__ import annotations
 
+import hashlib
 import os
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from dataclasses import replace
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..core.backends import DEFAULT_ENGINE
 from .aggregate import CampaignResult, RunRow
 from .errors import CampaignError
 from .executor import (InlineExecutor, ProcessExecutor, RunOutcome, RunTask,
-                       _coerce_spec, resolve_target)
+                       build_point_spec)
 from .ledger import Ledger, LedgerState
 from .sweep import Sweep, SweepPoint
 
 
 def fingerprint_groups(kind: str, target, lss_text: Optional[str],
-                       points: Sequence[Any], options=None):
+                       points: Sequence[Any]):
     """Group sweep points by the structural fingerprint of their design.
 
-    The shared shard-planning primitive: ``Campaign(batch=True)`` uses
-    it to fold a sweep into lockstep groups, and the distributed fabric
-    (:mod:`repro.fabric.shards`) uses the same grouping so a fabric
-    shard is exactly one lockstep batch.  Each point's spec is built
-    here, its design fingerprinted — which also warms the compile cache
-    when it is enabled, so later constructions (worker processes,
-    batch lanes) hit instead of recompiling.
-
+    Each point's spec is built here and its design fingerprinted.
     ``points`` may be :class:`~repro.campaign.sweep.SweepPoint` objects
     or plain mappings with ``"run_id"``/``"params"`` keys (the fabric's
-    wire form).  ``options`` (a :class:`~repro.core.ir.CompileOptions`)
-    names what to warm; with ``vec=True`` the compile-time vec plan is
-    warmed too (the lockstep batch executors then adopt it instead of
-    replanning per process/shard).  Returns ``(groups, failures)``:
-    ``groups`` maps each fingerprint to its points in first-seen order;
-    ``failures`` lists the points whose spec failed to build (left for
-    a worker to report with full context).
+    wire form).  Returns ``(groups, failures)``: ``groups`` maps each
+    fingerprint to ``(design, members)`` — the first member's built
+    design (what cache warming compiles) and the points in first-seen
+    order; ``failures`` lists the points whose spec failed to build
+    (left for a worker to report with full context).
     """
-    from ..core.compile_cache import (design_fingerprint, get_cache,
-                                      warm_design)
+    from ..core.compile_cache import design_fingerprint
     from ..core.constructor import build_design
-    from .executor import build_point_spec
-    warm = get_cache().enabled
-    groups: Dict[str, list] = {}
+    groups: Dict[str, tuple] = {}
     failures: list = []
     for point in points:
         if isinstance(point, dict):
@@ -58,15 +49,64 @@ def fingerprint_groups(kind: str, target, lss_text: Optional[str],
         else:
             run_id, params = point.run_id, point.params
         try:
-            spec = build_point_spec(kind, target, lss_text, params, run_id)
-            design = build_design(spec)
-            fingerprint = (warm_design(design, options)
-                           if warm else design_fingerprint(design))
+            design = build_design(
+                build_point_spec(kind, target, lss_text, params, run_id))
+            fingerprint = design_fingerprint(design)
         except Exception:
             failures.append(point)
             continue
-        groups.setdefault(fingerprint, []).append(point)
+        groups.setdefault(fingerprint, (design, []))[1].append(point)
     return groups, failures
+
+
+#: The engines whose points may run as lanes of one lockstep batch: a
+#: batch lane is a static-engine simulator, bit-identical to a solo run
+#: on either.  The worklist interpreter is the reference the others are
+#: checked against, so its points always run alone.
+LOCKSTEP_ENGINES = ("levelized", "batched")
+
+
+def cut_sweep(kind: str, target, lss_text: Optional[str],
+              points: Sequence[Any], *, engine: str, opt: Optional[int],
+              batch_max: int) -> List[Tuple[Optional[str], list]]:
+    """Cut sweep points into units of work — the one rule local
+    campaigns and fabric shard planning share.
+
+    Returns ``(fingerprint, members)`` cuts.  Simulator points of a
+    :data:`LOCKSTEP_ENGINES` engine are grouped by design fingerprint
+    (:func:`fingerprint_groups`) and each group is chunked to at most
+    ``batch_max`` members; a chunk of two or more is one lockstep
+    batch.  Every other cut holds a single point: a chunk of one, a
+    point whose spec failed to build (``fingerprint`` None), and every
+    ``fn`` point or run of another engine (``fingerprint`` None: nothing
+    is built for them).  ``batch_max=1`` therefore cuts one task per
+    point.
+
+    With the compile cache enabled, each group is warmed with what its
+    cuts execute (:func:`~repro.core.backends.compile_options_for`): the
+    vec-planned artifact for batches, ``engine``'s own artifacts (the
+    static stepper, on ``levelized``) for single points.  Forked workers
+    inherit the in-memory layer, and the fabric coordinator exports the
+    warmed entries as artifacts.
+    """
+    from ..core.backends import compile_options_for, get_backend
+    if kind == "fn" or get_backend(engine).name not in LOCKSTEP_ENGINES:
+        return [(None, [point]) for point in points]
+    from ..core.compile_cache import warm_design
+    groups, failures = fingerprint_groups(kind, target, lss_text, points)
+    cuts: List[Tuple[Optional[str], list]] = []
+    for fingerprint, (design, members) in groups.items():
+        chunks = [members[k:k + batch_max]
+                  for k in range(0, len(members), batch_max)]
+        for name in {"batched" if len(chunk) > 1 else engine
+                     for chunk in chunks}:
+            try:
+                warm_design(design, compile_options_for(name, opt=opt))
+            except Exception:
+                pass  # best-effort: the task compiles again and reports
+        cuts.extend((fingerprint, chunk) for chunk in chunks)
+    cuts.extend((None, [point]) for point in failures)
+    return cuts
 
 
 class Campaign:
@@ -96,17 +136,25 @@ class Campaign:
         retried attempt resumes from the last snapshot.
     ledger_path:
         JSONL journal location; default ``<name>.campaign.jsonl``.
-    batch / batch_max:
-        ``batch=True`` enables the fingerprint-grouped fast path for
-        simulator kinds: sweep points whose built designs share a
+    batch_max:
+        The most lanes one task runs.  Simulator points on the
+        ``levelized`` or ``batched`` engine whose built designs share a
         structural fingerprint are dispatched as **one** task running a
-        lockstep :class:`~repro.core.batched.BatchedSimulator` (at most
-        ``batch_max`` lanes per task), amortizing process launch and
-        schedule walking across the group.  Per-lane results and ledger
-        rows are identical to per-point runs — a batched campaign can
-        be resumed un-batched and vice versa.  Points whose specs fail
-        to build (or that end up alone in a group) run per-point as
-        usual.
+        lockstep :class:`~repro.core.batched.BatchedSimulator`,
+        amortizing process launch and schedule walking across the group
+        (:func:`cut_sweep` is the cutting rule, shared with the fabric).
+        Chunks of one, points whose specs fail to build, ``fn`` points
+        and ``worklist`` runs are single-point tasks; ``batch_max=1``
+        makes every point its own task.  Per-lane results and ledger
+        rows are identical either way, so a campaign can be resumed
+        under another ``batch_max``.  ``timeout`` stays a per-point
+        budget: a batch attempt may run ``timeout`` × lanes.  A batch is
+        one execution: a lane raising at run time fails the attempt for
+        every lane (retried as a whole), while a build failure stays
+        with its own point.
+    batch:
+        Accepted only as ``True`` (the default), which changes nothing;
+        ``batch=False`` raises, pointing at ``batch_max=1``.
     """
 
     def __init__(self, name: str, sweep: Sweep,
@@ -121,7 +169,7 @@ class Campaign:
                  checkpoint_dir: Optional[str] = None,
                  ledger_path: Optional[str] = None,
                  profile: bool = False, profile_sample: int = 4,
-                 batch: bool = False, batch_max: int = 16):
+                 batch: bool = True, batch_max: int = 16):
         if kind not in ("fn", "spec", "lss"):
             raise CampaignError(
                 f"kind must be 'fn', 'spec' or 'lss', got {kind!r}")
@@ -135,18 +183,14 @@ class Campaign:
             get_backend(engine)
         except SpecificationError as exc:
             raise CampaignError(str(exc)) from None
-        if batch:
-            if kind == "fn":
-                raise CampaignError(
-                    "batch=True requires a simulator kind ('spec' or 'lss')")
-            if checkpoint_every is not None:
-                raise CampaignError(
-                    "batch=True is incompatible with checkpoint_every "
-                    "(lockstep lanes do not checkpoint individually)")
-            if batch_max < 1:
-                raise CampaignError(
-                    f"batch_max must be >= 1, got {batch_max}")
-        self.batch = batch
+        # ``batch`` survives only because perf/workloads.py passes
+        # ``batch=True``; ROADMAP item 1(b)'s perf/ change deletes it.
+        if not batch:
+            raise CampaignError(
+                "batch=False is gone: every campaign groups by fingerprint; "
+                "pass batch_max=1 to run one point per task")
+        if batch_max < 1:
+            raise CampaignError(f"batch_max must be >= 1, got {batch_max}")
         self.batch_max = batch_max
         self.name = name
         self.sweep = sweep
@@ -194,86 +238,31 @@ class Campaign:
         return ProcessExecutor(workers=self.workers, timeout=self.timeout,
                                retries=self.retries, backoff=self.backoff)
 
-    def _batch_tasks(self, todo: Sequence[SweepPoint]):
-        """Group ``todo`` by design fingerprint into batch tasks.
+    def _tasks(self, todo: Sequence[SweepPoint]):
+        """Cut ``todo`` (:func:`cut_sweep`) into executor tasks.
 
-        Each point's spec is built in the parent, its design
-        fingerprinted (which also warms the compile cache for the
-        workers), and groups of structurally identical points become
-        ``kind="batch"`` tasks of at most ``batch_max`` lanes.
-        Singleton groups and points that fail to build fall back to
-        ordinary per-point tasks (the worker then reports the build
-        failure with full context).
+        Returns ``(tasks, batch_points)``; ``batch_points`` maps each
+        batch task's id to its lanes.  The id is derived from the lanes'
+        run ids, so a batch checkpoint is only ever loaded onto the same
+        lanes — a resumed campaign with some points done cuts new ids.
         """
-        from ..core.backends import compile_options_for
-        groups, singles = fingerprint_groups(
-            self.kind, self.target, self.lss_text, todo,
-            compile_options_for("batched", opt=self.opt))
-        tasks = []
-        for fingerprint, members in groups.items():
-            for k in range(0, len(members), self.batch_max):
-                chunk = members[k:k + self.batch_max]
-                if len(chunk) == 1:
-                    singles.append(chunk[0])
-                    continue
-                tasks.append(RunTask(
-                    run_id=f"batch:{fingerprint[:10]}:{k // self.batch_max}",
-                    index=chunk[0].index, params={}, seed=chunk[0].seed,
-                    target=self.target, kind="batch", batch_kind=self.kind,
-                    engine=self.engine, opt=self.opt, cycles=self.cycles,
-                    lss_text=self.lss_text, profile=self.profile,
-                    profile_sample=self.profile_sample,
-                    points=[{"run_id": p.run_id, "index": p.index,
-                             "params": p.params, "seed": p.seed}
-                            for p in chunk]))
-        tasks.extend(self._task_for(p) for p in singles)
-        return tasks
-
-    def _prewarm(self, todo: Sequence[SweepPoint]) -> int:
-        """Compile each distinct topology once before workers fan out.
-
-        Simulator campaigns (``kind`` in ``spec``/``lss``) pay schedule
-        construction — and, on the static engine, the stepper compile —
-        per worker process otherwise.  Warming the compile cache in the
-        parent with what :attr:`engine` executes
-        (:func:`~repro.core.backends.compile_options_for`) means forked
-        workers find every schedule and stepper code object in the
-        inherited in-memory layer (and, with the disk layer on, the
-        schedule and stepper source in ``.repro-cache/`` even under
-        spawn).  Strictly best-effort: any
-        failure here is left for the worker to report with full context.
-        Returns the number of distinct fingerprints warmed.
-        """
-        if (not todo or self.batch or self.workers == 0
-                or self.kind not in ("spec", "lss")
-                or self.engine == "worklist"):
-            return 0  # batch grouping warms the cache itself
-        from ..core.backends import compile_options_for
-        from ..core.compile_cache import get_cache, warm_spec
-        if not get_cache().enabled:
-            return 0
-        options = compile_options_for(self.engine, opt=self.opt)
-        fingerprints: set = set()
-        try:
-            build = (resolve_target(self.target) if self.kind == "spec"
-                     else None)
-        except Exception:
-            return 0
-        for point in todo:
-            try:
-                if self.kind == "spec":
-                    spec = _coerce_spec(build(**point.params))
-                else:
-                    from .. import library_env, parse_lss
-                    spec = parse_lss(self.lss_text, library_env())
-                    for dotted, value in point.params.items():
-                        inst_name, _, param = dotted.partition(".")
-                        if param:
-                            spec.get_instance(inst_name).bindings[param] = value
-                fingerprints.add(warm_spec(spec, options))
-            except Exception:
-                continue
-        return len(fingerprints)
+        tasks, batch_points = [], {}
+        for _, members in cut_sweep(self.kind, self.target, self.lss_text,
+                                    todo, engine=self.engine, opt=self.opt,
+                                    batch_max=self.batch_max):
+            task = self._task_for(members[0])
+            if len(members) > 1:
+                lanes = [{"run_id": p.run_id, "index": p.index,
+                          "params": p.params, "seed": p.seed}
+                         for p in members]
+                digest = hashlib.sha1(" ".join(
+                    p.run_id for p in members).encode()).hexdigest()[:16]
+                task = replace(task, run_id=f"batch-{digest}", params={},
+                               kind="batch", batch_kind=self.kind,
+                               points=lanes)
+                batch_points[task.run_id] = lanes
+            tasks.append(task)
+        return tasks, batch_points
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False,
@@ -312,10 +301,6 @@ class Campaign:
         if progress:
             progress(f"{self.name}: {len(points)} points, "
                      f"{len(previous)} already done, {len(todo)} to run")
-        warmed = self._prewarm(todo)
-        if progress and warmed:
-            progress(f"  compile cache warmed for {warmed} distinct "
-                     f"topolog{'y' if warmed == 1 else 'ies'}")
 
         ledger = Ledger(self.ledger_path).open(append=resume)
         try:
@@ -329,30 +314,23 @@ class Campaign:
                                         "cycles": self.cycles,
                                         "target": _target_name(self.target),
                                         "workers": self.workers,
-                                        "profile": self.profile,
-                                        "batch": self.batch}})
+                                        "profile": self.profile}})
                 for point in points:
                     ledger.record({"event": "point", "run_id": point.run_id,
                                    "index": point.index,
                                    "params": point.params,
                                    "seed": point.seed})
 
-            if self.batch and todo:
-                tasks = self._batch_tasks(todo)
-                batch_points = {t.run_id: t.points for t in tasks
-                                if t.kind == "batch"}
-                if progress and batch_points:
-                    grouped = sum(len(p) for p in batch_points.values())
-                    progress(f"  batched {grouped} points into "
-                             f"{len(batch_points)} lockstep group(s)")
-            else:
-                tasks = [self._task_for(p) for p in todo]
-                batch_points = {}
+            tasks, batch_points = self._tasks(todo)
+            if progress and batch_points:
+                grouped = sum(len(p) for p in batch_points.values())
+                progress(f"  batched {grouped} points into "
+                         f"{len(batch_points)} lockstep group(s)")
 
             def journal(event: Dict[str, Any]) -> None:
                 # Batch-group events never hit the ledger raw: they are
                 # translated into per-lane events so the journal stays
-                # per-point (resumable batched or un-batched alike).
+                # per-point (resumable under any batch_max).
                 for sub in _expand_batch_event(event, batch_points):
                     ledger.record(sub)
                     if progress and sub["event"] in ("done", "failed",
@@ -423,20 +401,9 @@ def _expand_batch_outcome(outcome: RunOutcome,
     points = batch_points.get(outcome.run_id)
     if points is None:
         return [outcome]
-    out = []
-    for point in points:
-        if outcome.status == "done":
-            lanes = (outcome.result or {}).get("lanes") or {}
-            out.append(RunOutcome(point["run_id"], "done",
-                                  result=lanes.get(point["run_id"]),
-                                  attempts=outcome.attempts,
-                                  duration=outcome.duration))
-        else:
-            out.append(RunOutcome(point["run_id"], "failed",
-                                  error=outcome.error,
-                                  attempts=outcome.attempts,
-                                  duration=outcome.duration))
-    return out
+    lanes = (outcome.result or {}).get("lanes") or {}
+    return [replace(outcome, run_id=point["run_id"],
+                    result=lanes.get(point["run_id"])) for point in points]
 
 
 def result_from_ledger(name: str, state: LedgerState) -> CampaignResult:

@@ -58,11 +58,10 @@ def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
                         metavar="LEVEL",
                         help="IR optimizer level 0-2 applied to every run "
                              "(default: REPRO_OPT environment, else 0)")
-    parser.add_argument("--batch", action="store_true",
-                        help="group structurally identical points and run "
-                             "each group in one lockstep batched simulator")
     parser.add_argument("--batch-max", type=int, default=16, metavar="N",
-                        help="maximum lanes per batched group (default 16)")
+                        help="most points one lockstep task runs; points "
+                             "sharing a structure are grouped up to it "
+                             "(default 16; 1 = one task per point)")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign base seed; per-point engine seeds "
                              "are derived from it (default 0)")
@@ -182,7 +181,7 @@ def run_campaign_command(args) -> int:
         backoff=args.backoff, checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir, ledger_path=ledger_path,
         profile=args.profile, profile_sample=args.profile_sample,
-        batch=args.batch, batch_max=args.batch_max,
+        batch_max=args.batch_max,
         **campaign_kw)
     result = campaign.run(resume=args.resume, progress=print)
     print(result.summary())

@@ -1,15 +1,16 @@
 """The campaign executor: a fault-tolerant multiprocess worker pool.
 
-Each sweep point runs in its **own worker process** (not a reusable
-pool worker) so the orchestrator can enforce a hard per-run timeout by
-killing the process, and so a crashed or killed worker poisons nothing
-but its own run.  Failures are retried with exponential backoff up to a
-bound; a point that exhausts its retries is recorded as ``failed`` and
-the campaign continues — one poisoned point never sinks the sweep.
+Each task — one sweep point, or a lockstep batch of them — runs in its
+**own worker process** (not a reusable pool worker) so the orchestrator
+can enforce a hard timeout by killing the process, and so a crashed or
+killed worker poisons nothing but its own task.  Failures are retried
+with exponential backoff up to a bound; a task that exhausts its
+retries is recorded as ``failed`` and the campaign continues — one
+poisoned point never sinks the sweep.
 
 Run payloads are described declaratively by :class:`RunTask` so they
 cross the process boundary cleanly; the ``target`` may be a callable or
-a ``"pkg.mod:attr"`` dotted path resolved in the child.  Three task
+a ``"pkg.mod:attr"`` dotted path resolved in the child.  Four task
 kinds are supported:
 
 ``fn``
@@ -26,11 +27,12 @@ kinds are supported:
 ``batch``
     A whole group of structurally identical sweep points (same design
     fingerprint, different parameters) executed in **one** worker by a
-    single lockstep :class:`~repro.core.batched.BatchedSimulator` —
-    the campaign fast path.  ``points`` carries the per-lane run ids,
-    params and seeds; ``batch_kind`` says how each lane's spec is built
-    (``spec`` or ``lss``).  The result maps every lane's run id to a
-    payload shaped exactly like a standalone simulator run's.
+    single lockstep :class:`~repro.core.batched.BatchedSimulator`, with
+    the same optional periodic checkpoints.  ``points`` carries the
+    per-lane run ids, params and seeds; ``batch_kind`` says how each
+    lane's spec is built (``spec`` or ``lss``).  The result maps every
+    lane's run id to a payload shaped exactly like a standalone
+    simulator run's.
 
 :class:`InlineExecutor` runs the same tasks serially in-process — the
 baseline for scaling measurements and the debug path (no kill-based
@@ -162,32 +164,44 @@ def build_point_spec(kind: str, target, lss_text: Optional[str],
     raise CampaignError(f"unknown simulator task kind {kind!r}")
 
 
-def _lane_result(sim, profiler, top: int) -> Dict[str, Any]:
-    """One simulator's result payload (shared per-run / per-lane shape)."""
-    result = {"cycles": sim.now, "transfers": sim.transfers_total,
-              "relaxations": sim.relaxations_total,
-              "stats": sim.stats.summary_dict()}
-    if profiler is not None:
-        result["profile"] = profiler.summary_dict(top=top)
-    return result
+def _run(task: RunTask, sim, lanes) -> Dict[str, Dict[str, Any]]:
+    """Run ``sim`` to ``task.cycles`` under the task's checkpoints and
+    return each lane's result payload, keyed by run id.
+
+    ``lanes`` pairs each run id with the simulator it reads: ``sim``
+    itself for a single point, one lane of the batch otherwise — so a
+    lane's payload is shaped exactly like a standalone run's.
+    """
+    try:
+        profilers = {}
+        if task.profile:
+            from ..obs import Profiler
+            profilers = {run_id: Profiler(lane,
+                                          sample_every=task.profile_sample)
+                         for run_id, lane in lanes}
+        path = task.checkpoint_path()
+        run_with_checkpoints(sim, task.cycles, every=task.checkpoint_every,
+                             path=path)
+        clear_checkpoint(path)
+        results = {}
+        for run_id, lane in lanes:
+            results[run_id] = {"cycles": lane.now,
+                               "transfers": lane.transfers_total,
+                               "relaxations": lane.relaxations_total,
+                               "stats": lane.stats.summary_dict()}
+            if run_id in profilers:
+                results[run_id]["profile"] = profilers[run_id].summary_dict(
+                    top=task.profile_top)
+        return results
+    finally:
+        sim.close()  # release the design(s) (and detach any profiler)
 
 
 def _simulate(task: RunTask, spec) -> Dict[str, Any]:
     from ..core.constructor import build_simulator
     sim = build_simulator(_coerce_spec(spec), engine=task.engine,
                           seed=task.seed, opt=task.opt)
-    try:
-        profiler = None
-        if task.profile:
-            from ..obs import Profiler
-            profiler = Profiler(sim, sample_every=task.profile_sample)
-        path = task.checkpoint_path()
-        run_with_checkpoints(sim, task.cycles, every=task.checkpoint_every,
-                             path=path)
-        clear_checkpoint(path)
-        return _lane_result(sim, profiler, task.profile_top)
-    finally:
-        sim.close()  # release the design (and detach any profiler)
+    return _run(task, sim, [(task.run_id, sim)])[task.run_id]
 
 
 def _simulate_batch(task: RunTask) -> Dict[str, Any]:
@@ -210,21 +224,8 @@ def _simulate_batch(task: RunTask) -> Dict[str, Any]:
         engine_kw["opt"] = task.opt
     sim = BatchedSimulator(
         designs, seeds=[point["seed"] for point in task.points], **engine_kw)
-    try:
-        profilers: Dict[str, Any] = {}
-        if task.profile:
-            from ..obs import Profiler
-            for i, point in enumerate(task.points):
-                profilers[point["run_id"]] = Profiler(
-                    sim.lane(i), sample_every=task.profile_sample)
-        sim.run(task.cycles)
-        lanes = {point["run_id"]: _lane_result(
-                     sim.lane(i), profilers.get(point["run_id"]),
-                     task.profile_top)
-                 for i, point in enumerate(task.points)}
-        return {"batch": True, "lanes": lanes}
-    finally:
-        sim.close()
+    return {"batch": True, "lanes": _run(task, sim, [
+        (point["run_id"], sim.lane(i)) for i, point in enumerate(task.points)])}
 
 
 def execute_task(task: RunTask) -> Dict[str, Any]:
@@ -334,8 +335,10 @@ class ProcessExecutor:
     workers:
         Maximum concurrent worker processes.
     timeout:
-        Per-*attempt* wall-clock budget in seconds; an attempt past its
-        deadline is killed and recorded as a ``timeout`` failure.
+        Per-point wall-clock budget in seconds: an attempt may run
+        ``timeout`` × its lane count (1 unless it is a ``batch`` task);
+        one past its deadline is killed and recorded as a ``timeout``
+        failure.
     retries:
         Extra attempts granted to a failed point (0 = one attempt).
     backoff:
@@ -375,8 +378,13 @@ class ProcessExecutor:
         proc.start()
         child_conn.close()
         now = time.monotonic()
-        deadline = None if self.timeout is None else now + self.timeout
+        deadline = (None if self.timeout is None
+                    else now + self._budget(task))
         return _Active(proc, parent_conn, task, deadline, now)
+
+    def _budget(self, task: RunTask) -> float:
+        """One attempt's wall-clock budget: ``timeout`` per lane."""
+        return self.timeout * (len(task.points) if task.points else 1)
 
     def _reap(self, active: _Active):
         """Poll one worker; return (status, payload) once it is settled.
@@ -408,8 +416,8 @@ class ProcessExecutor:
             active.proc.kill()
             active.proc.join(timeout=5)
             active.conn.close()
-            return ("timeout",
-                    f"attempt exceeded timeout of {self.timeout:g}s")
+            return ("timeout", f"attempt exceeded timeout of "
+                               f"{self._budget(active.task):g}s")
         return None
 
     @staticmethod

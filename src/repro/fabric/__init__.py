@@ -2,8 +2,8 @@
 
 A campaign that outgrows one machine becomes a *job*: the same
 materialized sweep, shipped to a coordinator that shards it by
-structural fingerprint (each shard one lockstep batch, exactly the
-grouping ``Campaign(batch=True)`` uses locally), leases shards to
+structural fingerprint (each batch shard one lockstep batch, cut by
+the rule a local ``Campaign`` uses), leases shards to
 workers over a length-prefixed JSON socket protocol, transfers
 compiled-model artifacts by content hash so workers skip compilation,
 and merges per-lane results into the same durable JSONL ledger a local

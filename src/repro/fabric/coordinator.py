@@ -25,10 +25,11 @@ The coordinator/worker contract, made explicit:
   ledger therefore converges to one ``done`` row per point no matter
   how leases interleave.
 * **Artifacts.**  Planning a job compiles each distinct structure once
-  (the ``Campaign(batch=True)`` fingerprint grouping) and exports the
-  compiled models as content-addressed blobs; workers fetch them by
-  fingerprint and verify the byte digest before installing, so a
-  corrupt or stale transfer degrades to a local recompile.
+  (the campaign's fingerprint cut, :func:`repro.campaign.cut_sweep`)
+  and exports the compiled models as content-addressed blobs; workers
+  fetch them by fingerprint and verify the byte digest before
+  installing, so a corrupt or stale transfer degrades to a local
+  recompile.
 
 Observability rides the :class:`~repro.obs.metrics.MetricsRegistry`:
 queue depth and active leases (gauges), lease churn — granted, renewed,
@@ -470,8 +471,10 @@ class Coordinator:
         and the tail goes back on the queue as a fresh shard for the
         next lease.  Both halves replace the parent in the job's shard
         registry, so completion merging, retries and expiry all see the
-        derived shards and never the stale parent.  Serial shards and
-        workers without a positive cap pass through untouched.
+        derived shards and never the stale parent.  A half of one point
+        becomes a serial shard: a 1-lane lockstep batch is the slowest
+        way to run one point.  Serial shards and workers without a
+        positive cap pass through untouched.
         """
         try:
             cap = int(caps.get("lane_cap") or 0)
@@ -479,12 +482,12 @@ class Coordinator:
             cap = 0
         if shard.mode != "batch" or cap <= 0 or len(shard.points) <= cap:
             return shard
-        head = Shard(f"{shard.shard_id}/a", shard.job_id, "batch",
-                     shard.points[:cap], fingerprint=shard.fingerprint,
-                     attempts=shard.attempts)
-        tail = Shard(f"{shard.shard_id}/b", shard.job_id, "batch",
-                     shard.points[cap:], fingerprint=shard.fingerprint,
-                     attempts=shard.attempts)
+        head, tail = (
+            Shard(f"{shard.shard_id}/{half}", shard.job_id,
+                  "batch" if len(points) > 1 else "serial", points,
+                  fingerprint=shard.fingerprint, attempts=shard.attempts)
+            for half, points in (("a", shard.points[:cap]),
+                                 ("b", shard.points[cap:])))
         job.shards.pop(shard.shard_id, None)
         job.shards[head.shard_id] = head
         job.shards[tail.shard_id] = tail

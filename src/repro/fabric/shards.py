@@ -3,20 +3,22 @@
 A *job* is one whole campaign in wire form — the materialized sweep
 points (run ids, params, seeds), the spec source (builder path or LSS
 text), and the execution envelope.  The coordinator *plans* a job into
-*shards*: groups of structurally identical points (same design
-fingerprint, the ``Campaign(batch=True)`` grouping, shared via
-:func:`repro.campaign.fingerprint_groups`) that one worker executes as
-a single task on the lockstep ``batched`` engine (the routing lives in
-the campaign executor's batch task path, so fabric shards and local
-``Campaign(batch=True)`` runs always agree).
-Points whose spec fails to build in the planner become singleton
-*serial* shards, so a poisoned point never sinks its group and the
-worker reports the build failure with full context.
+*shards* with the cutting rule a local :class:`~repro.campaign.Campaign`
+uses (:func:`repro.campaign.cut_sweep`): a cut of structurally identical
+points (same design fingerprint, at most ``batch_max``) becomes one
+``batch`` shard, executed by one worker as a single lockstep task (the
+routing lives in the campaign executor's batch task path, so fabric
+shards and local campaigns always agree).  A chunk of one becomes a
+*serial* shard that still names its fingerprint, so the worker is
+shipped its compiled artifacts; points that were not built — ``fn``
+jobs, ``worklist`` runs, specs that fail to build in the planner — are
+packed into serial shards of at most ``batch_max`` points, where each
+point runs (and fails) alone.
 
 Shards are JSON-able end to end: they ride the wire protocol to a
 worker, which executes them through the campaign executor's task
 machinery (:func:`execute_shard`), so per-lane results are shaped —
-and valued — exactly like a local ``Campaign(batch=True)`` run's.
+and valued — exactly like a local campaign's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..campaign.campaign import fingerprint_groups
+from ..campaign.campaign import cut_sweep
 from ..campaign.executor import RunTask, execute_task
 from ..core.backends import DEFAULT_ENGINE
 from .protocol import FabricError
@@ -71,10 +73,15 @@ class JobSpec:
             raise FabricError("job has no sweep points")
         if self.batch_max < 1:
             raise FabricError(f"batch_max must be >= 1, got {self.batch_max}")
+        from ..core.backends import get_backend
+        from ..core.errors import SpecificationError
+        try:
+            get_backend(self.engine)
+        except SpecificationError as exc:
+            raise FabricError(str(exc)) from None
         if self.retries < 0:
             raise FabricError(f"retries must be >= 0, got {self.retries}")
         if self.opt is not None:
-            from ..core.errors import SpecificationError
             from ..core.opt import resolve_opt_level
             try:
                 resolve_opt_level(self.opt)
@@ -127,9 +134,10 @@ class Shard:
 
     ``mode="batch"`` runs every point in one lockstep batched
     simulator (all points share ``fingerprint``); ``mode="serial"``
-    runs the points one by one through ordinary per-point tasks (fn
-    jobs, unbuildable points, retried singles).  ``attempts`` counts
-    dispatches — the coordinator's bounded-retry state.
+    runs the points one by one through ordinary per-point tasks
+    (chunks of one, points not built for a batch, retried points).
+    ``attempts`` counts dispatches — the coordinator's bounded-retry
+    state.
     """
 
     shard_id: str
@@ -171,56 +179,43 @@ class ShardPlan:
 
 def plan_shards(job: JobSpec, job_id: str,
                 skip_ids: Sequence[str] = ()) -> ShardPlan:
-    """Shard a job's outstanding points by structural fingerprint.
+    """Shard a job's outstanding points by the campaign's cutting rule
+    (:func:`repro.campaign.cut_sweep`).
 
     ``skip_ids`` holds the points a resumed ledger already completed.
-    Simulator jobs group by design fingerprint (warming the planner's
-    compile cache, which is what makes the groups exportable as
-    artifacts) and chunk each group to at most ``job.batch_max``
-    lockstep lanes; ``fn`` jobs chunk into serial shards without any
-    structural analysis.
+    Every fingerprinted cut becomes one shard — ``batch`` for two or
+    more lanes, ``serial`` for one — and lists the artifact keys the
+    planner warmed for it (what the coordinator can serve to workers);
+    the points cut without a fingerprint are packed into serial shards
+    of at most ``job.batch_max``.
     """
     skip = set(skip_ids)
     todo = [p for p in job.points if p["run_id"] not in skip]
     plan = ShardPlan()
-    serial = 0
-
-    def add(mode: str, points: List[Point],
-            fingerprint: Optional[str] = None) -> None:
-        nonlocal serial
-        if fingerprint:
-            index = sum(1 for s in plan.shards
-                        if s.fingerprint == fingerprint)
-            shard_id = f"{job_id}/s-{fingerprint[:10]}-{index}"
-        else:
-            shard_id = f"{job_id}/serial-{serial}"
-            serial += 1
-        plan.shards.append(Shard(shard_id, job_id, mode, points,
-                                 fingerprint=fingerprint))
-
     if not todo:
         return plan
-    if job.kind == "fn":
-        for k in range(0, len(todo), job.batch_max):
-            add("serial", todo[k:k + job.batch_max])
-        return plan
-
-    from ..core.backends import compile_options_for
+    from ..core.opt import resolve_opt_level
     from .artifacts import composite_artifact_keys
-    options = compile_options_for("batched", opt=job.opt)
-    groups, failures = fingerprint_groups(
-        job.kind, job.target, job.lss_text, todo, options)
-    for fingerprint, members in groups.items():
-        # Base + optimized + vec-planned artifacts: the planner just
-        # warmed all three, and the coordinator exports the full set so
-        # workers adopt the shipped vec plan instead of replanning.
-        plan.fingerprints.extend(
-            composite_artifact_keys(fingerprint, options.opt_level,
-                                    vec=True))
-        for k in range(0, len(members), job.batch_max):
-            add("batch", members[k:k + job.batch_max], fingerprint)
-    for point in failures:
-        add("serial", [point])
+    level = resolve_opt_level(job.opt)
+    loose: List[Point] = []
+    for fingerprint, points in cut_sweep(
+            job.kind, job.target, job.lss_text, todo, engine=job.engine,
+            opt=job.opt, batch_max=job.batch_max):
+        if fingerprint is None:
+            loose.extend(points)
+            continue
+        batch = len(points) > 1
+        index = sum(1 for s in plan.shards if s.fingerprint == fingerprint)
+        plan.shards.append(Shard(
+            f"{job_id}/s-{fingerprint[:10]}-{index}", job_id,
+            "batch" if batch else "serial", points, fingerprint=fingerprint))
+        for key in composite_artifact_keys(fingerprint, level, vec=batch):
+            if key not in plan.fingerprints:
+                plan.fingerprints.append(key)
+    for k in range(0, len(loose), job.batch_max):
+        plan.shards.append(Shard(f"{job_id}/serial-{k // job.batch_max}",
+                                 job_id, "serial",
+                                 loose[k:k + job.batch_max]))
     return plan
 
 

@@ -14,8 +14,8 @@ from .isa import (ALU_OPS, BRANCH_OPS, Instruction, LOAD_OPS, MMIO_BASE,
                   sign_extend16, to_signed32, to_unsigned32)
 from .assembler import assemble
 from .emulator import (ArchState, FlatMemory, FunctionalEmulator,
-                       OP_IFETCH, OP_READ, OP_WRITE, branch_taken,
-                       execute_alu, step_gen)
+                       OP_IFETCH, OP_READ, OP_WRITE, begin, branch_taken,
+                       execute_alu, resume)
 from .core import SimpleCore
 from .cache import Cache
 from .regfile import ReadReq, ReadResp, RegFile
@@ -33,7 +33,7 @@ __all__ = [
     "NUM_REGS", "MMIO_BASE", "ALU_OPS", "BRANCH_OPS", "LOAD_OPS",
     "STORE_OPS", "to_signed32", "to_unsigned32", "sign_extend16",
     # emulation
-    "ArchState", "FlatMemory", "FunctionalEmulator", "step_gen",
+    "ArchState", "FlatMemory", "FunctionalEmulator", "begin", "resume",
     "execute_alu", "branch_taken", "OP_IFETCH", "OP_READ", "OP_WRITE",
     # structural components
     "SimpleCore", "Cache", "RegFile", "ReadReq", "ReadResp",

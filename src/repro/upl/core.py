@@ -1,7 +1,8 @@
 """SimpleCore — a port-structural LibertyRISC processor.
 
 A multi-cycle, in-order core that executes the exact
-:func:`repro.upl.emulator.step_gen` semantics, but satisfies every
+:func:`repro.upl.emulator.begin`/:func:`~repro.upl.emulator.resume`
+semantics, but satisfies every
 memory operation through LSE ports: instruction fetches go out on
 ``imem_req``/``imem_resp`` and data accesses on ``dmem_req``/
 ``dmem_resp`` as :class:`~repro.pcl.memory.MemRequest` /
@@ -22,7 +23,7 @@ from typing import Any, Optional
 
 from ..core import LeafModule, Parameter, PortDecl, INPUT, OUTPUT
 from ..pcl.memory import MemRequest
-from .emulator import ArchState, OP_IFETCH, OP_READ, OP_WRITE, step_gen
+from .emulator import ArchState, OP_IFETCH, OP_READ, begin, resume
 from .isa import Program
 
 
@@ -65,8 +66,9 @@ class SimpleCore(LeafModule):
         self.state = ArchState(pc=self.p["pc"], syscall=self.p["syscall"])
         program: Optional[Program] = self.p["program"]
         self._irom = program.words() if program is not None else None
-        self._gen = None
-        self._pending = None         # the MemOp awaiting issue/response
+        #: The memory operation awaiting issue/response; None while no
+        #: instruction is in flight.
+        self._pending = None
         self._awaiting = False       # request issued, response outstanding
         self._halt_reported = False
         self._begin_instruction()
@@ -77,37 +79,29 @@ class SimpleCore(LeafModule):
         return self.state.halted
 
     def _begin_instruction(self) -> None:
-        """Start the next instruction's coroutine and surface its first op.
+        """Surface the next instruction's fetch.
 
         At most one instruction begins per timestep, so ALU-only
         instructions retire at 1 IPC even with a perfect internal I-ROM.
         """
         if self.state.halted:
-            self._gen = None
             self._pending = None
             return
-        self._gen = step_gen(self.state)
-        try:
-            self._pending = next(self._gen)
-        except StopIteration:  # pragma: no cover - every inst ifetches
-            self._gen = None
-            self._pending = None
-            self.collect("retired")
-            return
+        pc = self.state.pc
+        self._pending = (OP_IFETCH, pc)
         # Serve I-ROM fetches internally when a program was supplied.
-        if (self._irom is not None and self._pending[0] == OP_IFETCH
-                and 0 <= self._pending[1] < len(self._irom)):
-            self._feed(self._irom[self._pending[1]])
+        if self._irom is not None and 0 <= pc < len(self._irom):
+            self._feed(self._irom[pc])
 
     def _feed(self, value: Any) -> None:
-        """Send a response into the coroutine; handle retirement."""
-        try:
-            self._pending = self._gen.send(value)
-            # Internal I-ROM can only appear as the first op, so any op
-            # produced here must go to the ports.
-        except StopIteration:
-            self._gen = None
+        """Deliver the pending operation's result; handle retirement."""
+        if self._pending[0] == OP_IFETCH:
+            # Any data operation produced here must go to the ports.
+            self._pending = begin(self.state, value)
+        else:
+            resume(self.state, value)
             self._pending = None
+        if self._pending is None:
             self.collect("retired")
             if self.state.halted and not self._halt_reported:
                 self._halt_reported = True
@@ -167,13 +161,10 @@ class SimpleCore(LeafModule):
 
         for resp_port in (imem_resp, dmem_resp):
             if resp_port.took(0) and self._awaiting:
-                response = resp_port.value(0)
                 self._awaiting = False
-                was_write = self._pending is not None \
-                    and self._pending[0] == OP_WRITE
-                self._feed(None if was_write else response.value)
+                self._feed(resp_port.value(0).value)
                 break
 
         # Begin the next instruction at the cycle boundary (1 IPC ceiling).
-        if self._gen is None and not self.state.halted:
+        if self._pending is None and not self.state.halted:
             self._begin_instruction()

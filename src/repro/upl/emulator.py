@@ -1,15 +1,20 @@
 """Instruction-set emulation (the "Instruction Set Emulation" box of
 Figure 1) for LibertyRISC.
 
-The architectural semantics are written once, as the coroutine
-:func:`step_gen`, which *yields* memory operations and receives their
-results.  Two drivers animate it:
+The architectural semantics are written once, as two plain functions
+over the :class:`ArchState` record: :func:`begin` executes a fetched
+instruction word and returns the data operation a load or store still
+waits on (``None`` once the instruction retired), and :func:`resume`
+retires that load or store with the operation's result.  Nothing is
+suspended between the calls — the instruction in flight is a field of
+the record — so a hart can be copied, pickled and restored mid-
+instruction.  Two drivers animate the functions:
 
 * :class:`FunctionalEmulator` — runs whole programs against a
   :class:`FlatMemory` directly (zero-latency memory), serving as the
   golden model the structural processor models are validated against;
 * :class:`repro.upl.core.SimpleCore` — an LSE leaf module that turns
-  each yielded operation into a port-level memory transaction, so the
+  each memory operation into a port-level memory transaction, so the
   identical semantics drive the structural memory hierarchy.
 
 This single-source-of-truth design is how we guarantee the structural
@@ -18,13 +23,14 @@ models compute the same results as the ISA definition.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import FirmwareError
 from .isa import (Instruction, NUM_REGS, Program, decode, to_signed32,
                   to_unsigned32)
 
-#: Operations yielded by :func:`step_gen`.
+#: Memory operations: an instruction fetch ``(OP_IFETCH, pc)``, then at
+#: most one data operation returned by :func:`begin`.
 OP_IFETCH = "ifetch"
 OP_READ = "read"
 OP_WRITE = "write"
@@ -35,7 +41,8 @@ MemOp = Tuple  # (OP_IFETCH, addr) | (OP_READ, addr) | (OP_WRITE, addr, value)
 class ArchState:
     """Architectural state of one LibertyRISC hart."""
 
-    __slots__ = ("regs", "pc", "halted", "instret", "syscall", "last_inst")
+    __slots__ = ("regs", "pc", "halted", "instret", "syscall", "last_inst",
+                 "pending")
 
     def __init__(self, pc: int = 0,
                  syscall: Optional[Callable[["ArchState", int, int], int]] = None):
@@ -47,6 +54,9 @@ class ArchState:
         self.syscall = syscall
         #: The most recently retired instruction (debug/stats aid).
         self.last_inst: Optional[Instruction] = None
+        #: The load or store :func:`begin` left waiting on its data
+        #: operation (None between instructions).
+        self.pending: Optional[Instruction] = None
 
     def read_reg(self, index: int) -> int:
         return 0 if index == 0 else self.regs[index]
@@ -114,21 +124,25 @@ def branch_taken(inst: Instruction, a: int, b: int) -> bool:
     raise FirmwareError(f"branch_taken: {op!r} is not a conditional branch")
 
 
-def step_gen(state: ArchState) -> Generator[MemOp, Any, Optional[Instruction]]:
-    """Execute one instruction as a coroutine yielding memory operations.
+def begin(state: ArchState, word) -> Optional[MemOp]:
+    """Execute the instruction fetched from ``(OP_IFETCH, state.pc)``.
 
-    Yields ``(OP_IFETCH, pc)`` first and expects the 32-bit encoded
-    word in response; loads/stores yield further operations.  On return
-    the architectural state has been updated and the retired
-    instruction is the generator's return value (``None`` after halt).
+    ``word`` is the fetched 32-bit encoding (or a decoded
+    :class:`~repro.upl.isa.Instruction`).  Returns ``None`` once the
+    instruction has retired, or the data operation a load
+    ``(OP_READ, addr)`` or store ``(OP_WRITE, addr, value)`` still
+    waits on: :func:`resume` retires it with that operation's result.
+    The caller never begins an instruction on a halted hart.
     """
-    if state.halted:
-        return None
-    word = yield (OP_IFETCH, state.pc)
     inst = decode(word) if isinstance(word, int) else word
+    if inst.is_load or inst.is_store:
+        state.pending = inst
+        addr = state.read_reg(inst.rs1) + inst.imm
+        if inst.is_load:
+            return (OP_READ, addr)
+        return (OP_WRITE, addr, state.read_reg(inst.rs2))
     op = inst.op
     next_pc = state.pc + 1
-
     if op == "halt":
         state.halted = True
     elif op == "ecall":
@@ -136,13 +150,6 @@ def step_gen(state: ArchState) -> Generator[MemOp, Any, Optional[Instruction]]:
         arg = state.read_reg(10)
         result = state.syscall(state, num, arg) if state.syscall else 0
         state.write_reg(10, result if result is not None else 0)
-    elif inst.is_load:
-        addr = state.read_reg(inst.rs1) + inst.imm
-        value = yield (OP_READ, addr)
-        state.write_reg(inst.rd, int(value) if value is not None else 0)
-    elif inst.is_store:
-        addr = state.read_reg(inst.rs1) + inst.imm
-        yield (OP_WRITE, addr, state.read_reg(inst.rs2))
     elif op == "jal":
         state.write_reg(inst.rd, state.pc + 1)
         next_pc = state.pc + inst.imm
@@ -161,10 +168,28 @@ def step_gen(state: ArchState) -> Generator[MemOp, Any, Optional[Instruction]]:
             fmt_b = inst.imm
         state.write_reg(inst.rd, execute_alu(inst, state.read_reg(inst.rs1),
                                              fmt_b))
+    _retire(state, inst, next_pc)
+    return None
+
+
+def resume(state: ArchState, value: Any) -> Instruction:
+    """Retire the load or store :func:`begin` left pending.
+
+    ``value`` is the read's result (ignored for a store).  Returns the
+    retired instruction.
+    """
+    inst = state.pending
+    state.pending = None
+    if inst.is_load:
+        state.write_reg(inst.rd, int(value) if value is not None else 0)
+    _retire(state, inst, state.pc + 1)
+    return inst
+
+
+def _retire(state: ArchState, inst: Instruction, next_pc: int) -> None:
     state.pc = next_pc
     state.instret += 1
     state.last_inst = inst
-    return inst
 
 
 class FlatMemory:
@@ -233,13 +258,13 @@ class FunctionalEmulator:
 
     def step(self) -> Optional[Instruction]:
         """Retire one instruction (or return None if halted)."""
-        gen = step_gen(self.state)
-        try:
-            op = next(gen)
-            while True:
-                op = gen.send(self._serve(op))
-        except StopIteration as stop:
-            return stop.value
+        state = self.state
+        if state.halted:
+            return None
+        op = begin(state, self._serve((OP_IFETCH, state.pc)))
+        if op is not None:
+            resume(state, self._serve(op))
+        return state.last_inst
 
     def run(self, max_insts: int = 1_000_000) -> ArchState:
         """Run until halt (or the instruction budget is exhausted)."""

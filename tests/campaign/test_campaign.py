@@ -200,53 +200,3 @@ class TestProfiledCampaign:
         result = campaign.run()
         for profile in result.profiles().values():
             assert len(profile["instances"]) <= 25
-
-
-class TestCompileCachePrewarm:
-    """The parent compiles each topology once before workers fan out."""
-
-    @pytest.fixture(autouse=True)
-    def private_cache(self, tmp_path):
-        from repro.core import compile_cache as cc
-        cache = cc.configure(disk_dir=str(tmp_path / "compile-cache"))
-        yield cache
-        cc.configure()
-
-    def test_prewarm_populates_cache(self, tmp_path, private_cache):
-        campaign = _pipe_campaign(tmp_path, name="warm")
-        warmed = campaign._prewarm(campaign.sweep.points())
-        # All eight points share one topology (depth/rate are runtime
-        # parameters), so exactly one schedule gets compiled.
-        assert warmed == 1
-        assert private_cache.stats["stores"] >= 1
-        result = campaign.run()
-        assert len(result.done) == 8 and not result.failed
-
-    @pytest.mark.parametrize("opt", [0, 2])
-    def test_prewarm_compiles_the_static_stepper(self, tmp_path,
-                                                 private_cache, opt):
-        # Forked workers inherit the memory layer: the stepper's code
-        # object must already be there, or every worker compiles it.
-        from repro import build_design
-        from repro.core.compile_cache import design_fingerprint
-        from repro.core.opt import opt_cache_key
-        campaign = _pipe_campaign(tmp_path, name="stepper", opt=opt)
-        points = campaign.sweep.points()
-        assert campaign._prewarm(points) == 1
-        fingerprint = design_fingerprint(
-            build_design(_targets.build_pipe(**points[0].params)))
-        key = opt_cache_key(fingerprint, opt) if opt else fingerprint
-        assert private_cache._memory[key].code is not None
-
-    def test_prewarm_skipped_when_pointless(self, tmp_path):
-        points = _pipe_campaign(tmp_path).sweep.points()
-        assert _pipe_campaign(tmp_path, workers=0)._prewarm(points) == 0
-        assert _pipe_campaign(tmp_path,
-                              engine="worklist")._prewarm(points) == 0
-        fn_campaign = _pipe_campaign(tmp_path, kind="fn",
-                                     target=_targets.double)
-        assert fn_campaign._prewarm(points) == 0
-
-    def test_prewarm_tolerates_broken_builder(self, tmp_path):
-        campaign = _pipe_campaign(tmp_path, target=_targets.boom)
-        assert campaign._prewarm(campaign.sweep.points()) == 0

@@ -193,6 +193,14 @@ class TestProcessExecutor:
         assert outcomes[0].status == "failed"
         assert "timeout" in outcomes[0].error
 
+    def test_timeout_is_a_per_point_budget(self):
+        executor = ProcessExecutor(workers=1, timeout=0.5)
+        lanes = [{"run_id": f"l{i}", "index": i, "params": {}, "seed": i}
+                 for i in range(4)]
+        assert executor._budget(_task("one", None, {})) == 0.5
+        assert executor._budget(_task("batch", None, {}, kind="batch",
+                                      points=lanes)) == 2.0
+
     def test_poisoned_point_does_not_sink_the_sweep(self):
         tasks = [_task("good0", _targets.double, {"x": 1}),
                  _task("bad", _targets.boom, {}),

@@ -57,6 +57,24 @@ def planless_batch(designs, seeds):
     return batch
 
 
+@pytest.fixture
+def built_engines(monkeypatch):
+    """The class names of the simulators built while a test runs;
+    building a lockstep batch raises."""
+    from repro.core.batched import BatchedSimulator
+    from repro.core.engine import SimulatorBase
+    built = []
+    init = SimulatorBase.__init__
+
+    def record(self, *args, **kw):
+        built.append(type(self).__name__)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(SimulatorBase, "__init__", record)
+    monkeypatch.setattr(BatchedSimulator, "__init__", None)
+    return built
+
+
 @pytest.fixture(params=ENGINE_PATHS)
 def engine(request, monkeypatch):
     """Parametrize a test over every execution path; yields the engine

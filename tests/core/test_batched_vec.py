@@ -804,21 +804,20 @@ class TestBackendRegistration:
             sim.close()
 
     def test_campaign_batch_engine_override(self, tmp_path):
-        # The campaign executor's batch path runs the lockstep engine,
-        # whatever engine the campaign names for its per-point runs; it
-        # must journal the same results as an un-batched campaign.
+        # A levelized campaign's batches run on the lockstep engine; they
+        # must journal the same results as one task per point.
         from repro.campaign import Campaign, GridSweep
         from tests.campaign import _targets
 
-        def run(name, batch):
+        def run(name, batch_max):
             return Campaign(
                 name, GridSweep({"depth": [2, 4], "rate": [0.4, 0.9]},
                                 base_seed=5),
                 target=_targets.build_pipe, kind="spec", cycles=60,
-                engine="levelized", workers=0, batch=batch,
+                engine="levelized", workers=0, batch_max=batch_max,
                 ledger_path=str(tmp_path / f"{name}.jsonl")).run()
 
-        vec_rows = run("vec", True).rows
-        scalar_rows = run("solo", False).rows
+        vec_rows = run("vec", 16).rows
+        scalar_rows = run("solo", 1).rows
         assert [(r.run_id, r.result) for r in vec_rows] \
             == [(r.run_id, r.result) for r in scalar_rows]

@@ -83,6 +83,17 @@ class TestStateDictRoundTrip:
         fresh.run(80)
         assert fresh.stats.report() == reference.stats.report()
 
+    def test_uncopyable_attribute_is_named(self):
+        sim = build_simulator(simple_pipe_spec(), engine="levelized")
+        sim.run(3)
+        sim.instance("snk").cursor = (n for n in range(3))
+        with pytest.raises(SimulationError) as excinfo:
+            sim.state_dict()
+        message = str(excinfo.value)
+        assert "'snk' is not checkpointable" in message
+        assert "'cursor'" in message
+        assert isinstance(excinfo.value.__cause__, TypeError)
+
     def test_snapshot_is_isolated_from_live_run(self, engine):
         sim = build_simulator(simple_pipe_spec(), engine=engine)
         sim.run(20)
@@ -126,9 +137,24 @@ def _fig2a():
     return _fig2a_spec()
 
 
+def _fig2b():
+    from repro.systems import build_fig2b_sensors
+    return build_fig2b_sensors(2)[0]
+
+
+def _fig2c():
+    from repro.systems import build_fig2c_grid
+    return build_fig2c_grid(4)[0]
+
+
 def _fig2d():
     from repro.systems.fig2d import build_fig2d
     return build_fig2d(2, backend="statistical", field="statistical")[0]
+
+
+def _fig2d_detailed():
+    from repro.systems.fig2d import build_fig2d
+    return build_fig2d(2, backend="detailed")[0]
 
 
 class TestBoundViewsStayOutOfCheckpoints:
@@ -159,15 +185,17 @@ class TestBoundViewsStayOutOfCheckpoints:
         sim.run(50)
         assert fresh.stats.report() == sim.stats.report()
 
-    # fig2a's cores hold a live generator once they have executed (not
-    # checkpointable, see test_state_dict_names_the_attribute_it_cannot
-    # _copy), so it round-trips from step 0; fig2d mid-run.
-    @pytest.mark.parametrize("make,at", [(_fig2a, 0), (_fig2d, 40)])
+    # Every Figure-2 system, snapshotted at a step where its processor
+    # cores are mid-instruction, through pickle as a checkpoint file is.
+    @pytest.mark.parametrize("make,at", [
+        (_fig2a, 37), (_fig2b, 37), (_fig2c, 80), (_fig2d, 40),
+        (_fig2d_detailed, 37)])
     def test_shipped_systems_round_trip(self, make, at, engine):
         interrupted = build_simulator(make(), engine=engine, seed=5)
         interrupted.run(at)
         resumed = build_simulator(make(), engine=engine, seed=0)
-        resumed.load_state_dict(interrupted.state_dict())
+        resumed.load_state_dict(
+            pickle.loads(pickle.dumps(interrupted.state_dict())))
         assert self._views_are_bound(resumed)
         reference = build_simulator(make(), engine=engine, seed=5)
         reference.run(at + 40)

@@ -87,13 +87,15 @@ class TestLaneCapSplitting:
         job = coordinator.jobs[job_id]
         assert len(job.shards) == 1  # one 5-lane batch shard
         seen = []
-        for expect in (2, 2, 1):
+        # The last split leaves one lane: it runs serial, never as a
+        # 1-lane lockstep batch.
+        for expect, mode in ((2, "batch"), (2, "batch"), (1, "serial")):
             reply = coordinator._msg_lease(
                 {"type": "lease", "worker": "small",
                  "caps": {"cpus": 2, "numpy": True, "lane_cap": 2}})
             assert reply["type"] == "lease"
             shard = reply["shard"]
-            assert shard["mode"] == "batch"
+            assert shard["mode"] == mode
             assert len(shard["points"]) == expect
             seen.extend(p["run_id"] for p in shard["points"])
         # Every derived shard is registered; nothing references the
@@ -105,6 +107,21 @@ class TestLaneCapSplitting:
                 for p in point_list} == set(seen)
         counters = coordinator.metrics.to_dict()["counters"]
         assert counters["fabric.shards_split"] == 2
+
+    def test_cap_of_one_splits_into_serial_halves(self, tmp_path):
+        coordinator = Coordinator()
+        self._submit(coordinator, tmp_path, 2)
+        modes = []
+        for _ in range(2):
+            reply = coordinator._msg_lease(
+                {"type": "lease", "worker": "tiny",
+                 "caps": {"cpus": 1, "numpy": True, "lane_cap": 1}})
+            modes.append((reply["shard"]["mode"],
+                          len(reply["shard"]["points"])))
+            # A serial half still names its structure, so the worker
+            # is shipped the compiled artifacts.
+            assert reply["shard"]["fingerprint"] and reply["artifacts"]
+        assert modes == [("serial", 1), ("serial", 1)]
 
     def test_fitting_shard_passes_through_whole(self, tmp_path):
         coordinator = Coordinator()
@@ -131,7 +148,6 @@ class TestLaneCapSplitting:
 
         sweep = _sweep(5)
         solo = Campaign("solo", sweep, target=PIPE, kind="spec", cycles=40,
-                        batch=True,
                         ledger_path=str(tmp_path / "solo.jsonl")).run()
         assert not solo.failed
         expected = {row.run_id: norm(row.result) for row in solo.rows}
@@ -161,7 +177,7 @@ class TestWholeShardLeases:
         # More lanes than CPUs: a CPU-derived cap would split this shard.
         n_points = (os.cpu_count() or 1) + 3
         solo = Campaign("solo", _sweep(n_points), target=PIPE, kind="spec",
-                        cycles=40, batch=True, batch_max=n_points,
+                        cycles=40, batch_max=n_points,
                         ledger_path=str(tmp_path / "solo.jsonl")).run()
         assert not solo.failed
         expected = {row.run_id: _norm(row.result) for row in solo.rows}

@@ -4,7 +4,7 @@ The acceptance bar for the distributed fabric: under injected faults —
 a worker SIGKILLed mid-shard, a corrupt artifact served to a worker, a
 lease completed twice — every campaign must still converge to a
 *complete* ledger whose per-point results are bit-identical to a solo
-``Campaign(batch=True)`` run of the same sweep.  Determinism is
+local ``Campaign`` run of the same sweep.  Determinism is
 structural (same materialized sweep, same fingerprint grouping, same
 executor code paths), so equality here is exact, not approximate.
 
@@ -62,9 +62,9 @@ def _norm(value):
 
 
 def _solo_results(tmp_path, sweep):
-    """The ground truth: the same sweep via a local batched campaign."""
+    """The ground truth: the same sweep via a local campaign."""
     campaign = Campaign("solo", sweep, target=CHAIN, kind="spec",
-                        cycles=CYCLES, batch=True, batch_max=4,
+                        cycles=CYCLES, batch_max=4,
                         ledger_path=str(tmp_path / "solo.jsonl"))
     result = campaign.run()
     assert not result.failed
@@ -104,6 +104,35 @@ def _assert_ledger_matches(ledger_path, expected):
         events = [json.loads(line) for line in handle if line.strip()]
     done_ids = [e["run_id"] for e in events if e.get("event") == "done"]
     assert sorted(done_ids) == sorted(expected)
+
+
+class TestOneCut:
+    def test_mixed_sweep_rows_equal_local_campaign(self, tmp_path):
+        """Two fingerprints, a singleton and a build failure: the
+        fabric's rows equal the local campaign's, failure included."""
+        from tests.campaign import _targets
+        from tests.campaign.test_batched_campaign import mixed_sweep
+        local = Campaign("local", mixed_sweep(), target=_targets.build_chain,
+                         kind="spec", cycles=CYCLES, retries=0,
+                         ledger_path=str(tmp_path / "local.jsonl")).run()
+        expected = {row.run_id: (row.status, _norm(row.result))
+                    for row in local.rows}
+        job = _fabric_job(tmp_path, mixed_sweep(), batch_max=16, retries=0)
+        coordinator = Coordinator(lease_timeout=30.0)
+        with CoordinatorThread(coordinator):
+            client = FabricClient(coordinator.host, coordinator.port)
+            reply = client.submit(job)
+            # One batch shard per multi-point group, one serial shard
+            # each for the singleton and the unbuildable point.
+            assert reply["shards"] == 4
+            Worker(coordinator.host, coordinator.port, worker_id="solo",
+                   poll=0.05).run(idle_exit_after=5)
+            final = client.wait(reply["job_id"], timeout=60)
+        got = {row["run_id"]: (row["status"], _norm(row["result"]))
+               for row in final["rows"]}
+        assert got == expected
+        assert sorted(status for status, _ in got.values()) \
+            == ["done"] * 6 + ["failed"]
 
 
 class TestLoopbackFabric:

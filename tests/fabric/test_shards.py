@@ -141,6 +141,39 @@ class TestPlanning:
         assert [len(s.points) for s in plan.shards] == [2, 2, 1]
         assert plan.fingerprints == []
 
+    def test_singleton_group_becomes_a_serial_shard(self):
+        points = _points(3, param="stages", values=[1, 1, 2])
+        for point in points:
+            point["params"]["rate"] = 0.5
+        job = JobSpec(name="j", kind="spec", points=points, target=CHAIN,
+                      opt=0).validate()
+        plan = plan_shards(job, "j1")
+        assert [(s.mode, s.point_ids()) for s in plan.shards] \
+            == [("batch", ["p0", "p1"]), ("serial", ["p2"])]
+        single = plan.shards[1]
+        # It keeps its fingerprint: the worker is shipped the base
+        # artifact, without the vec plan a serial run never uses.
+        assert shard_fingerprints(single, job) == (single.fingerprint,)
+        assert single.fingerprint in plan.fingerprints
+
+    def test_worklist_job_runs_every_point_on_the_interpreter(
+            self, built_engines):
+        points = _points(3)
+        for point in points:
+            point["params"]["rate"] = 0.5
+        job = JobSpec(name="j", kind="spec", points=points, target=PIPE,
+                      engine="worklist", cycles=20).validate()
+        plan = plan_shards(job, "j1")
+        assert [s.mode for s in plan.shards] == ["serial"]
+        lanes = execute_shard(plan.shards[0], job)
+        assert all(lane["ok"] for lane in lanes.values())
+        assert built_engines == ["Simulator"] * 3
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(FabricError, match="registered engines"):
+            JobSpec(name="j", kind="spec", points=_points(1), target=PIPE,
+                    engine="levelzied").validate()
+
     def test_unbuildable_points_become_serial_singletons(self):
         points = _points(3, values=[2, -7, 2])  # negative depth won't build
         for point in points:

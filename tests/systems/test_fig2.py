@@ -116,20 +116,20 @@ class TestFig2dSystemOfSystems:
                                ("detailed", "detailed")):
             build_fig2d(2, backend=backend, field=field)
 
-    def test_state_dict_names_the_attribute_it_cannot_copy(self):
-        """fig2d-detailed's node cores hold a live generator once they
-        have started executing."""
-        from repro import SimulationError, build_simulator
+    def test_running_node_cores_checkpoint(self):
+        """fig2d-detailed's node cores are mid-instruction at step 20;
+        their state is a plain record, so the snapshot pickles."""
+        import pickle
+        from repro import build_simulator
         from repro.systems.fig2d import build_fig2d
         spec = build_fig2d(4, backend="detailed", field="detailed")[0]
         with build_simulator(spec, seed=0) as sim:
             sim.run(20)
-            with pytest.raises(SimulationError) as excinfo:
-                sim.state_dict()
-        message = str(excinfo.value)
-        assert "/core'" in message and "'_gen'" in message
-        assert "not checkpointable" in message
-        assert isinstance(excinfo.value.__cause__, TypeError)
+            state = pickle.loads(pickle.dumps(sim.state_dict()))
+        cores = {path: own for path, own in state["instances"].items()
+                 if path.endswith("/core")}
+        assert cores and all("_gen" not in own for own in cores.values())
+        assert any(own["_pending"] is not None for own in cores.values())
 
     @pytest.mark.parametrize("backend", ["statistical", "detailed"])
     def test_engines_agree_cycle_for_cycle(self, backend):

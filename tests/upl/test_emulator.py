@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import FirmwareError
 from repro.upl.assembler import assemble
 from repro.upl.emulator import (ArchState, FlatMemory, FunctionalEmulator,
-                                branch_taken, execute_alu, step_gen)
+                                begin, branch_taken, execute_alu, resume)
 from repro.upl.isa import Instruction
 from repro.upl import programs
 
@@ -145,8 +145,20 @@ class TestPrograms:
         assert calls == [(1, 21)]
         assert state.regs[10] == 42
 
-    def test_step_gen_yields_memops(self):
+    def test_begin_resume_return_memops(self):
         state = ArchState()
-        gen = step_gen(state)
-        op = next(gen)
-        assert op == ("ifetch", 0)
+        state.write_reg(1, 40)
+        state.write_reg(2, 7)
+        assert begin(state, Instruction("addi", rd=3, rs1=1, imm=2)) is None
+        assert (state.pc, state.instret, state.read_reg(3)) == (1, 1, 42)
+        # A store waits on its write; the hart is a plain record until
+        # resume() retires it.
+        assert begin(state, Instruction("sw", rs1=1, rs2=2, imm=1)) \
+            == ("write", 41, 7)
+        assert state.pc == 1 and state.pending.op == "sw"
+        assert resume(state, None).op == "sw"
+        assert state.pc == 2 and state.pending is None
+        assert begin(state, Instruction("lw", rd=4, rs1=1, imm=1)) \
+            == ("read", 41)
+        resume(state, 7)
+        assert (state.pc, state.instret, state.read_reg(4)) == (3, 3, 7)
