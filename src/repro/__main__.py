@@ -335,6 +335,9 @@ def main(argv=None) -> int:
     add_bench_parser(subparsers)
     from .fabric.cli import add_fabric_parsers
     add_fabric_parsers(subparsers)
+    for subparser in subparsers.choices.values():
+        # No prefix matching: `--batch` must not be read as `--batch-max`.
+        subparser.allow_abbrev = False
 
     args = parser.parse_args(argv)
     try:

@@ -36,6 +36,8 @@ from .campaign import (Campaign, cut_sweep,                       # noqa: F401
 from .checkpoint import (load_state, run_with_checkpoints,        # noqa: F401
                          save_state)
 from .errors import CampaignError                                 # noqa: F401
+from .job import (JobSpec, cut_task, job_from_sweep,              # noqa: F401
+                  open_journal)
 from .executor import (InlineExecutor, ProcessExecutor,           # noqa: F401
                        RunOutcome, RunTask, execute_task,
                        resolve_target)
@@ -51,4 +53,5 @@ __all__ = [
     "execute_task", "resolve_target",
     "save_state", "load_state", "run_with_checkpoints",
     "result_from_ledger", "fingerprint_groups", "cut_sweep",
+    "JobSpec", "job_from_sweep", "cut_task", "open_journal",
 ]

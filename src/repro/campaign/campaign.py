@@ -1,17 +1,22 @@
 """The campaign orchestrator: sweep → executor → ledger → aggregate.
 
-A :class:`Campaign` binds a parameter sweep to a run target and drives
-every point through the executor while journaling each lifecycle event
-to the JSONL ledger.  Interrupt it — Ctrl-C, SIGKILL, power loss — and
-``run(resume=True)`` (or ``python -m repro campaign --resume``) replays
-the ledger, verifies the sweep fingerprint, and executes only the
-points without a recorded ``done`` event; completed points are fed into
-the final table from the journal, not re-run.
+A :class:`Campaign` is the local transport of a campaign: it holds the
+sweep as a :class:`~repro.campaign.job.JobSpec` — the description a
+fabric job ships — cuts it with :func:`cut_sweep` and
+:func:`~repro.campaign.job.cut_task`, runs every task in its own forked
+process (:class:`~repro.campaign.executor.ProcessExecutor`: kill-based
+timeout, retry with backoff), and journals each lifecycle event to the
+JSONL ledger opened by :func:`~repro.campaign.job.open_journal`.  The
+fabric calls the same three, so both transports validate, cut and
+journal a sweep alike.  Interrupt a campaign — Ctrl-C, SIGKILL, power
+loss — and ``run(resume=True)`` (or ``python -m repro campaign
+--resume``) replays the ledger, verifies the sweep fingerprint, and
+executes only the points without a recorded ``done`` event; completed
+points are fed into the final table from the journal, not re-run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -19,11 +24,13 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from ..core.backends import DEFAULT_ENGINE
 from .aggregate import CampaignResult, RunRow
+from .checkpoint import clear as clear_checkpoint
 from .errors import CampaignError
 from .executor import (InlineExecutor, ProcessExecutor, RunOutcome, RunTask,
                        build_point_spec)
+from .job import Point, cut_task, job_from_sweep, open_journal
 from .ledger import Ledger, LedgerState
-from .sweep import Sweep, SweepPoint
+from .sweep import Sweep
 
 
 def fingerprint_groups(kind: str, target, lss_text: Optional[str],
@@ -32,8 +39,8 @@ def fingerprint_groups(kind: str, target, lss_text: Optional[str],
 
     Each point's spec is built here and its design fingerprinted.
     ``points`` may be :class:`~repro.campaign.sweep.SweepPoint` objects
-    or plain mappings with ``"run_id"``/``"params"`` keys (the fabric's
-    wire form).  Returns ``(groups, failures)``: ``groups`` maps each
+    or plain mappings with ``"run_id"``/``"params"`` keys (the wire form
+    a :class:`~repro.campaign.job.JobSpec` holds).  Returns ``(groups, failures)``: ``groups`` maps each
     fingerprint to ``(design, members)`` — the first member's built
     design (what cache warming compiles) and the points in first-seen
     order; ``failures`` lists the points whose spec failed to build
@@ -110,7 +117,20 @@ def cut_sweep(kind: str, target, lss_text: Optional[str],
 
 
 class Campaign:
-    """A managed family of runs over one sweep.
+    """A managed family of runs over one sweep, each task in its own
+    forked worker process.
+
+    The sweep and what each point runs are one
+    :class:`~repro.campaign.job.JobSpec` (``self.job``), validated by
+    :meth:`~repro.campaign.job.JobSpec.validate` — the description a
+    fabric job ships — and cut into tasks by :func:`cut_sweep` and
+    :func:`~repro.campaign.job.cut_task`, as the fabric cuts shards.
+
+    The ledger rule (:func:`~repro.campaign.job.open_journal`, shared
+    with the fabric coordinator): a fresh run refuses a ledger that
+    holds runs, of this sweep or any other; ``run(resume=True)`` needs
+    a ledger of this very sweep (same fingerprint) and runs only the
+    points without a recorded ``done`` event.
 
     Parameters
     ----------
@@ -133,7 +153,8 @@ class Campaign:
         :class:`InlineExecutor` (no kill-based timeout).
     checkpoint_every / checkpoint_dir:
         Simulator kinds snapshot engine state every N cycles, so a
-        retried attempt resumes from the last snapshot.
+        retried attempt resumes from the last snapshot.  A resumed run
+        removes the snapshots of earlier tasks its cut does not reuse.
     ledger_path:
         JSONL journal location; default ``<name>.campaign.jsonl``.
     batch_max:
@@ -141,8 +162,7 @@ class Campaign:
         ``levelized`` or ``batched`` engine whose built designs share a
         structural fingerprint are dispatched as **one** task running a
         lockstep :class:`~repro.core.batched.BatchedSimulator`,
-        amortizing process launch and schedule walking across the group
-        (:func:`cut_sweep` is the cutting rule, shared with the fabric).
+        amortizing process launch and schedule walking across the group.
         Chunks of one, points whose specs fail to build, ``fn`` points
         and ``worklist`` runs are single-point tasks; ``batch_max=1``
         makes every point its own task.  Per-lane results and ledger
@@ -170,158 +190,79 @@ class Campaign:
                  ledger_path: Optional[str] = None,
                  profile: bool = False, profile_sample: int = 4,
                  batch: bool = True, batch_max: int = 16):
-        if kind not in ("fn", "spec", "lss"):
-            raise CampaignError(
-                f"kind must be 'fn', 'spec' or 'lss', got {kind!r}")
-        if kind == "lss" and lss_text is None:
-            raise CampaignError("kind='lss' requires lss_text")
-        if kind != "lss" and target is None:
-            raise CampaignError(f"kind={kind!r} requires a target")
-        from ..core.backends import get_backend
-        from ..core.errors import SpecificationError
-        try:
-            get_backend(engine)
-        except SpecificationError as exc:
-            raise CampaignError(str(exc)) from None
         # ``batch`` survives only because perf/workloads.py passes
         # ``batch=True``; ROADMAP item 1(b)'s perf/ change deletes it.
         if not batch:
             raise CampaignError(
                 "batch=False is gone: every campaign groups by fingerprint; "
                 "pass batch_max=1 to run one point per task")
-        if batch_max < 1:
-            raise CampaignError(f"batch_max must be >= 1, got {batch_max}")
-        self.batch_max = batch_max
         self.name = name
         self.sweep = sweep
-        self.target = target
-        self.kind = kind
-        self.lss_text = lss_text
-        self.engine = engine
-        from ..core.opt import resolve_opt_level
-        try:
-            resolve_opt_level(opt)  # validate eagerly, not per worker
-        except SpecificationError as exc:
-            raise CampaignError(str(exc)) from None
-        self.opt = opt
-        self.cycles = cycles
-        self.seed_key = seed_key
+        self.ledger_path = ledger_path or f"{name}.campaign.jsonl"
+        self.job = job_from_sweep(
+            name, sweep, kind=kind, target=target, lss_text=lss_text,
+            engine=engine, opt=opt, cycles=cycles, seed_key=seed_key,
+            batch_max=batch_max, retries=retries,
+            ledger_path=self.ledger_path)
         self.workers = workers
         self.timeout = timeout
-        self.retries = retries
         self.backoff = backoff
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
-        self.profile = profile
-        self.profile_sample = profile_sample
         if checkpoint_every is not None and checkpoint_dir is None:
             self.checkpoint_dir = f"{name}.checkpoints"
-        self.ledger_path = ledger_path or f"{name}.campaign.jsonl"
+        self.profile = profile
+        self.profile_sample = profile_sample
 
     # ------------------------------------------------------------------
-    def _task_for(self, point: SweepPoint) -> RunTask:
-        params = dict(point.params)
-        if self.kind == "fn" and self.seed_key is not None:
-            params.setdefault(self.seed_key, point.seed)
-        return RunTask(run_id=point.run_id, index=point.index, params=params,
-                       seed=point.seed, target=self.target, kind=self.kind,
-                       engine=self.engine, opt=self.opt, cycles=self.cycles,
-                       lss_text=self.lss_text,
-                       checkpoint_dir=self.checkpoint_dir,
-                       checkpoint_every=self.checkpoint_every,
-                       profile=self.profile,
-                       profile_sample=self.profile_sample)
-
     def _executor(self):
         if self.workers == 0:
-            return InlineExecutor(retries=self.retries, backoff=self.backoff)
+            return InlineExecutor(retries=self.job.retries,
+                                  backoff=self.backoff)
         return ProcessExecutor(workers=self.workers, timeout=self.timeout,
-                               retries=self.retries, backoff=self.backoff)
+                               retries=self.job.retries, backoff=self.backoff)
 
-    def _tasks(self, todo: Sequence[SweepPoint]):
-        """Cut ``todo`` (:func:`cut_sweep`) into executor tasks.
-
-        Returns ``(tasks, batch_points)``; ``batch_points`` maps each
-        batch task's id to its lanes.  The id is derived from the lanes'
-        run ids, so a batch checkpoint is only ever loaded onto the same
-        lanes — a resumed campaign with some points done cuts new ids.
-        """
-        tasks, batch_points = [], {}
-        for _, members in cut_sweep(self.kind, self.target, self.lss_text,
-                                    todo, engine=self.engine, opt=self.opt,
-                                    batch_max=self.batch_max):
-            task = self._task_for(members[0])
-            if len(members) > 1:
-                lanes = [{"run_id": p.run_id, "index": p.index,
-                          "params": p.params, "seed": p.seed}
-                         for p in members]
-                digest = hashlib.sha1(" ".join(
-                    p.run_id for p in members).encode()).hexdigest()[:16]
-                task = replace(task, run_id=f"batch-{digest}", params={},
-                               kind="batch", batch_kind=self.kind,
-                               points=lanes)
-                batch_points[task.run_id] = lanes
-            tasks.append(task)
-        return tasks, batch_points
+    def _tasks(self, todo: Sequence[Point]) -> List[RunTask]:
+        """Cut ``todo`` (:func:`cut_sweep`) into executor tasks."""
+        job = self.job
+        return [cut_task(job, members, checkpoint_dir=self.checkpoint_dir,
+                         checkpoint_every=self.checkpoint_every,
+                         profile=self.profile,
+                         profile_sample=self.profile_sample)
+                for _, members in cut_sweep(
+                    job.kind, job.target, job.lss_text, todo,
+                    engine=job.engine, opt=job.opt,
+                    batch_max=job.batch_max)]
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False,
             progress: Optional[Callable[[str], None]] = None) -> CampaignResult:
         """Execute the campaign (or its remainder) and aggregate results."""
-        points = self.sweep.points()
-        fingerprint = self.sweep.fingerprint()
-        previous: Dict[str, RunOutcome] = {}
-
-        if resume:
-            state = Ledger.load(self.ledger_path)
-            if state.truncated and progress:
-                progress(f"  ledger {self.ledger_path} ends in a torn "
-                         f"line (line {state.truncated_line}, crash "
-                         f"mid-write); ignoring it and resuming")
-            if state.fingerprint != fingerprint:
-                raise CampaignError(
-                    f"ledger {self.ledger_path!r} records a different "
-                    f"campaign (fingerprint {state.fingerprint} != "
-                    f"{fingerprint}); refusing to resume")
-            for run in state.runs.values():
-                if run.status == "done":
-                    previous[run.run_id] = RunOutcome(
-                        run.run_id, "done", result=run.result,
-                        attempts=run.attempts,
-                        duration=run.duration or 0.0)
-        elif os.path.exists(self.ledger_path):
-            existing = Ledger.load(self.ledger_path)
-            if existing.runs and existing.fingerprint == fingerprint:
-                raise CampaignError(
-                    f"ledger {self.ledger_path!r} already holds this "
-                    f"campaign ({existing.summary()}); pass resume=True to "
-                    f"continue it or remove the file to restart")
-
-        todo = [p for p in points if p.run_id not in previous]
+        points = self.job.points
+        ledger, state = open_journal(
+            self.job, self.ledger_path, resume=resume,
+            meta={"workers": self.workers, "profile": self.profile},
+            progress=progress)
+        previous: Dict[str, RunOutcome] = {
+            run.run_id: RunOutcome(run.run_id, "done", result=run.result,
+                                   attempts=run.attempts,
+                                   duration=run.duration or 0.0)
+            for run in state.runs.values() if run.status == "done"}
+        todo = [p for p in points if p["run_id"] not in previous]
         if progress:
             progress(f"{self.name}: {len(points)} points, "
                      f"{len(previous)} already done, {len(todo)} to run")
-
-        ledger = Ledger(self.ledger_path).open(append=resume)
         try:
-            if not resume:
-                ledger.record({"event": "campaign", "name": self.name,
-                               "fingerprint": fingerprint,
-                               "points": len(points),
-                               "meta": {"kind": self.kind,
-                                        "engine": self.engine,
-                                        "opt": self.opt,
-                                        "cycles": self.cycles,
-                                        "target": _target_name(self.target),
-                                        "workers": self.workers,
-                                        "profile": self.profile}})
-                for point in points:
-                    ledger.record({"event": "point", "run_id": point.run_id,
-                                   "index": point.index,
-                                   "params": point.params,
-                                   "seed": point.seed})
-
-            tasks, batch_points = self._tasks(todo)
+            tasks = self._tasks(todo)
+            batch_points = {task.run_id: task.points for task in tasks
+                            if task.kind == "batch"}
+            if self.checkpoint_dir is not None:
+                # Snapshots of interrupted tasks this cut does not reuse
+                # could never be loaded again.
+                for task_id in ({run.task for run in state.runs.values()}
+                                - {task.run_id for task in tasks} - {None}):
+                    clear_checkpoint(os.path.join(self.checkpoint_dir,
+                                                  f"{task_id}.ckpt"))
             if progress and batch_points:
                 grouped = sum(len(p) for p in batch_points.values())
                 progress(f"  batched {grouped} points into "
@@ -350,20 +291,19 @@ class Campaign:
                 by_id[expanded.run_id] = expanded
         return self._result(points, by_id)
 
-    def _result(self, points: Sequence[SweepPoint],
+    def _result(self, points: Sequence[Point],
                 by_id: Dict[str, RunOutcome]) -> CampaignResult:
         rows = []
         for point in points:
-            outcome = by_id.get(point.run_id)
-            if outcome is None:
-                rows.append(RunRow(point.run_id, point.index, point.params,
-                                   point.seed, "pending"))
-            else:
-                rows.append(RunRow(point.run_id, point.index, point.params,
-                                   point.seed, outcome.status,
-                                   result=outcome.result, error=outcome.error,
-                                   attempts=outcome.attempts,
-                                   duration=outcome.duration))
+            row = RunRow(point["run_id"], point["index"], point["params"],
+                         point["seed"], "pending")
+            outcome = by_id.get(row.run_id)
+            if outcome is not None:
+                row = replace(row, status=outcome.status,
+                              result=outcome.result, error=outcome.error,
+                              attempts=outcome.attempts,
+                              duration=outcome.duration)
+            rows.append(row)
         return CampaignResult(self.name, rows)
 
     # ------------------------------------------------------------------
@@ -388,7 +328,9 @@ def _expand_batch_event(event: Dict[str, Any],
     out = []
     for point in points:
         sub = dict(event, run_id=point["run_id"])
-        if event["event"] == "done":
+        if event["event"] == "start":
+            sub["task"] = event["run_id"]  # where a resume finds snapshots
+        elif event["event"] == "done":
             lanes = (event.get("result") or {}).get("lanes") or {}
             sub["result"] = lanes.get(point["run_id"])
         out.append(sub)
@@ -415,11 +357,3 @@ def result_from_ledger(name: str, state: LedgerState) -> CampaignResult:
                            result=run.result, error=run.error,
                            attempts=run.attempts, duration=run.duration))
     return CampaignResult(name, rows)
-
-
-def _target_name(target: Union[str, Callable, None]) -> Optional[str]:
-    if target is None or isinstance(target, str):
-        return target
-    mod = getattr(target, "__module__", "?")
-    qual = getattr(target, "__qualname__", repr(target))
-    return f"{mod}:{qual}"

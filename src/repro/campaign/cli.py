@@ -22,12 +22,77 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .campaign import Campaign, result_from_ledger
 from .errors import CampaignError
 from .ledger import Ledger
 from .sweep import GridSweep
+
+
+def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The arguments ``campaign`` and ``submit`` share: what to sweep,
+    how every point runs, and where the sweep is journaled."""
+    from ..core.backends import DEFAULT_ENGINE, engine_choices
+    from ..core.opt import opt_level_argument
+    parser.add_argument("spec", nargs="?", default=None,
+                        help="path to the .lss specification to sweep "
+                             "(omit with --builder)")
+    parser.add_argument("--builder", default=None, metavar="PKG.MOD:FN",
+                        help="sweep a builder callable (params become "
+                             "keyword arguments; returns an LSS) instead of "
+                             "a .lss file")
+    parser.add_argument("--grid", action="append", default=[],
+                        metavar="NAME=V1,V2,...",
+                        help="one sweep axis; repeat for a cross product. "
+                             "For .lss specs NAME is 'instance.parameter'")
+    parser.add_argument("--name", default=None,
+                        help="campaign name (default: spec file stem)")
+    parser.add_argument("--cycles", type=int, default=1000,
+                        help="timesteps per run (default 1000)")
+    parser.add_argument("--engine", default=DEFAULT_ENGINE,
+                        choices=engine_choices())
+    parser.add_argument("--opt", type=opt_level_argument, default=None,
+                        metavar="LEVEL",
+                        help="IR optimizer level 0-2 applied to every run "
+                             "(default: REPRO_OPT where the run executes, "
+                             "else 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign base seed; per-point engine seeds "
+                             "are derived from it (default 0)")
+    parser.add_argument("--batch-max", type=int, default=16, metavar="N",
+                        help="most points one lockstep task runs; points "
+                             "sharing a structure are grouped up to it "
+                             "(default 16; 1 = one task per point)")
+    parser.add_argument("--ledger", default=None,
+                        help="JSONL journal path, on the coordinator's "
+                             "host for submit (default "
+                             "<name>.campaign.jsonl)")
+    parser.add_argument("--resume", action="store_true",
+                        help="continue an existing ledger: run only the "
+                             "points without a recorded completion")
+    parser.add_argument("--metrics", default="",
+                        help="comma-separated metric columns for the "
+                             "result table (e.g. 'transfers,snk:consumed')")
+
+
+def sweep_from_args(args, command: str) -> Tuple[GridSweep, Dict[str, Any]]:
+    """The sweep the shared arguments name, and the keywords that
+    :class:`Campaign` and :func:`~repro.campaign.job.job_from_sweep`
+    both take for it."""
+    if not args.grid:
+        raise CampaignError(f"{command} needs at least one --grid axis")
+    if args.builder is None and args.spec is None:
+        raise CampaignError(f"{command} needs a .lss spec or --builder")
+    kw: Dict[str, Any] = {"engine": args.engine, "opt": args.opt,
+                          "cycles": args.cycles,
+                          "batch_max": args.batch_max}
+    if args.builder is not None:
+        kw.update(kind="spec", target=args.builder)
+    else:
+        with open(args.spec) as handle:
+            kw.update(kind="lss", lss_text=handle.read())
+    return GridSweep(parse_grid(args.grid), base_seed=args.seed), kw
 
 
 def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
@@ -37,34 +102,7 @@ def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
         help="run a parameter sweep as a parallel, resumable campaign",
         description=__doc__.split("\n\nExamples::")[0],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("spec", nargs="?", default=None,
-                        help="path to the .lss specification to sweep "
-                             "(omit with --builder or --report)")
-    parser.add_argument("--builder", default=None, metavar="PKG.MOD:FN",
-                        help="sweep a builder callable (params become "
-                             "keyword arguments; returns an LSS) instead of "
-                             "a .lss file")
-    parser.add_argument("--grid", action="append", default=[],
-                        metavar="NAME=V1,V2,...",
-                        help="one sweep axis; repeat for a cross product. "
-                             "For .lss specs NAME is 'instance.parameter'")
-    parser.add_argument("--cycles", type=int, default=1000,
-                        help="timesteps per run (default 1000)")
-    from ..core.backends import DEFAULT_ENGINE, engine_choices
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=engine_choices())
-    from ..core.opt import opt_level_argument
-    parser.add_argument("--opt", type=opt_level_argument, default=None,
-                        metavar="LEVEL",
-                        help="IR optimizer level 0-2 applied to every run "
-                             "(default: REPRO_OPT environment, else 0)")
-    parser.add_argument("--batch-max", type=int, default=16, metavar="N",
-                        help="most points one lockstep task runs; points "
-                             "sharing a structure are grouped up to it "
-                             "(default 16; 1 = one task per point)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="campaign base seed; per-point engine seeds "
-                             "are derived from it (default 0)")
+    add_sweep_arguments(parser)
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes (0 = serial in-process; "
                              "default 2)")
@@ -86,13 +124,6 @@ def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
     parser.add_argument("--profile-sample", type=int, default=4,
                         metavar="N", help="profiler wall-time sampling "
                                           "period in timesteps (default 4)")
-    parser.add_argument("--ledger", default=None,
-                        help="JSONL journal path (default <name>.campaign.jsonl)")
-    parser.add_argument("--name", default=None,
-                        help="campaign name (default: spec file stem)")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue an interrupted ledger: run only the "
-                             "points without a recorded completion")
     parser.add_argument("--report", action="store_true",
                         help="print the aggregate table from the ledger "
                              "and exit without running")
@@ -100,9 +131,6 @@ def add_campaign_parser(subparsers) -> argparse.ArgumentParser:
                         help="run the static analysis passes over the "
                              "base model first and refuse to launch on "
                              "findings (warning or worse)")
-    parser.add_argument("--metrics", default="",
-                        help="comma-separated metric columns for the table "
-                             "(e.g. 'transfers,snk:consumed')")
     parser.add_argument("--group-by", action="append", default=[],
                         metavar="PARAM:METRIC[:AGG]",
                         help="print a reduced view per sweep value, e.g. "
@@ -158,31 +186,18 @@ def run_campaign_command(args) -> int:
         _print_profile(result)
         return 0
 
-    if not args.grid:
-        raise CampaignError("campaign needs at least one --grid axis")
-    if args.builder is None and args.spec is None:
-        raise CampaignError("campaign needs a .lss spec or --builder")
-
-    sweep = GridSweep(parse_grid(args.grid), base_seed=args.seed)
-    if args.builder is not None:
-        campaign_kw: Dict[str, Any] = {"target": args.builder, "kind": "spec"}
-    else:
-        with open(args.spec) as handle:
-            campaign_kw = {"kind": "lss", "lss_text": handle.read()}
-
+    sweep, kw = sweep_from_args(args, "campaign")
     if args.strict:
         # Pre-flight the unswept base model before burning worker time.
         from ..analysis import strict_preflight
-        strict_preflight(_base_spec(args, campaign_kw))
+        strict_preflight(_base_spec(kw))
 
     campaign = Campaign(
-        name, sweep, engine=args.engine, opt=args.opt, cycles=args.cycles,
-        workers=args.workers, timeout=args.timeout, retries=args.retries,
-        backoff=args.backoff, checkpoint_every=args.checkpoint_every,
+        name, sweep, workers=args.workers, timeout=args.timeout,
+        retries=args.retries, backoff=args.backoff,
+        checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir, ledger_path=ledger_path,
-        profile=args.profile, profile_sample=args.profile_sample,
-        batch_max=args.batch_max,
-        **campaign_kw)
+        profile=args.profile, profile_sample=args.profile_sample, **kw)
     result = campaign.run(resume=args.resume, progress=print)
     print(result.summary())
     print(result.table(metrics=metrics))
@@ -191,13 +206,13 @@ def run_campaign_command(args) -> int:
     return 0 if not result.failed else 1
 
 
-def _base_spec(args, campaign_kw: Dict[str, Any]):
+def _base_spec(kw: Dict[str, Any]):
     """The unswept model a ``--strict`` campaign pre-flights."""
-    if args.builder is not None:
+    if kw["kind"] == "spec":
         from .executor import _coerce_spec, resolve_target
-        return _coerce_spec(resolve_target(args.builder)())
+        return _coerce_spec(resolve_target(kw["target"])())
     from .. import library_env, parse_lss
-    return parse_lss(campaign_kw["lss_text"], library_env())
+    return parse_lss(kw["lss_text"], library_env())
 
 
 def _print_profile(result) -> None:

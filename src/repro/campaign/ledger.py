@@ -11,7 +11,7 @@ Event kinds::
 
     {"event": "campaign", "fingerprint": ..., "points": N, "meta": {...}}
     {"event": "point",  "run_id": ..., "index": i, "params": {...}, "seed": s}
-    {"event": "start",  "run_id": ..., "attempt": k}
+    {"event": "start",  "run_id": ..., "attempt": k[, "task": id]}
     {"event": "done",   "run_id": ..., "attempt": k, "duration": secs,
                         "result": {...}}
     {"event": "failed", "run_id": ..., "attempt": k, "kind":
@@ -46,6 +46,9 @@ class RunState:
     result: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     duration: Optional[float] = None
+    #: Id of the task the run last started in: a batch task's id, else
+    #: the run's own (what its checkpoint file is named after).
+    task: Optional[str] = None
 
 
 @dataclass
@@ -172,6 +175,7 @@ class Ledger:
         elif kind == "start":
             run.status = "running"
             run.attempts = max(run.attempts, event.get("attempt", 1))
+            run.task = event.get("task", run_id)
         elif kind == "done":
             run.status = "done"
             run.result = event.get("result")

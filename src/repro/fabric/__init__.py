@@ -14,7 +14,8 @@ Layering (each module depends only on the ones above it)::
 
     protocol    framing + blocking Channel + FabricError
     artifacts   content-addressed CompiledModel transfer
-    shards      JobSpec / Shard wire forms, planning, execution
+    shards      Shard wire form, planning, execution (the JobSpec a
+                shard belongs to is repro.campaign.job's)
     coordinator asyncio service: queue, leases, merge, ledger
     worker      synchronous lease/execute/complete loop
     client      FabricClient + sweep<->job bridges

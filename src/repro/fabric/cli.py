@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Tuple
+from typing import Tuple
 
-from ..campaign.cli import parse_grid
-from ..campaign.sweep import GridSweep
+from ..campaign.cli import add_sweep_arguments, sweep_from_args
 from .client import FabricClient, job_from_sweep, result_from_rows
 from .protocol import FabricError
 
@@ -87,58 +86,21 @@ def add_fabric_parsers(subparsers) -> None:
     work.add_argument("--idle-exit", type=int, default=None, metavar="N",
                       help="exit after N consecutive idle polls "
                            "(default: keep polling)")
-    work.add_argument("--lane-cap", type=int, default=None, metavar="N",
-                      help="largest lockstep batch this worker accepts "
-                           "per shard, as a memory ceiling (default: no "
-                           "cap, whole planned shards); the coordinator "
-                           "splits wider shards")
 
     submit = subparsers.add_parser(
         "submit", help="submit a sweep to a fabric coordinator",
         description="Materialize a parameter sweep and queue it as a "
                     "fabric job; with --wait, block for merged results.")
-    submit.add_argument("spec", nargs="?", default=None,
-                        help="path to the .lss specification to sweep "
-                             "(omit with --builder)")
-    submit.add_argument("--builder", default=None, metavar="PKG.MOD:FN",
-                        help="sweep a builder callable (dotted path) "
-                             "instead of a .lss file")
-    submit.add_argument("--grid", action="append", default=[],
-                        metavar="NAME=V1,V2,...",
-                        help="one sweep axis; repeat for a cross product")
+    add_sweep_arguments(submit)
     submit.add_argument("--connect", required=True, metavar="HOST:PORT")
-    submit.add_argument("--name", default=None,
-                        help="job name (default: spec file stem)")
-    submit.add_argument("--cycles", type=int, default=1000)
-    from ..core.backends import DEFAULT_ENGINE, engine_choices
-    submit.add_argument("--engine", default=DEFAULT_ENGINE,
-                        choices=engine_choices())
-    from ..core.opt import opt_level_argument
-    submit.add_argument("--opt", type=opt_level_argument, default=None,
-                        metavar="LEVEL",
-                        help="IR optimization level 0-2 for every shard "
-                             "(default: each worker's REPRO_OPT, else 0)")
-    submit.add_argument("--seed", type=int, default=0,
-                        help="campaign base seed (default 0)")
-    submit.add_argument("--batch-max", type=int, default=16, metavar="N",
-                        help="maximum lockstep lanes per shard (default 16)")
     submit.add_argument("--retries", type=int, default=2,
                         help="re-dispatches granted to a failed or "
                              "expired shard (default 2)")
-    submit.add_argument("--ledger", default=None,
-                        help="ledger path on the coordinator host "
-                             "(default <name>.campaign.jsonl)")
-    submit.add_argument("--resume", action="store_true",
-                        help="continue an existing ledger: only points "
-                             "without a recorded completion run")
     submit.add_argument("--wait", action="store_true",
                         help="block until the job settles and print the "
                              "result table")
     submit.add_argument("--timeout", type=float, default=3600.0,
                         help="--wait limit in seconds (default 3600)")
-    submit.add_argument("--metrics", default="",
-                        help="comma-separated metric columns for the "
-                             "--wait table")
 
     status = subparsers.add_parser(
         "status", help="show fabric coordinator / job status")
@@ -201,8 +163,7 @@ def run_work_command(args) -> int:
     host, port = _parse_connect(args.connect)
     stats = worker_main(host, port, worker_id=args.id,
                         cache_dir=args.cache_dir, poll=args.poll,
-                        idle_exit_after=args.idle_exit,
-                        lane_cap=args.lane_cap)
+                        idle_exit_after=args.idle_exit)
     print(f"# worker done: {stats['shards_done']} shard(s), "
           f"{stats['points']} point(s), "
           f"{stats['artifacts_installed']} artifact(s) installed")
@@ -210,25 +171,13 @@ def run_work_command(args) -> int:
 
 
 def run_submit_command(args) -> int:
-    if not args.grid:
-        raise FabricError("submit needs at least one --grid axis")
-    if args.builder is None and args.spec is None:
-        raise FabricError("submit needs a .lss spec or --builder")
+    sweep, kw = sweep_from_args(args, "submit")
     name = args.name
     if name is None:
         name = (os.path.splitext(os.path.basename(args.spec))[0]
                 if args.spec else "fabric")
-    sweep = GridSweep(parse_grid(args.grid), base_seed=args.seed)
-    job_kw: Dict[str, Any] = {}
-    if args.builder is not None:
-        job_kw.update(kind="spec", target=args.builder)
-    else:
-        with open(args.spec) as handle:
-            job_kw.update(kind="lss", lss_text=handle.read())
-    job = job_from_sweep(name, sweep, engine=args.engine, opt=args.opt,
-                         cycles=args.cycles, batch_max=args.batch_max,
-                         retries=args.retries, ledger_path=args.ledger,
-                         **job_kw)
+    job = job_from_sweep(name, sweep, retries=args.retries,
+                         ledger_path=args.ledger, **kw)
     host, port = _parse_connect(args.connect)
     client = FabricClient(host, port)
     reply = client.submit(job, resume=args.resume)

@@ -6,12 +6,13 @@ one coordinator: each call is one request/response on a blocking
 channel, so clients need no asyncio and can live inside tests, the
 CLI, or other orchestrators.
 
-:func:`job_from_sweep` bridges the campaign layer: it materializes a
-:class:`~repro.campaign.sweep.Sweep` into the wire-form
-:class:`~repro.fabric.shards.JobSpec` (points, seeds, sweep
-fingerprint), so a fabric job is *the same sweep* a local
-:class:`~repro.campaign.Campaign` would run — same run ids, same
-per-point seeds, and therefore bitwise the same per-point results.
+:func:`job_from_sweep` (re-exported from :mod:`repro.campaign.job`)
+materializes a :class:`~repro.campaign.sweep.Sweep` into the
+:class:`~repro.campaign.job.JobSpec` a local
+:class:`~repro.campaign.Campaign` holds too (points, seeds, sweep
+fingerprint), so a fabric job is *the same sweep* a local campaign
+would run — same run ids, same per-point seeds, and therefore bitwise
+the same per-point results.
 :func:`result_from_rows` turns a ``results`` reply back into the
 campaign's :class:`~repro.campaign.aggregate.CampaignResult`, so
 reporting (tables, group-bys) is shared too.
@@ -23,29 +24,8 @@ import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..campaign.aggregate import CampaignResult, RunRow
-from ..campaign.sweep import Sweep
-from ..core.backends import DEFAULT_ENGINE
+from ..campaign.job import JobSpec, job_from_sweep  # noqa: F401
 from .protocol import Channel, FabricError
-from .shards import JobSpec
-
-
-def job_from_sweep(name: str, sweep: Sweep, *, kind: str = "spec",
-                   target: Optional[str] = None,
-                   lss_text: Optional[str] = None,
-                   engine: str = DEFAULT_ENGINE, opt: Optional[int] = None,
-                   cycles: int = 1000,
-                   seed_key: Optional[str] = "seed", batch_max: int = 16,
-                   retries: int = 2,
-                   ledger_path: Optional[str] = None) -> JobSpec:
-    """Materialize a sweep into a submittable wire-form job."""
-    points = [{"run_id": p.run_id, "index": p.index,
-               "params": p.params, "seed": p.seed}
-              for p in sweep.points()]
-    return JobSpec(name=name, kind=kind, points=points, target=target,
-                   lss_text=lss_text, engine=engine, opt=opt, cycles=cycles,
-                   seed_key=seed_key, batch_max=batch_max, retries=retries,
-                   ledger_path=ledger_path,
-                   sweep_fingerprint=sweep.fingerprint()).validate()
 
 
 def result_from_rows(name: str, rows: List[Dict[str, Any]]) \

@@ -24,6 +24,11 @@ The coordinator/worker contract, made explicit:
   exactly once, and later duplicates are counted and dropped.  The
   ledger therefore converges to one ``done`` row per point no matter
   how leases interleave.
+* **Ledgers.**  A submission opens its job's ledger with the campaign's
+  one rule (:func:`repro.campaign.open_journal`), so a fabric job and a
+  local :class:`~repro.campaign.Campaign` refuse and resume the same
+  ledgers: a different sweep is refused, an existing ledger needs
+  ``resume``, and a resume needs a ledger.
 * **Artifacts.**  Planning a job compiles each distinct structure once
   (the campaign's fingerprint cut, :func:`repro.campaign.cut_sweep`)
   and exports the compiled models as content-addressed blobs; workers
@@ -50,11 +55,13 @@ from typing import Any, Deque, Dict, List, Optional
 
 from collections import deque
 
+from ..campaign.errors import CampaignError
+from ..campaign.job import JobSpec, open_journal
 from ..campaign.ledger import Ledger
 from ..obs.metrics import MetricsRegistry
 from .artifacts import export_artifact
 from .protocol import FabricError, read_message, send_message
-from .shards import JobSpec, Shard, plan_shards, shard_fingerprints
+from .shards import Shard, plan_shards, shard_fingerprints
 
 _log = logging.getLogger(__name__)
 
@@ -191,7 +198,7 @@ class Coordinator:
                     break
                 try:
                     reply = self._dispatch(message)
-                except FabricError as exc:
+                except (FabricError, CampaignError) as exc:
                     reply = {"type": "error", "error": str(exc)}
                 except Exception as exc:  # never kill the service
                     reply = {"type": "error",
@@ -231,43 +238,11 @@ class Coordinator:
             os.makedirs(self.ledger_dir, exist_ok=True)
             ledger_path = os.path.join(self.ledger_dir, ledger_path)
 
-        completed: Dict[str, Any] = {}
-        fresh = True
-        if os.path.exists(ledger_path):
-            state = Ledger.load(ledger_path)
-            if state.runs:
-                if (job.sweep_fingerprint is not None
-                        and state.fingerprint is not None
-                        and state.fingerprint != job.sweep_fingerprint):
-                    raise FabricError(
-                        f"ledger {ledger_path!r} records a different "
-                        f"campaign (fingerprint {state.fingerprint} != "
-                        f"{job.sweep_fingerprint}); refusing")
-                if not resume:
-                    raise FabricError(
-                        f"ledger {ledger_path!r} already holds this "
-                        f"campaign ({state.summary()}); submit with "
-                        f"resume to continue it")
-                fresh = False
-                for run in state.runs.values():
-                    if run.status == "done":
-                        completed[run.run_id] = run.result
-
-        ledger = Ledger(ledger_path, fsync=self.ledger_fsync)
-        ledger.open(append=not fresh)
-        if fresh:
-            ledger.record({"event": "campaign", "name": job.name,
-                           "fingerprint": job.sweep_fingerprint,
-                           "points": len(job.points),
-                           "meta": {"kind": job.kind, "engine": job.engine,
-                                    "cycles": job.cycles,
-                                    "target": job.target,
-                                    "fabric": True}})
-            for point in job.points:
-                ledger.record({"event": "point", "run_id": point["run_id"],
-                               "index": point.get("index", -1),
-                               "params": point["params"],
-                               "seed": point["seed"]})
+        ledger, resumed = open_journal(job, ledger_path, resume=resume,
+                                       meta={"fabric": True},
+                                       fsync=self.ledger_fsync)
+        completed = {rid: run.result for rid, run in resumed.runs.items()
+                     if run.status == "done"}
 
         state = JobState(job_id, job, ledger, resumed=len(completed))
         state.results.update(completed)
@@ -335,7 +310,6 @@ class Coordinator:
             return {"type": "idle", "draining": self._stopping}
         shard = self.queue.popleft()
         job = self.jobs[shard.job_id]
-        shard = self._fit_shard(job, shard, message.get("caps") or {})
         shard.attempts += 1
         lease_id = f"L{next(self._ids)}"
         now = time.monotonic()
@@ -458,42 +432,6 @@ class Coordinator:
     def _gauges(self) -> None:
         self.metrics.gauge("fabric.queue_depth").set(len(self.queue))
         self.metrics.gauge("fabric.active_leases").set(len(self.leases))
-
-    def _fit_shard(self, job: JobState, shard: Shard,
-                   caps: Dict[str, Any]) -> Shard:
-        """Trim a batch shard to the leasing worker's lane capacity.
-
-        Workers report capability tags (:func:`~repro.fabric.worker.
-        worker_capabilities`) with every lease request.  When a batch
-        shard holds more lockstep lanes than the worker's ``lane_cap``,
-        the shard is split at the cap: the worker takes the head slice
-        (inheriting the parent's attempt count — it is the same work),
-        and the tail goes back on the queue as a fresh shard for the
-        next lease.  Both halves replace the parent in the job's shard
-        registry, so completion merging, retries and expiry all see the
-        derived shards and never the stale parent.  A half of one point
-        becomes a serial shard: a 1-lane lockstep batch is the slowest
-        way to run one point.  Serial shards and workers without a
-        positive cap pass through untouched.
-        """
-        try:
-            cap = int(caps.get("lane_cap") or 0)
-        except (TypeError, ValueError):
-            cap = 0
-        if shard.mode != "batch" or cap <= 0 or len(shard.points) <= cap:
-            return shard
-        head, tail = (
-            Shard(f"{shard.shard_id}/{half}", shard.job_id,
-                  "batch" if len(points) > 1 else "serial", points,
-                  fingerprint=shard.fingerprint, attempts=shard.attempts)
-            for half, points in (("a", shard.points[:cap]),
-                                 ("b", shard.points[cap:])))
-        job.shards.pop(shard.shard_id, None)
-        job.shards[head.shard_id] = head
-        job.shards[tail.shard_id] = tail
-        self.queue.append(tail)
-        self.metrics.counter("fabric.shards_split").inc()
-        return head
 
     def _retire_shard(self, job: JobState, shard: Shard) -> None:
         """Drop a finished shard from the job and the queue/leases."""

@@ -1,131 +1,34 @@
-"""Jobs and shards: the unit of work the fabric dispatches.
+"""Shards: the unit of work the fabric dispatches.
 
-A *job* is one whole campaign in wire form — the materialized sweep
-points (run ids, params, seeds), the spec source (builder path or LSS
-text), and the execution envelope.  The coordinator *plans* a job into
-*shards* with the cutting rule a local :class:`~repro.campaign.Campaign`
-uses (:func:`repro.campaign.cut_sweep`): a cut of structurally identical
-points (same design fingerprint, at most ``batch_max``) becomes one
-``batch`` shard, executed by one worker as a single lockstep task (the
-routing lives in the campaign executor's batch task path, so fabric
-shards and local campaigns always agree).  A chunk of one becomes a
-*serial* shard that still names its fingerprint, so the worker is
-shipped its compiled artifacts; points that were not built — ``fn``
-jobs, ``worklist`` runs, specs that fail to build in the planner — are
-packed into serial shards of at most ``batch_max`` points, where each
-point runs (and fails) alone.
+A *job* is one whole campaign in wire form: a
+:class:`~repro.campaign.job.JobSpec`, the description a local
+:class:`~repro.campaign.Campaign` holds too (re-exported here).  The
+coordinator *plans* a job into *shards* with the cutting rule a local
+campaign uses (:func:`repro.campaign.cut_sweep`): a cut of structurally
+identical points (same design fingerprint, at most ``batch_max``)
+becomes one ``batch`` shard, executed by one worker as a single
+lockstep task.  A chunk of one becomes a *serial* shard that still
+names its fingerprint, so the worker is shipped its compiled artifacts;
+points that were not built — ``fn`` jobs, ``worklist`` runs, specs that
+fail to build in the planner — are packed into serial shards of at most
+``batch_max`` points, where each point runs (and fails) alone.
 
 Shards are JSON-able end to end: they ride the wire protocol to a
-worker, which executes them through the campaign executor's task
-machinery (:func:`execute_shard`), so per-lane results are shaped —
-and valued — exactly like a local campaign's.
+worker, which turns them into tasks with the campaign's one task
+builder (:func:`~repro.campaign.job.cut_task`) and runs them through
+the campaign executor (:func:`execute_shard`), so per-lane results are
+shaped — and valued — exactly like a local campaign's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..campaign.campaign import cut_sweep
-from ..campaign.executor import RunTask, execute_task
-from ..core.backends import DEFAULT_ENGINE
+from ..campaign.executor import execute_task
+from ..campaign.job import JobSpec, Point, cut_task  # noqa: F401
 from .protocol import FabricError
-
-#: A point in wire form: {"run_id", "index", "params", "seed"}.
-Point = Dict[str, Any]
-
-
-@dataclass
-class JobSpec:
-    """One submitted campaign, in wire form.
-
-    ``kind`` is ``"spec"`` (dotted-path builder), ``"lss"`` (textual
-    spec + dotted parameter overrides), or ``"fn"`` (arbitrary metric
-    callable; points then run serially, never lockstep).  ``target``
-    must be a dotted path — callables cannot cross hosts.
-    """
-
-    name: str
-    kind: str
-    points: List[Point]
-    target: Optional[str] = None
-    lss_text: Optional[str] = None
-    engine: str = DEFAULT_ENGINE
-    opt: Optional[int] = None
-    cycles: int = 1000
-    seed_key: Optional[str] = "seed"
-    batch_max: int = 16
-    retries: int = 2
-    ledger_path: Optional[str] = None
-    sweep_fingerprint: Optional[str] = None
-
-    def validate(self) -> "JobSpec":
-        if self.kind not in ("spec", "lss", "fn"):
-            raise FabricError(
-                f"job kind must be 'spec', 'lss' or 'fn', got {self.kind!r}")
-        if self.kind == "lss" and not self.lss_text:
-            raise FabricError("kind='lss' job requires lss_text")
-        if self.kind != "lss" and not isinstance(self.target, str):
-            raise FabricError(
-                f"kind={self.kind!r} job requires a dotted-path target "
-                f"(callables cannot cross hosts)")
-        if not self.points:
-            raise FabricError("job has no sweep points")
-        if self.batch_max < 1:
-            raise FabricError(f"batch_max must be >= 1, got {self.batch_max}")
-        from ..core.backends import get_backend
-        from ..core.errors import SpecificationError
-        try:
-            get_backend(self.engine)
-        except SpecificationError as exc:
-            raise FabricError(str(exc)) from None
-        if self.retries < 0:
-            raise FabricError(f"retries must be >= 0, got {self.retries}")
-        if self.opt is not None:
-            from ..core.opt import resolve_opt_level
-            try:
-                resolve_opt_level(self.opt)
-            except SpecificationError as exc:
-                raise FabricError(str(exc)) from None
-        seen: Set[str] = set()
-        for point in self.points:
-            rid = point.get("run_id")
-            if not rid or rid in seen:
-                raise FabricError(
-                    f"job {self.name!r} has a missing or duplicate "
-                    f"point id {rid!r}")
-            seen.add(rid)
-        return self
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "points": self.points,
-                "target": self.target, "lss_text": self.lss_text,
-                "engine": self.engine, "opt": self.opt,
-                "cycles": self.cycles,
-                "seed_key": self.seed_key, "batch_max": self.batch_max,
-                "retries": self.retries, "ledger_path": self.ledger_path,
-                "sweep_fingerprint": self.sweep_fingerprint}
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "JobSpec":
-        try:
-            return cls(
-                name=payload["name"], kind=payload["kind"],
-                points=list(payload["points"]),
-                target=payload.get("target"),
-                lss_text=payload.get("lss_text"),
-                engine=payload.get("engine", DEFAULT_ENGINE),
-                opt=(None if payload.get("opt") is None
-                     else int(payload["opt"])),
-                cycles=int(payload.get("cycles", 1000)),
-                seed_key=payload.get("seed_key", "seed"),
-                batch_max=int(payload.get("batch_max", 16)),
-                retries=int(payload.get("retries", 2)),
-                ledger_path=payload.get("ledger_path"),
-                sweep_fingerprint=payload.get("sweep_fingerprint"),
-            ).validate()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FabricError(f"malformed job payload: {exc}") from None
 
 
 @dataclass
@@ -222,16 +125,6 @@ def plan_shards(job: JobSpec, job_id: str,
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-def _single_task(job: JobSpec, point: Point) -> RunTask:
-    params = dict(point["params"])
-    if job.kind == "fn" and job.seed_key is not None:
-        params.setdefault(job.seed_key, point["seed"])
-    return RunTask(run_id=point["run_id"], index=point.get("index", -1),
-                   params=params, seed=point["seed"], target=job.target,
-                   kind=job.kind, engine=job.engine, opt=job.opt,
-                   cycles=job.cycles, lss_text=job.lss_text)
-
-
 def execute_shard(shard: Shard, job: JobSpec) -> Dict[str, Dict[str, Any]]:
     """Run one shard to completion in the current process.
 
@@ -242,12 +135,7 @@ def execute_shard(shard: Shard, job: JobSpec) -> Dict[str, Dict[str, Any]]:
     handles it); within a ``serial`` shard each point fails alone.
     """
     if shard.mode == "batch":
-        task = RunTask(run_id=shard.shard_id, index=-1, params={},
-                       seed=shard.points[0]["seed"], target=job.target,
-                       kind="batch", batch_kind=job.kind, engine=job.engine,
-                       opt=job.opt, cycles=job.cycles, lss_text=job.lss_text,
-                       points=shard.points)
-        lanes = execute_task(task).get("lanes") or {}
+        lanes = execute_task(cut_task(job, shard.points)).get("lanes") or {}
         out: Dict[str, Dict[str, Any]] = {}
         for point in shard.points:
             rid = point["run_id"]
@@ -261,7 +149,7 @@ def execute_shard(shard: Shard, job: JobSpec) -> Dict[str, Dict[str, Any]]:
         out = {}
         for point in shard.points:
             try:
-                result = execute_task(_single_task(job, point))
+                result = execute_task(cut_task(job, [point]))
             except Exception as exc:
                 out[point["run_id"]] = {
                     "ok": False, "error": f"{type(exc).__name__}: {exc}"}

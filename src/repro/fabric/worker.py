@@ -2,7 +2,9 @@
 
 A worker is a plain synchronous loop in its own process — all the
 concurrency lives in the coordinator.  Each iteration asks for a
-lease; on ``idle`` it backs off and polls again, on a lease it
+lease — the shard the coordinator planned, whole: ``JobSpec.batch_max``
+is the one setting for lanes per task — and on ``idle`` it backs off
+and polls again; on a lease it
 
 1. fetches the shard's compiled-model artifacts it does not already
    hold (content-addressed by design fingerprint, byte-verified on
@@ -11,9 +13,9 @@ lease; on ``idle`` it backs off and polls again, on a lease it
    reverse);
 2. starts a heartbeat thread that renews the lease on short one-shot
    connections (the main connection stays strictly request/response);
-3. executes the shard through the campaign executor machinery
-   (lockstep batch or serial points — identical code paths, and
-   therefore identical results, to a local ``Campaign`` run);
+3. executes the shard through the campaign's task builder and
+   executor (lockstep batch or serial points — identical code paths,
+   and therefore identical results, to a local ``Campaign`` run);
 4. reports ``complete`` with per-point lane payloads, or ``fail`` with
    the error.
 
@@ -31,38 +33,10 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from ..campaign.job import JobSpec
 from .artifacts import ArtifactError, have_artifact, install_artifact
 from .protocol import Channel, FabricError, one_shot
-from .shards import JobSpec, Shard, execute_shard
-
-
-def worker_capabilities(lane_cap: Optional[int] = None) -> Dict[str, Any]:
-    """The capability tags a worker reports with each lease request.
-
-    ``cpus`` is the host's logical CPU count and ``numpy`` whether the
-    vectorized lockstep backend can run here.  The lease size is the
-    shard the planner made (``JobSpec.batch_max`` lanes at most): a vec
-    step costs nearly the same at 2 lanes as at 32, so splitting a
-    batch per host only multiplies steps.  ``lane_cap`` is reported
-    only when set explicitly, as a memory ceiling — the coordinator
-    then splits wider batch shards at lease time.
-    """
-    try:
-        import numpy  # noqa: F401 - availability probe only
-        has_numpy = True
-    except ImportError:  # pragma: no cover - numpy ships in the env
-        has_numpy = False
-    from ..core.opt import OPT_VERSION
-    from ..core.vec import VEC_VERSION
-    caps: Dict[str, Any] = {
-        "cpus": os.cpu_count() or 1, "numpy": has_numpy,
-        # Staged-artifact format versions: a coordinator can tell
-        # whether the composite opt/vec blobs it exports will install
-        # on this worker or degrade to a local recompile.
-        "opt_version": OPT_VERSION, "vec_version": VEC_VERSION}
-    if lane_cap:
-        caps["lane_cap"] = int(lane_cap)
-    return caps
+from .shards import Shard, execute_shard
 
 
 class _Heartbeat:
@@ -106,14 +80,12 @@ class Worker:
     def __init__(self, host: str, port: int, *,
                  worker_id: Optional[str] = None,
                  poll: float = 0.2,
-                 heartbeat_interval: Optional[float] = None,
-                 lane_cap: Optional[int] = None):
+                 heartbeat_interval: Optional[float] = None):
         self.host = host
         self.port = port
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.poll = poll
         self.heartbeat_interval = heartbeat_interval
-        self.caps = worker_capabilities(lane_cap)
         self.stats = {"shards_done": 0, "shards_failed": 0, "points": 0,
                       "artifacts_installed": 0, "artifact_fallbacks": 0,
                       "idle_polls": 0}
@@ -186,8 +158,7 @@ class Worker:
         with Channel(self.host, self.port) as channel:
             while max_shards is None or executed < max_shards:
                 reply = channel.request({"type": "lease",
-                                         "worker": self.worker_id,
-                                         "caps": self.caps})
+                                         "worker": self.worker_id})
                 if reply.get("type") == "idle":
                     if stop_on_drain and reply.get("draining"):
                         break
@@ -213,8 +184,7 @@ def worker_main(host: str, port: int, *,
                 poll: float = 0.2,
                 heartbeat_interval: Optional[float] = None,
                 max_shards: Optional[int] = None,
-                idle_exit_after: Optional[int] = None,
-                lane_cap: Optional[int] = None) -> Dict[str, int]:
+                idle_exit_after: Optional[int] = None) -> Dict[str, int]:
     """Process entry point for a worker (CLI and spawned subprocesses).
 
     ``cache_dir`` points the worker's on-disk compile-cache layer
@@ -225,8 +195,7 @@ def worker_main(host: str, port: int, *,
         from ..core.compile_cache import configure
         configure(disk_dir=cache_dir)
     worker = Worker(host, port, worker_id=worker_id, poll=poll,
-                    heartbeat_interval=heartbeat_interval,
-                    lane_cap=lane_cap)
+                    heartbeat_interval=heartbeat_interval)
     try:
         return worker.run(max_shards=max_shards,
                           idle_exit_after=idle_exit_after)

@@ -105,6 +105,26 @@ class TestResume:
         with pytest.raises(CampaignError, match="already holds"):
             _pipe_campaign(tmp_path, name="dup", workers=0).run()
 
+    def test_resume_over_torn_tail_leaves_a_loadable_ledger(self, tmp_path):
+        campaign = Campaign("torn", GridSweep({"x": [1, 2, 3]}),
+                            target=_targets.double, workers=0,
+                            ledger_path=str(tmp_path / "torn.jsonl"))
+        campaign.run()
+        with open(campaign.ledger_path, encoding="utf-8") as handle:
+            lines = [line for line in handle.read().splitlines()
+                     if '"done"' not in line]
+        with open(campaign.ledger_path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + '\n{"event": "done", "resu')
+        progress = []
+        assert len(campaign.run(resume=True,
+                                progress=progress.append).done) == 3
+        assert "torn line" in progress[0]
+        # The events appended by the resume did not land on the torn
+        # line: the journal replays clean.
+        state = Ledger.load(campaign.ledger_path)
+        assert not state.truncated
+        assert len(state.completed_ids()) == 3
+
     def test_resume_without_ledger(self, tmp_path):
         with pytest.raises(CampaignError, match="no ledger"):
             _pipe_campaign(tmp_path, name="ghost").run(resume=True)

@@ -1,11 +1,8 @@
-"""Worker capability tags, whole-shard leases and explicit lane caps.
+"""Whole-shard leases and the client's wait loop.
 
-Workers report host shape (CPU count, numpy availability) with every
-lease request.  A lease is the shard the planner made — at most
-``JobSpec.batch_max`` lanes — so a default worker drains a whole batch
-group in one lease.  A worker started with an explicit lane cap (a
-memory ceiling) gets batch shards trimmed to it at lease time, the
-remainder going back on the queue for the next worker.
+A lease is the shard the planner made — at most ``JobSpec.batch_max``
+lanes, the one setting for lanes per task — so a worker drains a whole
+batch group in one lease, on any host.
 """
 
 import json
@@ -20,7 +17,6 @@ from repro.core import compile_cache as cc
 from repro.fabric import (Coordinator, CoordinatorThread, FabricClient,
                           Worker, job_from_sweep)
 from repro.fabric.shards import JobSpec
-from repro.fabric.worker import worker_capabilities
 
 PIPE = "tests.campaign._targets:build_pipe"
 SLEEPY = "tests.campaign._targets:sleepy"
@@ -38,24 +34,6 @@ def _isolated_cache(tmp_path):
     cc.configure()
 
 
-class TestWorkerCapabilities:
-    def test_reports_host_shape(self):
-        # No lane cap unless one is set: leases are the planned shards.
-        caps = worker_capabilities()
-        assert caps["cpus"] >= 1
-        assert isinstance(caps["numpy"], bool)
-        assert "lane_cap" not in caps
-        assert "lane_cap" not in Worker("127.0.0.1", 1).caps
-
-    def test_explicit_lane_cap_wins(self):
-        assert worker_capabilities(lane_cap=3)["lane_cap"] == 3
-
-    def test_worker_sends_caps_with_leases(self):
-        worker = Worker("127.0.0.1", 1, lane_cap=2)
-        assert worker.caps["lane_cap"] == 2
-        assert worker.caps["cpus"] >= 1
-
-
 def _sweep(n):
     # depth is pinned, rate varies: one structure, n stochastic lanes.
     return GridSweep({"depth": [2],
@@ -69,105 +47,6 @@ def _job(tmp_path, n_points, batch_max=16):
     return job_from_sweep("caps", _sweep(n_points), kind="spec",
                           target=PIPE, cycles=40, batch_max=batch_max,
                           ledger_path=str(tmp_path / "caps.jsonl"))
-
-
-class TestLaneCapSplitting:
-    """Coordinator-side shard fitting, exercised frame by frame."""
-
-    def _submit(self, coordinator, tmp_path, n_points, batch_max=16):
-        reply = coordinator._msg_submit(
-            {"type": "submit",
-             "job": _job(tmp_path, n_points, batch_max).to_payload()})
-        assert reply["type"] == "submitted"
-        return reply["job_id"]
-
-    def test_oversized_batch_shard_splits_at_cap(self, tmp_path):
-        coordinator = Coordinator()
-        job_id = self._submit(coordinator, tmp_path, 5)
-        job = coordinator.jobs[job_id]
-        assert len(job.shards) == 1  # one 5-lane batch shard
-        seen = []
-        # The last split leaves one lane: it runs serial, never as a
-        # 1-lane lockstep batch.
-        for expect, mode in ((2, "batch"), (2, "batch"), (1, "serial")):
-            reply = coordinator._msg_lease(
-                {"type": "lease", "worker": "small",
-                 "caps": {"cpus": 2, "numpy": True, "lane_cap": 2}})
-            assert reply["type"] == "lease"
-            shard = reply["shard"]
-            assert shard["mode"] == mode
-            assert len(shard["points"]) == expect
-            seen.extend(p["run_id"] for p in shard["points"])
-        # Every derived shard is registered; nothing references the
-        # retired parent; the queue is drained.
-        assert not coordinator.queue
-        assert len(seen) == len(set(seen)) == 5
-        assert {p["run_id"] for point_list in
-                (s.points for s in job.shards.values())
-                for p in point_list} == set(seen)
-        counters = coordinator.metrics.to_dict()["counters"]
-        assert counters["fabric.shards_split"] == 2
-
-    def test_cap_of_one_splits_into_serial_halves(self, tmp_path):
-        coordinator = Coordinator()
-        self._submit(coordinator, tmp_path, 2)
-        modes = []
-        for _ in range(2):
-            reply = coordinator._msg_lease(
-                {"type": "lease", "worker": "tiny",
-                 "caps": {"cpus": 1, "numpy": True, "lane_cap": 1}})
-            modes.append((reply["shard"]["mode"],
-                          len(reply["shard"]["points"])))
-            # A serial half still names its structure, so the worker
-            # is shipped the compiled artifacts.
-            assert reply["shard"]["fingerprint"] and reply["artifacts"]
-        assert modes == [("serial", 1), ("serial", 1)]
-
-    def test_fitting_shard_passes_through_whole(self, tmp_path):
-        coordinator = Coordinator()
-        self._submit(coordinator, tmp_path, 3)
-        reply = coordinator._msg_lease(
-            {"type": "lease", "worker": "big",
-             "caps": {"cpus": 64, "numpy": True, "lane_cap": 64}})
-        assert len(reply["shard"]["points"]) == 3
-
-    def test_capless_worker_gets_whole_shard(self, tmp_path):
-        # Older workers send no caps; the coordinator must not split.
-        coordinator = Coordinator()
-        self._submit(coordinator, tmp_path, 4)
-        reply = coordinator._msg_lease({"type": "lease", "worker": "old"})
-        assert len(reply["shard"]["points"]) == 4
-
-    def test_split_results_match_solo_campaign(self, tmp_path):
-        """A lane-capped fabric run stays bit-identical to solo."""
-        import json
-
-        def norm(value):
-            return json.loads(json.dumps(value, sort_keys=True,
-                                         default=repr))
-
-        sweep = _sweep(5)
-        solo = Campaign("solo", sweep, target=PIPE, kind="spec", cycles=40,
-                        ledger_path=str(tmp_path / "solo.jsonl")).run()
-        assert not solo.failed
-        expected = {row.run_id: norm(row.result) for row in solo.rows}
-
-        coordinator = Coordinator(lease_timeout=30.0)
-        with CoordinatorThread(coordinator):
-            client = FabricClient(coordinator.host, coordinator.port)
-            reply = client.submit(_job(tmp_path, 5))
-            # In-process worker with a 2-lane cap: every shard it leases
-            # arrives pre-trimmed, and the split halves re-chunk until
-            # the whole group drains through the narrow worker.
-            worker = Worker(coordinator.host, coordinator.port,
-                            worker_id="narrow", lane_cap=2, poll=0.05)
-            stats = worker.run(idle_exit_after=5)
-            assert stats["shards_done"] >= 3  # 5 lanes / cap 2
-            final = client.wait(reply["job_id"], timeout=60)
-        got = {row["run_id"]: norm(row["result"]) for row in final["rows"]}
-        assert got == expected
-        counters = coordinator.metrics.to_dict()["counters"]
-        assert counters["fabric.shards_split"] >= 1
 
 
 class TestWholeShardLeases:

@@ -22,6 +22,7 @@ import pytest
 from repro.campaign import Campaign, Ledger
 from repro.campaign.sweep import GridSweep
 from repro.core import compile_cache as cc
+from repro.core.errors import LibertyError
 from repro.core.opt import resolve_opt_level
 from repro.fabric.artifacts import composite_artifact_keys
 from repro.fabric import (Coordinator, CoordinatorThread, FabricClient,
@@ -37,6 +38,7 @@ _CTX = (multiprocessing.get_context("fork")
         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 CHAIN = "tests.campaign._targets:build_chain"
+DOUBLE = "tests.campaign._targets:double"
 SLEEPY = "tests.campaign._targets:sleepy"
 CYCLES = 120
 
@@ -133,6 +135,20 @@ class TestOneCut:
         assert got == expected
         assert sorted(status for status, _ in got.values()) \
             == ["done"] * 6 + ["failed"]
+        # The two ledgers agree too: the shared header keys, and the
+        # result of every point's done event.
+        local_state = Ledger.load(str(tmp_path / "local.jsonl"))
+        fabric_state = Ledger.load(str(tmp_path / "fabric.jsonl"))
+        shared = ("kind", "engine", "opt", "cycles", "target")
+        assert ({k: local_state.meta[k] for k in shared}
+                == {k: fabric_state.meta[k] for k in shared})
+        assert local_state.fingerprint == fabric_state.fingerprint
+
+        def done_results(state):
+            return {rid: _norm(run.result) for rid, run in state.runs.items()
+                    if run.status == "done"}
+        assert len(done_results(local_state)) == 6
+        assert done_results(local_state) == done_results(fabric_state)
 
 
 class TestLoopbackFabric:
@@ -367,6 +383,55 @@ class TestResume:
             client.wait(reply["job_id"], timeout=120)
             with pytest.raises(FabricError, match="different campaign"):
                 client.submit(other, resume=True)
+
+
+class TestOneLedgerRule:
+    """A local campaign and a loopback fabric job open ledgers by one
+    rule (``repro.campaign.open_journal``): each refuses, and leaves
+    untouched, the same ledgers."""
+
+    SWEEP = {"x": [1, 2]}
+    OTHER = {"x": [1, 3]}
+
+    @pytest.fixture
+    def client(self):
+        coordinator = Coordinator(lease_timeout=10.0)
+        with CoordinatorThread(coordinator):
+            yield FabricClient(coordinator.host, coordinator.port)
+
+    @staticmethod
+    def _run(transport, client, grid, ledger, resume):
+        sweep = GridSweep(grid)
+        if transport == "local":
+            Campaign("rule", sweep, target=DOUBLE, workers=0,
+                     ledger_path=ledger).run(resume=resume)
+        else:
+            client.submit(job_from_sweep("rule", sweep, kind="fn",
+                                         target=DOUBLE, ledger_path=ledger),
+                          resume=resume)
+
+    @pytest.mark.parametrize("transport", ["local", "fabric"])
+    @pytest.mark.parametrize("grid, resume, refusal", [
+        (OTHER, False, "different campaign"),
+        (SWEEP, False, "already holds"),
+        (OTHER, True, "different campaign"),
+    ], ids=["fresh-other-sweep", "fresh-same-sweep", "resume-other-sweep"])
+    def test_existing_ledger_is_refused(self, tmp_path, client, transport,
+                                        grid, resume, refusal):
+        ledger = tmp_path / "rule.jsonl"
+        Campaign("rule", GridSweep(self.SWEEP), target=DOUBLE, workers=0,
+                 ledger_path=str(ledger)).run()
+        before = ledger.read_text()
+        with pytest.raises(LibertyError, match=refusal):
+            self._run(transport, client, grid, str(ledger), resume)
+        assert ledger.read_text() == before
+
+    @pytest.mark.parametrize("transport", ["local", "fabric"])
+    def test_resume_needs_a_ledger(self, tmp_path, client, transport):
+        ledger = tmp_path / "absent.jsonl"
+        with pytest.raises(LibertyError, match="no ledger"):
+            self._run(transport, client, self.SWEEP, str(ledger), True)
+        assert not ledger.exists()
 
 
 class TestCommandLine:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import CampaignError
 from repro.campaign.sweep import GridSweep
 from repro.core import compile_cache as cc
 from repro.fabric import FabricError, JobSpec, execute_shard, plan_shards
@@ -35,30 +36,31 @@ class TestJobSpec:
         clone = JobSpec.from_payload(job.to_payload())
         assert clone == job
 
-    def test_rejects_callable_target(self):
+    def test_callable_target_is_refused_only_on_the_wire(self):
         from tests.campaign import _targets
-        with pytest.raises(FabricError, match="dotted-path"):
-            JobSpec(name="j", kind="spec", points=_points(1),
-                    target=_targets.build_pipe).validate()
+        job = JobSpec(name="j", kind="spec", points=_points(1),
+                      target=_targets.build_pipe).validate()
+        with pytest.raises(CampaignError, match="dotted-path"):
+            job.to_payload()
 
     def test_rejects_bad_kind_and_empty_points(self):
-        with pytest.raises(FabricError, match="kind"):
+        with pytest.raises(CampaignError, match="kind"):
             JobSpec(name="j", kind="wat", points=_points(1),
                     target=PIPE).validate()
-        with pytest.raises(FabricError, match="no sweep points"):
+        with pytest.raises(CampaignError, match="no sweep points"):
             JobSpec(name="j", kind="spec", points=[], target=PIPE).validate()
-        with pytest.raises(FabricError, match="lss_text"):
+        with pytest.raises(CampaignError, match="lss_text"):
             JobSpec(name="j", kind="lss", points=_points(1)).validate()
 
     def test_rejects_duplicate_run_ids(self):
         points = _points(2)
         points[1]["run_id"] = points[0]["run_id"]
-        with pytest.raises(FabricError, match="duplicate"):
+        with pytest.raises(CampaignError, match="duplicate"):
             JobSpec(name="j", kind="spec", points=points,
                     target=PIPE).validate()
 
     def test_malformed_payload(self):
-        with pytest.raises(FabricError, match="malformed job payload"):
+        with pytest.raises(CampaignError, match="malformed job payload"):
             JobSpec.from_payload({"name": "j"})
 
     def test_opt_level_round_trips(self):
@@ -73,7 +75,7 @@ class TestJobSpec:
         assert JobSpec.from_payload(bare.to_payload()).opt is None
 
     def test_rejects_bad_opt_level(self):
-        with pytest.raises(FabricError, match="opt"):
+        with pytest.raises(CampaignError, match="opt"):
             JobSpec(name="j", kind="spec", points=_points(1), target=PIPE,
                     opt=5).validate()
 
@@ -170,7 +172,7 @@ class TestPlanning:
         assert built_engines == ["Simulator"] * 3
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(FabricError, match="registered engines"):
+        with pytest.raises(CampaignError, match="registered engines"):
             JobSpec(name="j", kind="spec", points=_points(1), target=PIPE,
                     engine="levelzied").validate()
 

@@ -114,6 +114,22 @@ class TestErrorHandling:
         assert err.startswith("error: CampaignError")
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--grid", "q.depth=1", "--batch"], "--batch"),
+        (["--grid", "q.depth=1", "--work", "0"], "--work"),
+    ])
+    def test_abbreviated_flag_is_unrecognised(self, spec_file, tmp_path,
+                                              capsys, argv, flag):
+        # No prefix matching: --batch is not --batch-max, and --work 0
+        # is not --workers 0.
+        ledger = str(tmp_path / "abbrev.jsonl")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", spec_file, "--ledger", ledger, *argv])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not os.path.exists(ledger)
+
+
 class TestCampaignCommand:
     def _argv(self, spec_file, ledger, extra=()):
         return ["campaign", spec_file,
