@@ -43,8 +43,6 @@ def load_target(spec_path: Optional[str], builder: Optional[str],
 
 def explain_schedule(spec) -> str:
     """Levelization report: depth, critical path, and the schedule."""
-    import networkx as nx
-
     from ..core.constructor import build_design
     from .passes import AnalysisContext
 
@@ -53,14 +51,12 @@ def explain_schedule(spec) -> str:
     # reuses a cached CompiledModel when one exists).
     ctx = AnalysisContext(design=design)
     graph = ctx.signal_graph
-    condensed = nx.condensation(graph)
-    depth = (nx.dag_longest_path_length(condensed) + 1
-             if condensed.number_of_nodes() else 0)
+    depth = len(ctx.condensation.longest_path())
     schedule = ctx.compiled.schedule
     clusters = [e for e in schedule if e.cluster]
     lines = [
         f"schedule for {design.name!r}:",
-        f"  signal groups: {graph.number_of_nodes()} "
+        f"  signal groups: {len(graph)} "
         f"({graph.number_of_edges()} dependencies)",
         f"  levelization depth (critical path): {depth} level(s)",
         f"  schedule entries: {len(schedule)} "

@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from ..core.errors import LibertyError, fmt_endpoint
+from ..core.graph import Condensation, DiGraph, descendants
 from ..core.module import HierBody, HierTemplate
 from ..core.params import resolve_bindings
 from ..core.ports import INPUT
@@ -47,7 +48,17 @@ from .diagnostics import Diagnostic, Severity
 from .passes import AnalysisContext, AnalysisPass, register_pass
 
 
-def dead_instance_paths(design) -> Tuple[List[str], List[str]]:
+def instance_graph(design) -> Tuple[DiGraph, Condensation]:
+    """The instance graph of ``design``'s real wires, and its condensation."""
+    graph = DiGraph()
+    for path in design.leaves:
+        graph.add_node(path)
+    for wire in design.real_wires:
+        graph.add_edge(wire.src.instance.path, wire.dst.instance.path)
+    return graph, graph.condensation()
+
+
+def dead_instance_paths(design, instances=None) -> Tuple[List[str], List[str]]:
     """The ``connectivity.dead-instance`` findings as reusable data.
 
     Returns ``(isolated, unreachable)``: instances with no real wires
@@ -58,17 +69,13 @@ def dead_instance_paths(design) -> Tuple[List[str], List[str]]:
     the optimizer's dead-code pass
     (:func:`repro.core.opt.pipeline.eliminable_instances`) consumes it for
     elimination, so ``repro check`` findings and ``--opt 2``
-    eliminations agree by construction.
+    eliminations agree by construction.  ``instances`` is
+    :func:`instance_graph`'s result when the caller already has it.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(design.leaves)
-    for wire in design.real_wires:
-        graph.add_edge(wire.src.instance.path, wire.dst.instance.path)
-
+    graph, condensed = instances or instance_graph(design)
+    fed = {dst for dsts in graph.succ.values() for dst in dsts}
     isolated = [p for p in design.leaves
-                if graph.in_degree(p) == 0 and graph.out_degree(p) == 0]
+                if not graph.succ[p] and p not in fed]
     connected = set(design.leaves) - set(isolated)
     if not connected:
         # A one-instance design is a deliberate unit under test, not a
@@ -82,26 +89,17 @@ def dead_instance_paths(design) -> Tuple[List[str], List[str]]:
     # DMAing into a memory that answers back).  A terminal cycle of
     # pure flow-through instances is *not* an endpoint — data
     # circling it is never consumed.
-    condensed = nx.condensation(graph)
-    endpoints = set()
-    for comp in condensed.nodes:
-        if condensed.out_degree(comp) or not condensed.in_degree(comp):
-            continue
-        members = condensed.nodes[comp]["members"]
-        cyclic = (len(members) > 1
-                  or any(graph.has_edge(p, p) for p in members))
-        if not cyclic or any(_can_generate(design.leaves[p])
-                             for p in members):
-            endpoints.add(comp)
+    indeg = condensed.in_degree()
+    endpoints = [
+        comp for comp, members in enumerate(condensed.members)
+        if not condensed.succ[comp] and indeg[comp]
+        and (not condensed.cyclic(graph, comp)
+             or any(_can_generate(design.leaves[p]) for p in members))]
     unreachable: List[str] = []
     if endpoints:
-        alive = set(endpoints)
-        reversed_condensed = condensed.reverse(copy=False)
-        for comp in endpoints:
-            alive.update(nx.descendants(reversed_condensed, comp))
-        mapping = condensed.graph["mapping"]
+        alive = set(endpoints) | descendants(condensed.pred(), endpoints)
         unreachable = [p for p in sorted(connected)
-                       if mapping[p] not in alive]
+                       if condensed.component[p] not in alive]
     return sorted(isolated), unreachable
 
 
@@ -185,15 +183,9 @@ class ConnectivityPass(AnalysisPass):
 
     # ------------------------------------------------------------------
     def _instance_graph(self, ctx: AnalysisContext) -> List[Diagnostic]:
-        import networkx as nx
-
         design = ctx.design
-        graph = nx.DiGraph()
-        graph.add_nodes_from(design.leaves)
-        for wire in design.real_wires:
-            graph.add_edge(wire.src.instance.path, wire.dst.instance.path)
-
-        isolated, unreachable = dead_instance_paths(design)
+        graph, condensed = instances = instance_graph(design)
+        isolated, unreachable = dead_instance_paths(design, instances)
         # Cross-link with the optimizer: findings the dead-code pass
         # would actually eliminate (closed dead subgraphs outside any
         # combinational cluster) get a "removable" note in their hint.
@@ -222,14 +214,9 @@ class ConnectivityPass(AnalysisPass):
         # Constant-only cycles: SCCs fed by nothing outside themselves
         # whose members are all flow-through (cannot generate data from
         # internal state).
-        for scc in nx.strongly_connected_components(graph):
-            cyclic = len(scc) > 1 or any(graph.has_edge(p, p) for p in scc)
-            if not cyclic:
-                continue
-            fed = any(src not in scc
-                      for member in scc
-                      for src in graph.predecessors(member))
-            if fed:
+        indeg = condensed.in_degree()
+        for comp, scc in enumerate(condensed.members):
+            if not condensed.cyclic(graph, comp) or indeg[comp]:
                 continue
             if any(_can_generate(design.leaves[p]) for p in scc):
                 continue

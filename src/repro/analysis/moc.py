@@ -47,7 +47,7 @@ class MoCPass(AnalysisPass):
     def run(self, ctx: AnalysisContext) -> List[Diagnostic]:
         out: List[Diagnostic] = []
         graph = ctx.signal_graph
-        for cluster in combinational_clusters(graph):
+        for cluster in combinational_clusters(graph, ctx.condensation):
             paths, groups = cluster_report(graph, cluster)
             anchor = paths[0] if paths else ""
             out.append(Diagnostic(

@@ -97,10 +97,10 @@ class AnalysisContext:
 
     @property
     def condensation(self):
-        """The SCC condensation of :attr:`signal_graph`."""
+        """The SCC condensation of :attr:`signal_graph` (a
+        :class:`~repro.core.graph.Condensation`)."""
         if self._condensation is None:
-            import networkx as nx
-            self._condensation = nx.condensation(self.signal_graph)
+            self._condensation = self.signal_graph.condensation()
         return self._condensation
 
     @property

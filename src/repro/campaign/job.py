@@ -182,13 +182,15 @@ def open_journal(job: JobSpec, path: str, *, resume: bool,
     An existing ledger is replayed first (a torn final line is
     tolerated).  It is refused if it records a different sweep
     fingerprint, and — unless ``resume`` — if it holds any run.
-    Resuming needs a ledger ("no ledger at ..."); its torn final line,
+    Resuming needs a ledger ("no ledger at ..."), and is refused if the
+    header's shared keys (:func:`shared_meta`) differ from the job's; a
+    key the header lacks is not compared.  The ledger's torn final line,
     if any, is cut off, so the events appended after it stay loadable,
     and its replayed state is returned.  A fresh run (over no ledger, or
     one without runs) writes the header — ``meta`` is added to the
-    shared kind/engine/opt/cycles/target keys — and one record per
-    point, and returns an empty state.
+    shared keys — and one record per point, and returns an empty state.
     """
+    shared = shared_meta(job)
     state = LedgerState()
     if resume or os.path.exists(path):
         state = Ledger.load(path)
@@ -202,6 +204,12 @@ def open_journal(job: JobSpec, path: str, *, resume: bool,
                 f"ledger {path!r} records a different campaign "
                 f"(fingerprint {state.fingerprint} != "
                 f"{job.sweep_fingerprint}); refusing")
+        for key, value in shared.items() if resume else ():
+            if state.meta.get(key, value) != value:
+                raise CampaignError(
+                    f"ledger {path!r} was run with {key}="
+                    f"{state.meta[key]!r}, not {value!r}; refusing to "
+                    f"resume it")
         if state.runs and not resume:
             raise CampaignError(
                 f"ledger {path!r} already holds this campaign "
@@ -217,14 +225,23 @@ def open_journal(job: JobSpec, path: str, *, resume: bool,
     ledger.record({"event": "campaign", "name": job.name,
                    "fingerprint": job.sweep_fingerprint,
                    "points": len(job.points),
-                   "meta": {"kind": job.kind, "engine": job.engine,
-                            "opt": job.opt, "cycles": job.cycles,
-                            "target": _target_name(job.target), **meta}})
+                   "meta": {**shared, **meta}})
     for point in job.points:
         ledger.record({"event": "point", "run_id": point["run_id"],
                        "index": point.get("index", -1),
                        "params": point["params"], "seed": point["seed"]})
     return ledger, LedgerState()
+
+
+def shared_meta(job: JobSpec) -> Dict[str, Any]:
+    """The header keys every transport writes and a resume must match:
+    kind, engine, opt, cycles, target, and ``spec`` (the sha256 of
+    ``lss_text``) when the job has one."""
+    meta = {"kind": job.kind, "engine": job.engine, "opt": job.opt,
+            "cycles": job.cycles, "target": _target_name(job.target)}
+    if job.lss_text is not None:
+        meta["spec"] = hashlib.sha256(job.lss_text.encode()).hexdigest()
+    return meta
 
 
 def _target_name(target: Union[str, Callable, None]) -> Optional[str]:

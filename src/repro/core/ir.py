@@ -194,18 +194,10 @@ class CompiledModel:
         """
         if self.graph_edges is None:
             return None
-        import networkx as nx
-
         from .compile_cache import wire_key
+        from .optimize import signal_graph_nodes
         key_to_wire = {wire_key(w): w for w in design.wires}
-        graph = nx.DiGraph()
-        for wire in design.wires:
-            graph.add_node(("fwd", wire.wid), wire=wire,
-                           driver=wire.src.instance if wire.src else None,
-                           const=wire.src is None)
-            graph.add_node(("ack", wire.wid), wire=wire,
-                           driver=wire.dst.instance if wire.dst else None,
-                           const=wire.dst is None)
+        graph = signal_graph_nodes(design)
         for (src_kind, src_key), (dst_kind, dst_key) in self.graph_edges:
             graph.add_edge(
                 (src_kind, key_to_wire[tuple(src_key)].wid),
@@ -400,10 +392,6 @@ def _build_base(design: Design, key: str, options: CompileOptions, inner):
     graph = build_signal_graph(design)
     schedule = build_schedule(design, graph=graph)
     edges = _portable_graph(graph, design)
-    # networkx caches its edge/degree views on the graph, and each view
-    # points back at it: left alone, the graph (whose nodes hold the
-    # live wires and instances) would wait for a gc pass.
-    graph.clear()
     partition = partition_wires(design)
     deps, controls = _metadata_tables(design)
     wires = design.wires
@@ -428,8 +416,6 @@ def _build_opt(design: Design, key: str, options: CompileOptions, inner):
     graph = base.model.signal_graph(design)
     result = optimize_model(design, level=options.opt_level, graph=graph,
                             schedule=base.schedule)
-    if graph is not None:
-        graph.clear()  # see _build_base
     model = _derived_model(key, base, result.schedule, opt=result.block)
     return model, result.schedule, base.partition
 

@@ -110,7 +110,7 @@ def opt_level_argument(text: str) -> int:
 
 def __getattr__(name: str):
     # Lazy re-exports: importing repro.core.opt for the level knobs
-    # must not pull networkx/the pipeline in.
+    # must not pull the pipeline in.
     if name in ("optimize_model", "OptResult", "explain_report",
                 "schedule_signature", "react_calls"):
         from . import pipeline

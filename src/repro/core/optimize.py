@@ -13,8 +13,9 @@ which input signal groups each driven group combinationally depends on
 conservative: everything depends on everything).  From these we build a
 dependency graph over signal groups (:func:`build_signal_graph`) and
 :func:`build_schedule` — the one place a schedule is ordered — condenses
-its strongly connected components with :mod:`networkx` and walks the
-condensation with an **instance-affine Kahn's algorithm**:
+its strongly connected components with :mod:`repro.core.graph` (an
+iterative Tarjan) and walks the condensation with an **instance-affine
+Kahn's algorithm**:
 
 * constant (stub-driven) groups are resolved by the step's reset, so what
   they feed is released before the walk starts;
@@ -47,10 +48,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .engine import SimulatorBase
 from .errors import CombinationalCycleError, fmt_endpoint
+from .graph import Condensation, DiGraph
 from .netlist import Design
 from .signals import SIG_ACK, SIG_DATA, SIG_ENABLE, Wire
 
@@ -85,13 +85,27 @@ class ScheduleEntry:
         return f"<{kind} {names}>"
 
 
-def build_signal_graph(design: Design) -> nx.DiGraph:
+def signal_graph_nodes(design: Design) -> DiGraph:
+    """The signal graph's nodes, before any edge: each wire's fwd and
+    ack group, with ``wire``/``driver``/``const`` data."""
+    graph = DiGraph()
+    for wire in design.wires:
+        graph.add_node(("fwd", wire.wid), {
+            "wire": wire, "const": wire.src is None,
+            "driver": wire.src.instance if wire.src else None})
+        graph.add_node(("ack", wire.wid), {
+            "wire": wire, "const": wire.dst is None,
+            "driver": wire.dst.instance if wire.dst else None})
+    return graph
+
+
+def build_signal_graph(design: Design) -> DiGraph:
     """The signal-group dependency graph of a wired design.
 
     Nodes are groups; an edge ``g1 -> g2`` means g2's driver may read
     g1.  Constant (stub-driven) groups have no incoming edges.
     """
-    graph = nx.DiGraph()
+    graph = signal_graph_nodes(design)
     # Index wires per (instance, port) for dependency expansion.
     by_port: Dict[Tuple[int, str], List[Wire]] = {}
     for wire in design.wires:
@@ -124,16 +138,6 @@ def build_signal_graph(design: Design) -> nx.DiGraph:
         return list(deps.get(driven_key, ()))
 
     for wire in design.wires:
-        fwd_g: Group = ("fwd", wire.wid)
-        ack_g: Group = ("ack", wire.wid)
-        graph.add_node(fwd_g, wire=wire,
-                       driver=wire.src.instance if wire.src else None,
-                       const=wire.src is None)
-        graph.add_node(ack_g, wire=wire,
-                       driver=wire.dst.instance if wire.dst else None,
-                       const=wire.dst is None)
-
-    for wire in design.wires:
         if wire.src is not None:
             inst = wire.src.instance
             for key in driver_dep_keys(inst, ("fwd", wire.src.port)):
@@ -147,19 +151,21 @@ def build_signal_graph(design: Design) -> nx.DiGraph:
     return graph
 
 
-def combinational_clusters(graph: nx.DiGraph) -> List[List[Group]]:
+def combinational_clusters(graph: DiGraph, condensed: Optional[Condensation]
+                           = None) -> List[List[Group]]:
     """Non-trivial SCCs of the signal graph: potential combinational cycles.
 
     Each cluster is returned as a sorted list of signal groups.  These
     are exactly the clusters :func:`build_schedule` must iterate to a
     fixed point, and what the ``moc.combinational-cycle`` analysis rule
-    reports before any simulator is built.
+    reports before any simulator is built.  ``condensed`` is the
+    graph's condensation when the caller already has it.
     """
-    out: List[List[Group]] = []
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) > 1 or any(graph.has_edge(g, g) for g in scc):
-            out.append(sorted(scc, key=_wire_order))
-    return out
+    if condensed is None:
+        condensed = graph.condensation()
+    return [sorted(members, key=_wire_order)
+            for comp, members in enumerate(condensed.members)
+            if condensed.cyclic(graph, comp)]
 
 
 def describe_wire_group(kind: str, wire: Wire) -> str:
@@ -172,7 +178,7 @@ def describe_wire_group(kind: str, wire: Wire) -> str:
     return f"{kind} {end(wire.src)} -> {end(wire.dst)}"
 
 
-def cluster_report(graph: nx.DiGraph,
+def cluster_report(graph: DiGraph,
                    members: Sequence[Group]) -> Tuple[List[str], List[str]]:
     """``(instance paths, group descriptions)`` of one cycle cluster."""
     paths: List[str] = []
@@ -233,7 +239,7 @@ def _cycle_detail(members: Sequence[str], groups: Sequence[str]) -> str:
 
 
 def build_schedule(design: Design,
-                   graph: nx.DiGraph = None) -> List[ScheduleEntry]:
+                   graph: Optional[DiGraph] = None) -> List[ScheduleEntry]:
     """Condense the signal graph and emit the static schedule.
 
     The one place a schedule is ordered (see the module docstring): an
@@ -243,12 +249,11 @@ def build_schedule(design: Design,
     """
     if graph is None:
         graph = build_signal_graph(design)
-    condensed = nx.condensation(graph)
-    # Plain dicts: the walk below is the hot part of a cold build.
-    driver_of = dict(graph.nodes(data="driver"))
-    members = dict(condensed.nodes(data="members"))
+    condensed = graph.condensation()
+    driver_of = {group: data["driver"] for group, data in graph.nodes.items()}
+    members = condensed.members
     successors = condensed.succ
-    indeg = dict(condensed.in_degree())
+    indeg = condensed.in_degree()
     #: Ready single-driver components per driver path, and the ready
     #: multi-driver clusters (which have no run to extend); both are
     #: heaps of (lowest (wire id, kind), component, drivers, groups) —
@@ -287,7 +292,7 @@ def build_schedule(design: Design,
             if not indeg[succ]:
                 arrive(succ)
 
-    for scc in [n for n, degree in indeg.items() if not degree]:
+    for scc in [n for n, degree in enumerate(indeg) if not degree]:
         arrive(scc)
     entries: List[ScheduleEntry] = []
     current: Optional[str] = None

@@ -80,7 +80,8 @@ def add_fabric_parsers(subparsers) -> None:
     work.add_argument("--id", default=None, metavar="NAME",
                       help="worker id (default hostname:pid)")
     work.add_argument("--poll", type=float, default=0.2, metavar="S",
-                      help="idle poll interval in seconds (default 0.2)")
+                      help="how long one lease request waits for work "
+                           "before an idle reply, in seconds (default 0.2)")
     work.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="private on-disk compile-cache directory")
     work.add_argument("--idle-exit", type=int, default=None, metavar="N",

@@ -10,6 +10,12 @@ transition happens between two protocol frames.
 
 The coordinator/worker contract, made explicit:
 
+* **Long polls.**  A lease request that carries ``wait`` (seconds)
+  and finds the queue empty is parked, not answered: the first shard
+  queued afterwards — a submission, a retry, an expiry requeue — is
+  granted to it at once, and ``idle`` comes back only after ``wait``
+  seconds without work.  Shutdown answers every parked request with
+  ``idle, draining``.  A request without ``wait`` is answered at once.
 * **Leases.**  A shard is dispatched to exactly one worker at a time
   under a *lease* with a deadline.  Workers renew by heartbeat; a
   lease whose deadline passes is *expired* — the coordinator assumes
@@ -51,7 +57,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from collections import deque
 
@@ -138,6 +144,8 @@ class Coordinator:
         self.leases: Dict[str, Lease] = {}
         self.artifacts: Dict[str, Dict[str, Any]] = {}
         self._ids = itertools.count(1)
+        #: Parked long-poll lease requests: (future, request), oldest first.
+        self._parked: Deque[Tuple[asyncio.Future, Dict[str, Any]]] = deque()
         self._server: Optional[asyncio.AbstractServer] = None
         self._expiry_task: Optional[asyncio.Task] = None
         self._stopping = False
@@ -162,6 +170,7 @@ class Coordinator:
 
     async def stop(self) -> None:
         self._stopping = True
+        self._release_parked()
         if self._expiry_task is not None:
             self._expiry_task.cancel()
             try:
@@ -203,6 +212,9 @@ class Coordinator:
                 except Exception as exc:  # never kill the service
                     reply = {"type": "error",
                              "error": f"{type(exc).__name__}: {exc}"}
+                self._wake_parked()
+                if isinstance(reply, asyncio.Future):
+                    reply = await reply  # a parked lease request
                 try:
                     await send_message(writer, reply)
                 except (ConnectionError, FabricError):
@@ -214,7 +226,8 @@ class Coordinator:
             except Exception:
                 pass
 
-    def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, message: Dict[str, Any]) \
+            -> Union[Dict[str, Any], asyncio.Future]:
         kind = message.get("type")
         handler = getattr(self, f"_msg_{kind}", None)
         if handler is None:
@@ -297,6 +310,7 @@ class Coordinator:
 
     def _msg_shutdown(self, message) -> Dict[str, Any]:
         self._stopping = True
+        self._release_parked()
         loop = asyncio.get_running_loop()
         loop.call_soon(lambda: asyncio.ensure_future(self.stop()))
         return {"type": "ok"}
@@ -304,7 +318,14 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Worker messages
     # ------------------------------------------------------------------
-    def _msg_lease(self, message) -> Dict[str, Any]:
+    def _msg_lease(self, message) -> Union[Dict[str, Any], asyncio.Future]:
+        wait = float(message.get("wait") or 0.0)
+        if wait > 0 and not self.queue and not self._stopping:
+            return self._park(message, wait)
+        return self._grant(message)
+
+    def _grant(self, message) -> Dict[str, Any]:
+        """Answer one lease request now: the next queued shard, or idle."""
         worker = str(message.get("worker", "?"))
         if self._stopping or not self.queue:
             return {"type": "idle", "draining": self._stopping}
@@ -429,6 +450,37 @@ class Coordinator:
         shard = job.shards.get(message.get("shard_id") or "")
         return shard, job
 
+    def _park(self, message, wait: float) -> asyncio.Future:
+        """Hold a lease request until a shard is queued or ``wait``
+        seconds pass, whichever comes first."""
+        loop = asyncio.get_running_loop()
+        entry = (loop.create_future(), message)
+        self._parked.append(entry)
+        timer = loop.call_later(wait, self._answer_parked, entry,
+                                {"type": "idle", "draining": False})
+        entry[0].add_done_callback(lambda _: timer.cancel())
+        return entry[0]
+
+    def _answer_parked(self, entry, reply: Optional[Dict[str, Any]] = None) \
+            -> None:
+        """Answer one parked request: ``reply``, or a grant when None."""
+        if entry in self._parked:
+            self._parked.remove(entry)
+        future, message = entry
+        if not future.done():  # its connection may have been cancelled
+            future.set_result(reply or self._grant(message))
+
+    def _wake_parked(self) -> None:
+        """Grant queued shards to parked requests, oldest first."""
+        while self._parked and self.queue and not self._stopping:
+            self._answer_parked(self._parked[0])
+
+    def _release_parked(self) -> None:
+        """Answer every parked request at once: the service is stopping."""
+        while self._parked:
+            self._answer_parked(self._parked[0],
+                                {"type": "idle", "draining": True})
+
     def _gauges(self) -> None:
         self.metrics.gauge("fabric.queue_depth").set(len(self.queue))
         self.metrics.gauge("fabric.active_leases").set(len(self.leases))
@@ -502,6 +554,7 @@ class Coordinator:
                 self._gauges()
                 if job.done():
                     self._finish_job(job)
+            self._wake_parked()
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A worker is a plain synchronous loop in its own process — all the
 concurrency lives in the coordinator.  Each iteration asks for a
 lease — the shard the coordinator planned, whole: ``JobSpec.batch_max``
-is the one setting for lanes per task — and on ``idle`` it backs off
-and polls again; on a lease it
+is the one setting for lanes per task.  The request is a long poll:
+the coordinator holds it for up to ``poll`` seconds and answers the
+moment a shard is queued, so an ``idle`` reply already stands for one
+``poll`` period and the worker asks again at once.  On a lease it
 
 1. fetches the shard's compiled-model artifacts it does not already
    hold (content-addressed by design fingerprint, byte-verified on
@@ -144,30 +146,32 @@ class Worker:
 
     # ------------------------------------------------------------------
     def run(self, *, max_shards: Optional[int] = None,
-            idle_exit_after: Optional[int] = None,
-            stop_on_drain: bool = True) -> Dict[str, int]:
+            idle_exit_after: Optional[int] = None) -> Dict[str, int]:
         """Work until drained/idle-limited; returns the stats dict.
 
         ``max_shards`` bounds how many leases this call executes;
         ``idle_exit_after`` exits after that many *consecutive* idle
-        polls (``None`` polls forever); ``stop_on_drain`` exits when
-        the coordinator reports it is shutting down.
+        polls, each one ``poll`` seconds long (``None`` polls forever).
+        The worker exits when the coordinator reports it is shutting
+        down.
         """
         executed = 0
         idle_streak = 0
-        with Channel(self.host, self.port) as channel:
+        # The socket timeout must outlast a parked lease request.
+        with Channel(self.host, self.port,
+                     timeout=30.0 + self.poll) as channel:
             while max_shards is None or executed < max_shards:
                 reply = channel.request({"type": "lease",
-                                         "worker": self.worker_id})
+                                         "worker": self.worker_id,
+                                         "wait": self.poll})
                 if reply.get("type") == "idle":
-                    if stop_on_drain and reply.get("draining"):
+                    if reply.get("draining"):
                         break
                     idle_streak += 1
                     self.stats["idle_polls"] += 1
                     if (idle_exit_after is not None
                             and idle_streak >= idle_exit_after):
                         break
-                    time.sleep(self.poll)
                     continue
                 if reply.get("type") != "lease":
                     raise FabricError(

@@ -166,3 +166,40 @@ class TestDurability:
         summary = Ledger.load(str(path)).summary()
         assert "3 points" in summary
         assert "1 done" in summary
+
+
+class TestResumeMeta:
+    """A resume compares the header's shared keys, not just the sweep."""
+
+    @staticmethod
+    def _job(**kw):
+        from repro.campaign.job import JobSpec
+        points = [{"run_id": "p0", "index": 0, "params": {}, "seed": 1}]
+        kw.setdefault("kind", "lss")
+        kw.setdefault("lss_text", "system a;\n")
+        return JobSpec(name="j", points=points, sweep_fingerprint="abc123",
+                       **kw)
+
+    def test_other_spec_text_is_refused(self, tmp_path):
+        from repro.campaign.job import open_journal
+        path = str(tmp_path / "run.jsonl")
+        open_journal(self._job(), path, resume=False, meta={})[0].close()
+        before = open(path, "rb").read()
+        with pytest.raises(CampaignError, match="spec="):
+            open_journal(self._job(lss_text="system b;\n"), path,
+                         resume=True, meta={})
+        assert open(path, "rb").read() == before
+        ledger, _ = open_journal(self._job(), path, resume=True, meta={})
+        ledger.close()
+
+    def test_key_an_older_header_lacks_is_not_compared(self, tmp_path):
+        from repro.campaign.job import open_journal
+        path = tmp_path / "run.jsonl"
+        _journal(path, [dict(HEADER, meta={"kind": "lss", "cycles": 1000}),
+                        *POINTS])
+        ledger, _ = open_journal(self._job(), str(path), resume=True,
+                                 meta={})
+        ledger.close()
+        with pytest.raises(CampaignError, match="kind='lss', not 'fn'"):
+            open_journal(self._job(kind="fn", lss_text=None, target="m:f"),
+                         str(path), resume=True, meta={})

@@ -101,6 +101,18 @@ def simple_pipe_spec(depth: int = 4, rate: float = 1.0, seed: int = 0,
     return spec
 
 
+def to_networkx(graph):
+    """A :class:`repro.core.graph.DiGraph` as a ``networkx.DiGraph``, with
+    the same nodes, node data and edges, for tests that use networkx as
+    the reference implementation."""
+    import networkx as nx
+    out = nx.DiGraph()
+    for node in graph:
+        out.add_node(node, **(graph.nodes.get(node) or {}))
+    out.add_edges_from(graph.edges())
+    return out
+
+
 def run_to_halt(sim, cores, max_cycles: int = 50_000, drain: int = 0):
     """Step until every core reports halted (plus optional drain)."""
     drained = 0

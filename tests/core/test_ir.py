@@ -110,7 +110,7 @@ class TestSignalGraphMaterialization:
         materialized = model.signal_graph(design)
         fresh = build_signal_graph(design)
         assert set(materialized.nodes) == set(fresh.nodes)
-        assert set(materialized.edges) == set(fresh.edges)
+        assert set(materialized.edges()) == set(fresh.edges())
         for node in fresh.nodes:
             assert materialized.nodes[node]["const"] \
                 == fresh.nodes[node]["const"]

@@ -35,7 +35,7 @@ from repro.core.opt.pipeline import (eliminable_instances, explain_report,
 from repro.core.optimize import build_schedule, build_signal_graph
 from repro.pcl import Queue, Sink, Source
 
-from ..conftest import PLANLESS, ooo_spec, simple_pipe_spec
+from ..conftest import PLANLESS, ooo_spec, simple_pipe_spec, to_networkx
 from .test_comb_cycles import _ring_spec
 from .test_hierarchy_properties import _STAGE_KINDS, _spec as _nested_spec
 from .test_properties import _chain_spec
@@ -122,6 +122,7 @@ class TestScheduler:
         graph = build_signal_graph(design)
         entries = build_schedule(design, graph=graph)
         node = graph.nodes
+        reference = to_networkx(graph)
         pos = {}
         for idx, entry in enumerate(entries):
             for group in entry.groups:
@@ -131,7 +132,7 @@ class TestScheduler:
                 pos[group] = idx
         assert set(pos) == {g for g in graph if not node[g]["const"]}
         for group, idx in pos.items():
-            for dep in graph.predecessors(group):
+            for dep in reference.predecessors(group):
                 if node[dep]["const"]:
                     continue  # resolved by the step's reset
                 assert pos[dep] <= idx, f"{group} before its input {dep}"
@@ -147,7 +148,8 @@ class TestScheduler:
         design = build_design(spec)
         graph = build_signal_graph(design)
         entries = build_schedule(design, graph=graph)
-        sccs = [frozenset(c) for c in nx.strongly_connected_components(graph)
+        sccs = [frozenset(c) for c in
+                nx.strongly_connected_components(to_networkx(graph))
                 if len(c) > 1]
         assert sorted(sorted(e.groups) for e in entries if e.cluster) \
             == sorted(sorted(c) for c in sccs)

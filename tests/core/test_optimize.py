@@ -5,7 +5,7 @@ from repro import LSS, build_design, build_simulator
 from repro.core.optimize import build_schedule, build_signal_graph
 from repro.pcl import Arbiter, Monitor, PipelineReg, Sink, Source
 
-from ..conftest import simple_pipe_spec
+from ..conftest import simple_pipe_spec, to_networkx
 
 
 def _comb_chain_spec():
@@ -24,7 +24,7 @@ def _comb_chain_spec():
 class TestSignalGraph:
     def test_moore_modules_have_no_incoming_edges(self):
         design = build_design(simple_pipe_spec())
-        graph = build_signal_graph(design)
+        graph = to_networkx(build_signal_graph(design))
         # Queue fwd/ack groups are state-driven: no dependencies.
         for node in graph.nodes:
             driver = graph.nodes[node]["driver"]
@@ -49,7 +49,7 @@ class TestSignalGraph:
         import networkx as nx
         design = build_design(_comb_chain_spec())
         graph = build_signal_graph(design)
-        assert nx.is_directed_acyclic_graph(graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(graph))
 
 
 class TestSchedule:

@@ -427,6 +427,32 @@ class TestOneLedgerRule:
         assert ledger.read_text() == before
 
     @pytest.mark.parametrize("transport", ["local", "fabric"])
+    def test_resume_with_other_cycles_is_refused(self, tmp_path, client,
+                                                 transport):
+        """Same sweep, different run settings: the header's shared keys
+        decide, not the sweep fingerprint alone."""
+        ledger = tmp_path / "cycles.jsonl"
+        sweep = GridSweep({"stages": [1], "rate": [0.2, 0.5]})
+        Campaign("cycles", sweep, target=CHAIN, kind="spec", cycles=50,
+                 workers=0, ledger_path=str(ledger)).run()
+        lines = ledger.read_text().splitlines(keepends=True)
+        last_done = max(i for i, line in enumerate(lines)
+                        if json.loads(line).get("event") == "done")
+        del lines[last_done]
+        ledger.write_text("".join(lines))
+        before = ledger.read_bytes()
+        with pytest.raises(LibertyError, match="cycles=50, not 500"):
+            if transport == "local":
+                Campaign("cycles", sweep, target=CHAIN, kind="spec",
+                         cycles=500, workers=0,
+                         ledger_path=str(ledger)).run(resume=True)
+            else:
+                client.submit(job_from_sweep(
+                    "cycles", sweep, target=CHAIN, cycles=500,
+                    ledger_path=str(ledger)), resume=True)
+        assert ledger.read_bytes() == before
+
+    @pytest.mark.parametrize("transport", ["local", "fabric"])
     def test_resume_needs_a_ledger(self, tmp_path, client, transport):
         ledger = tmp_path / "absent.jsonl"
         with pytest.raises(LibertyError, match="no ledger"):
